@@ -6,181 +6,76 @@ gradual rooted junction trees into mixed-integer linear programs, and solve
 for strategies that maximize expected utility or lower-tail conditional
 value at risk, optionally under chance, logical, budget, or CVaR-floor
 constraints.
+
+Names are imported on first use (PEP 562), so a process that needs only
+one module, such as the ``limid.milp_backend`` solver child, loads only
+that module.
 """
 
-from .diagram import (
-    CapExceededError,
-    ConfigIndexer,
-    Cpt,
-    InfluenceDiagram,
-    Node,
-    NodeKind,
-    Strategy,
-    UtilityMap,
-    check_order,
-    check_strategy,
-    topological_order,
-    validate_diagram,
-)
-from .diagram_io import (
-    diagram_from_dict,
-    diagram_to_dict,
-    load_diagram,
-    load_strategy,
-    save_diagram,
-    save_strategy,
-    strategy_from_dict,
-    strategy_to_dict,
-)
-from .generators import (
-    NMonitoringSpec,
-    PigFarmSpec,
-    gen_nmonitoring,
-    gen_pigfarm,
-    perturb_cpts,
-)
-from .inference import (
-    Evaluator,
-    OracleResult,
-    TailRisk,
-    UtilityDistribution,
-    cvar_of_distribution,
-    enumerate_strategies,
-    evaluate_strategy,
-    joint_marginal,
-    oracle_optimize,
-    strategy_count,
-    tail_witness,
-)
-from .mip import (
-    CompileContext,
-    CvarBlock,
-    LinearConstraint,
-    MipModel,
-    VarRef,
-    add_risk,
-    build_base_model,
-    linearize_decision_coupling,
-    model_stats,
-)
-from .risk import (
-    BudgetConstraint,
-    ChanceConstraint,
-    CvarConstraint,
-    CvarObjective,
-    EventSpec,
-    LogicalConstraint,
-    MeuObjective,
-    budget_from_dict,
-    parse_chance_text,
-    parse_event,
-    parse_logical_text,
-    validate_risk_spec,
-)
-from .rjt import (
-    Cluster,
-    RootedJunctionTree,
-    build_rjt,
-    directed_path_clusters,
-    modify_rjt,
-    reachable_roots,
-    to_dot,
-    tree_from_members,
-    validate_rjt,
-)
-from .solve import (
-    DecodedSolution,
-    ExternalSolverError,
-    Solution,
-    check_solution,
-    decode,
-    export_lp,
-    propagate_cluster_marginals,
-    solve_external,
-    solve_reference,
-    write_lp,
-)
-from .transform import MergedValueMap, merge_value_nodes
+import importlib
+
+_EXPORTS = {
+    "diagram": (
+        "CapExceededError", "ConfigIndexer", "Cpt", "InfluenceDiagram", "Node",
+        "NodeKind", "Strategy", "UtilityMap", "check_order", "check_strategy",
+        "topological_order", "validate_diagram",
+    ),
+    "diagram_io": (
+        "diagram_from_dict", "diagram_to_dict", "load_diagram",
+        "load_strategy", "save_diagram", "save_strategy", "strategy_from_dict",
+        "strategy_to_dict",
+    ),
+    "generators": (
+        "NMonitoringSpec", "PigFarmSpec", "gen_nmonitoring", "gen_pigfarm",
+        "perturb_cpts",
+    ),
+    "inference": (
+        "Evaluator", "OracleResult", "TailRisk", "UtilityDistribution",
+        "cvar_of_distribution", "enumerate_strategies", "evaluate_strategy",
+        "joint_marginal", "oracle_optimize", "strategy_count", "tail_witness",
+    ),
+    "mip": (
+        "CompileContext", "CvarBlock", "LinearConstraint", "MipModel",
+        "VarRef", "add_risk", "build_base_model",
+        "linearize_decision_coupling", "model_stats",
+    ),
+    "risk": (
+        "BudgetConstraint", "ChanceConstraint", "CvarConstraint",
+        "CvarObjective", "EventSpec", "LogicalConstraint", "MeuObjective",
+        "budget_from_dict", "parse_chance_text", "parse_event",
+        "parse_logical_text", "validate_risk_spec",
+    ),
+    "rjt": (
+        "Cluster", "RootedJunctionTree", "build_rjt", "directed_path_clusters",
+        "modify_rjt", "reachable_roots", "to_dot", "tree_from_members",
+        "validate_rjt",
+    ),
+    "solve": (
+        "DecodedSolution", "ExternalSolverError", "Solution", "check_solution",
+        "decode", "export_lp", "propagate_cluster_marginals", "solve_external",
+        "solve_reference", "write_lp",
+    ),
+    "transform": (
+        "MergedValueMap", "merge_value_nodes",
+    ),
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetConstraint",
-    "CapExceededError",
-    "ChanceConstraint",
-    "Cluster",
-    "CompileContext",
-    "ConfigIndexer",
-    "Cpt",
-    "CvarBlock",
-    "CvarConstraint",
-    "CvarObjective",
-    "DecodedSolution",
-    "Evaluator",
-    "EventSpec",
-    "ExternalSolverError",
-    "InfluenceDiagram",
-    "LinearConstraint",
-    "LogicalConstraint",
-    "MergedValueMap",
-    "MeuObjective",
-    "MipModel",
-    "NMonitoringSpec",
-    "Node",
-    "NodeKind",
-    "OracleResult",
-    "PigFarmSpec",
-    "RootedJunctionTree",
-    "Solution",
-    "Strategy",
-    "TailRisk",
-    "UtilityDistribution",
-    "UtilityMap",
-    "VarRef",
-    "add_risk",
-    "budget_from_dict",
-    "build_base_model",
-    "build_rjt",
-    "check_order",
-    "check_solution",
-    "check_strategy",
-    "cvar_of_distribution",
-    "decode",
-    "diagram_from_dict",
-    "diagram_to_dict",
-    "directed_path_clusters",
-    "enumerate_strategies",
-    "evaluate_strategy",
-    "export_lp",
-    "gen_nmonitoring",
-    "gen_pigfarm",
-    "joint_marginal",
-    "linearize_decision_coupling",
-    "load_diagram",
-    "load_strategy",
-    "merge_value_nodes",
-    "model_stats",
-    "modify_rjt",
-    "oracle_optimize",
-    "parse_chance_text",
-    "parse_event",
-    "parse_logical_text",
-    "perturb_cpts",
-    "propagate_cluster_marginals",
-    "reachable_roots",
-    "save_diagram",
-    "save_strategy",
-    "solve_external",
-    "solve_reference",
-    "strategy_count",
-    "strategy_from_dict",
-    "strategy_to_dict",
-    "tail_witness",
-    "to_dot",
-    "topological_order",
-    "tree_from_members",
-    "validate_diagram",
-    "validate_risk_spec",
-    "validate_rjt",
-    "write_lp",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -67,7 +67,6 @@ class RunConfig:
 
     solver_cmd: Optional[str] = None
     tol: float = 1e-6
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @classmethod
     def gather(cls, args) -> "RunConfig":
@@ -76,9 +75,6 @@ class RunConfig:
             raw = json.loads(Path(args.config).read_text())
             cfg.solver_cmd = raw.get("solver_cmd", cfg.solver_cmd)
             cfg.tol = float(raw.get("tol", cfg.tol))
-            cfg.extra = {
-                k: v for k, v in raw.items() if k not in ("solver_cmd", "tol")
-            }
         env_cmd = os.environ.get("LIMID_SOLVER_CMD")
         if env_cmd and cfg.solver_cmd is None:
             cfg.solver_cmd = env_cmd
@@ -289,6 +285,14 @@ def cmd_solve(args) -> int:
         _emit_record(args, record)
         return 1
     print(f"objective ({args.objective}) : {solution.objective_value!r}")
+    # What the solver claimed beside what its strategy is exactly worth;
+    # the reference enumerator reports exact values, with no drift.
+    record["verification"] = {
+        "solver_objective": solution.info.get(
+            "solver_objective", solution.objective_value
+        ),
+        "drift": solution.info.get("drift", 0.0),
+    }
     decoded = decode(solution, model, ctx, tol=cfg.tol)
     record["strategy"] = {
         d: list(rule) for d, rule in decoded.strategy.rules.items()

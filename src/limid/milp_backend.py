@@ -16,6 +16,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,30 +63,28 @@ class LpProblem:
     integer: Dict[str, bool] = field(default_factory=dict)
 
 
-_COEF_NAME_RE = re.compile(
-    r"^((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z_][A-Za-z0-9_.]*)$"
+# Comments run from a backslash to the end of the line.
+_COMMENT_RE = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+# Where a word ends: whitespace, a comment, the end of the text, a relation,
+# a lone "=", a colon, or a sign that is not an exponent's (1e-3).
+_END = r"(?=[\s\\:]|\Z|<=|>=|=(?!=|[<>](?!=))|(?<![eE])[+-])"
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# One token per match, in the text's order, after any whitespace:
+# relations, a lone "=" (one not touching another "=" or a "<"/">" that is
+# not part of a relation), colons, signs, a number, the number of a
+# coefficient fused to its name (2x), and any other word up to where the
+# next token starts.
+_TOKEN_RE = re.compile(
+    r"\s*(<=|>=|(?==)(?:(?<![<>=])|(?<=[<>]=))=(?!=|[<>](?!=))|:"
+    r"|(?=[+-])(?<![eE])[+-]"
+    rf"|{_NUM}{_END}|{_NUM}(?=[A-Za-z_][A-Za-z0-9_.]*{_END})"
+    r"|(?:[^\s\\<>=:+-]+|[<>](?!=)|(?<=[eE])[+-]"
+    r"|(?<==)(?<![<>]=)=|=(?==|[<>](?!=)))+)"
 )
 
 
 def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0]
-        line = line.replace("<=", " <= ").replace(">=", " >= ")
-        line = re.sub(r"(?<![<>=])=(?![<>=])", " = ", line)
-        line = line.replace(":", " : ")
-        # detach sign operators (but not exponent signs as in 1e-3)
-        line = re.sub(r"(?<![eE])([+-])", r" \1 ", line)
-        for tok in line.split():
-            if _is_number(tok):
-                tokens.append(tok)
-                continue
-            m = _COEF_NAME_RE.match(tok)
-            if m:  # split fused coefficient-name pairs such as 2x
-                tokens.extend((m.group(1), m.group(2)))
-            else:
-                tokens.append(tok)
-    return tokens
+    return _TOKEN_RE.findall(_COMMENT_RE.sub("", text))
 
 
 def _is_number(token: str) -> bool:
@@ -96,10 +95,35 @@ def _section_of(token: str) -> Optional[str]:
     return _SECTION_WORDS.get(token.lower())
 
 
+_REL, _SECTION, _PLUS, _MINUS, _NUMBER, _WORD = range(6)
+
+
+class _Kinds(dict):
+    """Token -> kind, worked out once per distinct token."""
+
+    def __missing__(self, tok: str) -> int:
+        if tok in ("<=", ">=", "="):
+            kind = _REL
+        elif _section_of(tok):
+            kind = _SECTION
+        elif tok == "+":
+            kind = _PLUS
+        elif tok == "-":
+            kind = _MINUS
+        elif _is_number(tok):
+            kind = _NUMBER
+        else:
+            kind = _WORD
+        self[tok] = kind
+        return kind
+
+
 def parse_lp(text: str) -> LpProblem:
     tokens = _tokenize(text)
     if not tokens:
         raise LpParseError("empty LP file")
+    n = len(tokens)
+    kinds = _Kinds()
     variables: List[str] = []
     seen = set()
 
@@ -119,61 +143,60 @@ def parse_lp(text: str) -> LpProblem:
     integer: Dict[str, bool] = {}
 
     def parse_expr(stop_at_sense: bool):
-        """Read a linear expression; returns (coeffs, const, sense_token)."""
+        """Read a linear expression; returns (coeffs, const, sense_token).
+
+        A section keyword (reserved) or, in a row, a relation ends it; a
+        number not followed by a variable is a constant term.
+        """
         nonlocal i
         coeffs: Dict[str, float] = {}
         const = 0.0
         sign = 1.0
         coef: Optional[float] = None
-        while i < len(tokens):
+        while i < n:
             tok = tokens[i]
-            if tok in ("<=", ">=", "=") and stop_at_sense:
+            kind = kinds[tok]
+            if kind == _WORD or (kind == _REL and not stop_at_sense):
+                if i + 1 < n and tokens[i + 1] == ":":
+                    i += 2  # row or objective label, not a variable
+                    continue
+                if tok not in seen:
+                    seen.add(tok)
+                    variables.append(tok)
+                coeffs[tok] = coeffs.get(tok, 0.0) + sign * (
+                    1.0 if coef is None else coef
+                )
+                coef = None
+                sign = 1.0
+            elif kind == _NUMBER:
                 if coef is not None:
                     const += sign * coef
-                return coeffs, const, tok
-            if _section_of(tok):
-                # Section keywords are reserved and end the expression,
-                # flushing any trailing constant term.
-                if coef is not None:
-                    const += sign * coef
-                return coeffs, const, None
-            if tok == "+":
+                    sign = 1.0
+                coef = float(tok)
+            elif kind == _PLUS:
                 if coef is not None:
                     const += sign * coef
                     coef = None
                 sign = 1.0
-                i += 1
-            elif tok == "-":
+            elif kind == _MINUS:
                 if coef is not None:
                     const += sign * coef
                     coef = None
                     sign = -1.0
                 else:
                     sign = -sign
-                i += 1
-            elif _is_number(tok):
-                if coef is not None:
-                    const += sign * coef
-                    sign = 1.0
-                coef = float(tok)
-                i += 1
-            elif i + 1 < len(tokens) and tokens[i + 1] == ":":
-                i += 2  # row or objective label, not a variable
             else:
-                touch(tok)
-                coeffs[tok] = coeffs.get(tok, 0.0) + sign * (
-                    1.0 if coef is None else coef
-                )
-                coef = None
-                sign = 1.0
-                i += 1
+                break
+            i += 1
         if coef is not None:
             const += sign * coef
+        if i < n and kinds[tokens[i]] == _REL:
+            return coeffs, const, tokens[i]
         return coeffs, const, None
 
-    while i < len(tokens):
+    while i < n:
         tok = tokens[i]
-        sec = _section_of(tok)
+        sec = _section_of(tok) if kinds[tok] == _SECTION else None
         if sec == "objective-max" or sec == "objective-min":
             sense = "max" if sec == "objective-max" else "min"
             i += 1
@@ -181,23 +204,15 @@ def parse_lp(text: str) -> LpProblem:
             continue
         if sec == "rows":
             if tok.lower() == "subject":
-                if i + 1 >= len(tokens) or tokens[i + 1].lower() != "to":
+                if i + 1 >= n or tokens[i + 1].lower() != "to":
                     raise LpParseError("expected 'Subject To'")
                 i += 2
             else:
                 i += 1
             section = "rows"
             continue
-        if sec == "bounds":
-            section = "bounds"
-            i += 1
-            continue
-        if sec == "binaries":
-            section = "binaries"
-            i += 1
-            continue
-        if sec == "generals":
-            section = "generals"
+        if sec in ("bounds", "binaries", "generals"):
+            section = sec
             i += 1
             continue
         if sec == "end":
@@ -210,13 +225,12 @@ def parse_lp(text: str) -> LpProblem:
                 )
             i += 1  # consume sense token
             val, i = _read_signed(
-                tokens, i, allow_inf=False, what="right-hand side"
+                tokens, i, kinds, allow_inf=False, what="right-hand side"
             )
-            rhs = val - const
-            rows.append((coeffs, rel, rhs))
+            rows.append((coeffs, rel, val - const))
             continue
         if section == "bounds":
-            i = _parse_bound(tokens, i, lower, upper, touch)
+            i = _parse_bound(tokens, i, kinds, lower, upper, touch)
             continue
         if section == "binaries":
             touch(tok)
@@ -244,7 +258,9 @@ def parse_lp(text: str) -> LpProblem:
     )
 
 
-def _read_signed(tokens, i, allow_inf: bool, what: str) -> Tuple[float, int]:
+def _read_signed(
+    tokens, i, kinds, allow_inf: bool, what: str
+) -> Tuple[float, int]:
     """Read a possibly signed number (or infinity); return (value, next index)."""
     sign = 1.0
     while i < len(tokens) and tokens[i] in ("+", "-"):
@@ -256,28 +272,31 @@ def _read_signed(tokens, i, allow_inf: bool, what: str) -> Tuple[float, int]:
     tok = tokens[i]
     if allow_inf and tok.lower() in ("inf", "infinity"):
         return sign * _INF, i + 1
-    if not _is_number(tok):
+    if kinds[tok] != _NUMBER:
         raise LpParseError(f"expected a number in {what}, got {tok!r}")
     return sign * float(tok), i + 1
 
 
-def _read_bound_value(tokens, i) -> Tuple[float, int]:
-    return _read_signed(tokens, i, allow_inf=True, what="bounds declaration")
+def _read_bound_value(tokens, i, kinds) -> Tuple[float, int]:
+    return _read_signed(
+        tokens, i, kinds, allow_inf=True, what="bounds declaration"
+    )
 
 
-def _parse_bound(tokens, i, lower, upper, touch) -> int:
+def _parse_bound(tokens, i, kinds, lower, upper, touch) -> int:
     """Parse one bounds declaration starting at tokens[i]; return new index."""
     tok = tokens[i]
-    if tok in ("+", "-") or _is_number(tok) or tok.lower() in ("inf", "infinity"):
+    if (kinds[tok] in (_PLUS, _MINUS, _NUMBER)
+            or tok.lower() in ("inf", "infinity")):
         # form: a <= x <= b   (or a <= x)
-        lo, j = _read_bound_value(tokens, i)
-        if j >= len(tokens) or tokens[j] != "<=":
+        lo, j = _read_bound_value(tokens, i, kinds)
+        if j + 1 >= len(tokens) or tokens[j] != "<=":
             raise LpParseError(f"bad bound near {tok!r}")
         name = tokens[j + 1]
         touch(name)
         lower[name] = lo
         if j + 2 < len(tokens) and tokens[j + 2] == "<=":
-            up, k = _read_bound_value(tokens, j + 3)
+            up, k = _read_bound_value(tokens, j + 3, kinds)
             upper[name] = up
             return k
         return j + 2
@@ -289,7 +308,7 @@ def _parse_bound(tokens, i, lower, upper, touch) -> int:
         upper[name] = _INF
         return i + 2
     if nxt in ("<=", ">=", "="):
-        val, k = _read_bound_value(tokens, i + 2)
+        val, k = _read_bound_value(tokens, i + 2, kinds)
         if nxt == "<=":
             upper[name] = val
         elif nxt == ">=":
@@ -321,22 +340,22 @@ def solve_lp_text(text: str, time_limit: Optional[float] = None):
     m = len(prob.rows)
     constraints = []
     if m:
-        data, ri, ci, lb, ub = [], [], [], [], []
-        for r, (coeffs, rel, rhs) in enumerate(prob.rows):
-            for name, coef in coeffs.items():
-                data.append(coef)
-                ri.append(r)
-                ci.append(index[name])
-            if rel == "=":
-                lb.append(rhs)
-                ub.append(rhs)
-            elif rel == "<=":
-                lb.append(-_INF)
-                ub.append(rhs)
-            else:
-                lb.append(rhs)
-                ub.append(_INF)
-        matrix = sparse.csc_matrix((data, (ri, ci)), shape=(m, n))
+        row_coeffs = [coeffs for coeffs, _, _ in prob.rows]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum([len(coeffs) for coeffs in row_coeffs], out=indptr[1:])
+        data = np.fromiter(
+            chain.from_iterable(coeffs.values() for coeffs in row_coeffs),
+            dtype=float, count=indptr[-1],
+        )
+        cols = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(row_coeffs)),
+            dtype=np.int64, count=indptr[-1],
+        )
+        rel = np.array([rel for _, rel, _ in prob.rows])
+        rhs = np.array([rhs for _, _, rhs in prob.rows], dtype=float)
+        lb = np.where(rel == "<=", -_INF, rhs)
+        ub = np.where(rel == ">=", _INF, rhs)
+        matrix = sparse.csr_matrix((data, cols, indptr), shape=(m, n)).tocsc()
         constraints.append(optimize.LinearConstraint(matrix, lb, ub))
 
     options = {"mip_rel_gap": 0.0}
@@ -379,11 +398,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, LpParseError, ValueError) as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
-    print(f"status {status}")
+    lines = [f"status {status}"]
     if objective is not None:
-        print(f"objective {objective!r}")
-    for name, val in assignment.items():
-        print(f"{name} {val!r}")
+        lines.append(f"objective {objective!r}")
+    lines += [f"{name} {val!r}" for name, val in assignment.items()]
+    print("\n".join(lines))
     return 0 if status in ("optimal", "infeasible") else 2
 
 

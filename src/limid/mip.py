@@ -20,8 +20,10 @@ node, usable as objective or as a lower-bound constraint.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +53,11 @@ class VarRef:
     kind: str
 
 
+# Row senses, stored in a model as their codes EQ, LE and GE.
+SENSES = ("==", "<=", ">=")
+EQ, LE, GE = range(len(SENSES))
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """sum(coef * var) sense rhs, with a provenance tag.
@@ -65,7 +72,7 @@ class LinearConstraint:
     tag: str
 
     def __post_init__(self):
-        if self.sense not in ("==", "<=", ">="):
+        if self.sense not in SENSES:
             raise ValueError(f"bad constraint sense {self.sense!r}")
 
     @property
@@ -83,6 +90,158 @@ def make_constraint(terms, sense: str, rhs: float, tag: str) -> LinearConstraint
         merged[var] += coef
     packed = tuple((merged[v], v) for v in order if merged[v] != 0.0)
     return LinearConstraint(terms=packed, sense=sense, rhs=float(rhs), tag=tag)
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """Rows ``start`` to ``stop`` (exclusive), emitted in one step.
+
+    A single row is tagged ``heads[0]``.  In an indexed block, row
+    ``start + j`` is tagged ``heads[j % p] + str(j // p) + "]"`` with
+    ``p = len(heads)``, so two heads interleave two row families.
+    """
+
+    start: int
+    stop: int
+    heads: Tuple[str, ...]
+    indexed: bool
+
+    def tag(self, row: int) -> str:
+        if not self.indexed:
+            return self.heads[0]
+        j, p = row - self.start, len(self.heads)
+        return f"{self.heads[j % p]}{j // p}]"
+
+    def tags(self) -> List[str]:
+        if not self.indexed:
+            return [self.heads[0]] * (self.stop - self.start)
+        p = len(self.heads)
+        return [f"{self.heads[j % p]}{j // p}]"
+                for j in range(self.stop - self.start)]
+
+    def family_counts(self) -> Iterator[Tuple[str, int]]:
+        n, p = self.stop - self.start, len(self.heads)
+        for j, head in enumerate(self.heads):
+            yield head.split("[", 1)[0], len(range(j, n, p))
+
+
+class RowStore(Sequence):
+    """Every row of a model in compressed sparse row form.
+
+    Row ``i`` has the terms ``data[k] * x[indices[k]]`` for ``k`` in
+    ``indptr[i]:indptr[i + 1]``, the sense ``SENSES[sense[i]]`` and the
+    right-hand side ``rhs[i]``; ``blocks`` give the row families and tags.
+    Appended rows are gathered and joined into the arrays on first read.
+    As a sequence the store is a read-only view of ``LinearConstraint``
+    objects, each built on demand.
+    """
+
+    def __init__(self):
+        self.blocks: List[RowBlock] = []
+        self._pending: list = []
+        self._n = 0
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.zeros(0, dtype=np.int64)
+        self._data = np.zeros(0)
+        self._sense = np.zeros(0, dtype=np.int8)
+        self._rhs = np.zeros(0)
+
+    def append(self, counts, indices, data, sense, rhs, heads, indexed=True):
+        """Add ``len(counts)`` rows whose terms lie in ``indices``/``data``
+        row after row; ``sense`` and ``rhs`` are per row or scalars."""
+        n = len(counts)
+        sense = np.broadcast_to(np.asarray(sense, dtype=np.int8), (n,))
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,))
+        self._pending.append((counts, indices, data, sense, rhs))
+        self.blocks.append(RowBlock(self._n, self._n + n, tuple(heads), indexed))
+        self._n += n
+
+    def append_terms(self, n_rows, row, var, coef, sense, rhs, heads,
+                     indexed=True):
+        """Add ``n_rows`` rows from terms ``coef * x[var]`` on rows ``row``
+        (numbered from 0 in this block).  A row keeps its terms in the
+        order given, less those with a zero coefficient."""
+        keep = coef != 0.0
+        row = row[keep]
+        order = np.argsort(row, kind="stable")
+        self.append(np.bincount(row, minlength=n_rows), var[keep][order],
+                    coef[keep][order], sense, rhs, heads, indexed)
+
+    def _join(self) -> None:
+        if not self._pending:
+            return
+        parts = list(zip(*self._pending))
+        self._pending = []
+        counts = np.concatenate(parts[0]).astype(np.int64)
+        self._indptr = np.concatenate(
+            [self._indptr, self._indptr[-1] + np.cumsum(counts)])
+        self._indices = np.concatenate(
+            [self._indices] + [np.asarray(a, dtype=np.int64) for a in parts[1]])
+        self._data = np.concatenate(
+            [self._data] + [np.asarray(a, dtype=float) for a in parts[2]])
+        self._sense = np.concatenate([self._sense, *parts[3]])
+        self._rhs = np.concatenate([self._rhs, *parts[4]])
+
+    @property
+    def indptr(self) -> np.ndarray:
+        self._join()
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        self._join()
+        return self._indices
+
+    @property
+    def data(self) -> np.ndarray:
+        self._join()
+        return self._data
+
+    @property
+    def sense(self) -> np.ndarray:
+        self._join()
+        return self._sense
+
+    @property
+    def rhs(self) -> np.ndarray:
+        self._join()
+        return self._rhs
+
+    def tag(self, row: int) -> str:
+        at = bisect_right(self.blocks, row, key=lambda block: block.start)
+        return self.blocks[at - 1].tag(row)
+
+    def tags(self) -> Iterator[str]:
+        for block in self.blocks:
+            yield from block.tags()
+
+    def family_counts(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for block in self.blocks:
+            for family, n in block.family_counts():
+                if n:
+                    counts[family] = counts.get(family, 0) + n
+        return counts
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _row(self, i: int, tag: str) -> LinearConstraint:
+        a, b = self.indptr[i], self.indptr[i + 1]
+        terms = tuple(zip(self.data[a:b].tolist(), self.indices[a:b].tolist()))
+        return LinearConstraint(terms=terms, sense=SENSES[self.sense[i]],
+                                rhs=float(self.rhs[i]), tag=tag)
+
+    def __getitem__(self, i: int) -> LinearConstraint:
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("row index out of range")
+        return self._row(i, self.tag(i))
+
+    def __iter__(self) -> Iterator[LinearConstraint]:
+        for i, tag in enumerate(self.tags()):
+            yield self._row(i, tag)
 
 
 @dataclass(frozen=True)
@@ -128,13 +287,15 @@ class CompileContext:
         # Parents before children; siblings by node order.  After a re-hang
         # the node order itself may put a cluster before its tree parent, so
         # the walk goes from the tree root.
+        children: Dict[str, List[str]] = {}
+        for c in self.tree.order:
+            children.setdefault(self.tree.parent.get(c), []).append(c)
         order: List[str] = []
         stack = [self.tree.tree_root]
         while stack:
             cur = stack.pop()
             order.append(cur)
-            kids = [c for c in self.tree.order if self.tree.parent.get(c) == cur]
-            stack.extend(reversed(kids))
+            stack.extend(reversed(children.get(cur, ())))
         return order
 
     def _coords(self, members, radices, configs):
@@ -239,7 +400,7 @@ class MipModel:
     """Solver-agnostic model: variables, rows, objective, catalogs."""
 
     variables: List[VarRef] = field(default_factory=list)
-    constraints: List[LinearConstraint] = field(default_factory=list)
+    rows: RowStore = field(default_factory=RowStore, repr=False, compare=False)
     objective: Tuple[Tuple[float, int], ...] = ()
     objective_sense: str = "max"
     mu_start: Dict[str, int] = field(default_factory=dict)
@@ -253,13 +414,21 @@ class MipModel:
         default=None, repr=False, compare=False
     )
 
+    @property
+    def constraints(self) -> RowStore:
+        """The rows as a read-only sequence of ``LinearConstraint``."""
+        return self.rows
+
     def add_var(self, name: str, kind: str) -> int:
         idx = len(self.variables)
         self.variables.append(VarRef(index=idx, name=name, kind=kind))
         return idx
 
     def add_row(self, terms, sense: str, rhs: float, tag: str) -> None:
-        self.constraints.append(make_constraint(terms, sense, rhs, tag))
+        row = make_constraint(terms, sense, rhs, tag)
+        coefs = [coef for coef, _ in row.terms]
+        self.rows.append([len(coefs)], [var for _, var in row.terms], coefs,
+                         SENSES.index(row.sense), row.rhs, (tag,), indexed=False)
 
     def mu_var(self, root: str, cfg: int) -> int:
         if not 0 <= cfg < self.mu_total[root]:
@@ -288,9 +457,11 @@ def build_base_model(
     row families in the order normalization, local consistency, chance
     coupling, decision coupling, pick-one.  The objective sums utility
     times mass over every value cluster (zero-utility terms omitted).
+    Each family is emitted one cluster at a time as a block of arrays.
     """
     ctx = CompileContext(diagram, tree, cluster_cap=cluster_cap)
     model = MipModel(context=ctx)
+    rows = model.rows
 
     for root in tree.order:
         lay = ctx.layouts[root]
@@ -308,45 +479,44 @@ def build_base_model(
                 model.add_var(f"delta_{d}_{pcfg}_{s}", VAR_BINARY)
 
     for root in tree.order:
-        lay = ctx.layouts[root]
-        model.add_row(
-            [(1.0, model.mu_var(root, c)) for c in range(lay.total)],
-            "==",
-            1.0,
-            f"normalize[{root}]",
-        )
+        total = ctx.layouts[root].total
+        rows.append([total], model.mu_start[root] + np.arange(total),
+                    np.ones(total), EQ, 1.0,
+                    (f"normalize[{root}]",), indexed=False)
 
     for child in tree.order:
         parent = tree.parent.get(child)
         if parent is None:
             continue
         lay = ctx.layouts[child]
-        parent_members = [
-            [] for _ in range(lay.n_groups)
-        ]  # parent configs projecting onto each group
-        for pcfg, g in enumerate(lay.parent_groups):
-            parent_members[g].append(pcfg)
-        child_members = [[] for _ in range(lay.n_groups)]
-        for cfg, g in enumerate(lay.group_of):
-            child_members[g].append(cfg)
-        for g in range(lay.n_groups):
-            terms = [(1.0, model.mu_var(parent, p)) for p in parent_members[g]]
-            terms += [(-1.0, model.mu_var(child, c)) for c in child_members[g]]
-            model.add_row(terms, "==", 0.0, f"consistency[{parent}->{child}][g={g}]")
+        # row g: + parent configs, then - child configs, projecting onto g
+        n_parent = lay.parent_groups.size
+        rows.append_terms(
+            lay.n_groups,
+            np.concatenate([lay.parent_groups, lay.group_of]),
+            np.concatenate([model.mu_start[parent] + np.arange(n_parent),
+                            model.mu_start[child] + np.arange(lay.total)]),
+            np.concatenate([np.ones(n_parent), -np.ones(lay.total)]),
+            EQ, 0.0, (f"consistency[{parent}->{child}][g=",),
+        )
 
     for root in tree.order:
         if diagram.kind(root) == NodeKind.DECISION:
             continue
         lay = ctx.layouts[root]
-        rows = diagram.cpts[root].rows
-        siblings = _group_members(lay)
-        for cfg in range(lay.total):
-            p = float(rows[lay.table_row[cfg], lay.root_state[cfg]])
-            terms = [(1.0, model.mu_var(root, cfg))]
-            terms += [
-                (-p, model.mu_var(root, c)) for c in siblings[lay.group_of[cfg]]
-            ]
-            model.add_row(terms, "==", 0.0, f"cpt_link[{root}][c={cfg}]")
+        p = diagram.cpts[root].rows[lay.table_row, lay.root_state]
+        # row c: mass_c - p_c * (mass of c's group) = 0, where the own term
+        # merges to 1 - p_c and the siblings follow in ascending order
+        cfgs = np.arange(lay.total)
+        linked = np.nonzero(p)[0]
+        siblings = _siblings(lay, linked)
+        rows.append_terms(
+            lay.total,
+            np.concatenate([cfgs, np.repeat(linked, siblings.shape[1])]),
+            model.mu_start[root] + np.concatenate([cfgs, siblings.ravel()]),
+            np.concatenate([1.0 - p, np.repeat(-p[linked], siblings.shape[1])]),
+            EQ, 0.0, (f"cpt_link[{root}][c=",),
+        )
 
     for root in tree.order:
         if diagram.kind(root) != NodeKind.DECISION:
@@ -354,33 +524,33 @@ def build_base_model(
         linearize_decision_coupling(model, ctx, root)
     for d in diagram.decision_nodes:
         n_pcfg, n_states = model.delta_shape[d]
-        for pcfg in range(n_pcfg):
-            model.add_row(
-                [(1.0, model.delta_var(d, pcfg, s)) for s in range(n_states)],
-                "==",
-                1.0,
-                f"policy_pick[{d}][i={pcfg}]",
-            )
+        rows.append([n_states] * n_pcfg,
+                    model.delta_start[d] + np.arange(n_pcfg * n_states),
+                    np.ones(n_pcfg * n_states), EQ, 1.0,
+                    (f"policy_pick[{d}][i=",))
 
-    objective: List[Tuple[float, int]] = []
+    coefs: List[float] = []
+    variables: List[int] = []
     for root in tree.order:
         if diagram.kind(root) != NodeKind.VALUE:
             continue
         lay = ctx.layouts[root]
-        values = diagram.utilities[root].values
-        for cfg in range(lay.total):
-            u = float(values[lay.root_state[cfg]])
-            if u != 0.0:
-                objective.append((u, model.mu_var(root, cfg)))
-    model.objective = tuple(objective)
+        u = diagram.utilities[root].values[lay.root_state].astype(float)
+        hit = np.nonzero(u != 0.0)[0]
+        coefs += u[hit].tolist()
+        variables += (model.mu_start[root] + hit).tolist()
+    model.objective = tuple(zip(coefs, variables))
     return model, ctx
 
 
-def _group_members(lay: ClusterLayout) -> List[List[int]]:
-    out: List[List[int]] = [[] for _ in range(lay.n_groups)]
-    for cfg, g in enumerate(lay.group_of):
-        out[g].append(cfg)
-    return out
+def _siblings(lay: ClusterLayout, cfgs: np.ndarray) -> np.ndarray:
+    """Line ``j``: the other configurations of ``cfgs[j]``'s group, in
+    ascending order.  Every group has one configuration per state of the
+    root, ascending with that state, so ``root_state`` is the own place."""
+    members = np.argsort(lay.group_of, kind="stable").reshape(lay.n_groups, -1)
+    cols = np.arange(members.shape[1] - 1)
+    skip_own = cols + (cols >= lay.root_state[cfgs][:, None])
+    return members[lay.group_of[cfgs][:, None], skip_own]
 
 
 def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str) -> None:
@@ -389,22 +559,28 @@ def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str)
     For each configuration: mass is capped by the policy bit, and mass must
     reach the cluster's own root-marginal less the bit's slack.  Both rows
     are exact because masses live in [0, 1]; the root marginal is written as
-    the sum over the root node's states inside the same cluster.
+    the sum over the root node's states inside the same cluster.  The two
+    rows of configuration c are rows 2c and 2c + 1 of the block.
     """
     lay = ctx.layouts[root]
-    siblings = _group_members(lay)
-    for cfg in range(lay.total):
-        dvar = model.delta_var(root, int(lay.table_row[cfg]), int(lay.root_state[cfg]))
-        model.add_row(
-            [(1.0, model.mu_var(root, cfg)), (-1.0, dvar)],
-            "<=",
-            0.0,
-            f"policy_ub[{root}][c={cfg}]",
-        )
-        terms = [(1.0, model.mu_var(root, cfg))]
-        terms += [(-1.0, model.mu_var(root, c)) for c in siblings[lay.group_of[cfg]]]
-        terms.append((-1.0, dvar))
-        model.add_row(terms, ">=", -1.0, f"policy_lb[{root}][c={cfg}]")
+    n_states = model.delta_shape[root][1]
+    cfgs = np.arange(lay.total)
+    mu = model.mu_start[root] + cfgs
+    bit = model.delta_start[root] + lay.table_row * n_states + lay.root_state
+    siblings = model.mu_start[root] + _siblings(lay, cfgs)
+    ub, lb = 2 * cfgs, 2 * cfgs + 1
+    ones = np.ones(lay.total)
+    model.rows.append_terms(
+        2 * lay.total,
+        # policy_ub: mass - bit <= 0.  policy_lb: mass - group mass - bit
+        # >= -1, in which the own mass cancels.
+        np.concatenate([ub, ub, np.repeat(lb, siblings.shape[1]), lb]),
+        np.concatenate([mu, bit, siblings.ravel(), bit]),
+        np.concatenate([ones, -ones, -np.ones(siblings.size), -ones]),
+        np.tile([LE, GE], lay.total),
+        np.tile([0.0, -1.0], lay.total),
+        (f"policy_ub[{root}][c=", f"policy_lb[{root}][c="),
+    )
 
 
 def _matching_configs(ctx: CompileContext, root: str, spec) -> List[int]:
@@ -577,7 +753,6 @@ def model_stats(model: MipModel) -> Dict[str, Dict[str, int]]:
         stem = v.name.split("_", 1)[0]
         variables[stem] = variables.get(stem, 0) + 1
         variables[v.kind] = variables.get(v.kind, 0) + 1
-    constraints: Dict[str, int] = {"total": len(model.constraints)}
-    for c in model.constraints:
-        constraints[c.family] = constraints.get(c.family, 0) + 1
+    constraints: Dict[str, int] = {"total": len(model.rows)}
+    constraints.update(model.rows.family_counts())
     return {"variables": variables, "constraints": constraints}

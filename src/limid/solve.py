@@ -28,7 +28,17 @@ from .inference import (
     enumerate_strategies,
     tail_witness,
 )
-from .mip import CompileContext, MipModel, VAR_BINARY, VAR_FREE, VAR_UNIT
+from .mip import (
+    EQ,
+    GE,
+    LE,
+    SENSES,
+    VAR_BINARY,
+    VAR_FREE,
+    VAR_UNIT,
+    CompileContext,
+    MipModel,
+)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -77,28 +87,29 @@ class DecodedSolution:
 # LP text export
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _terms_text(terms, names: List[str]) -> List[str]:
-    tokens: List[str] = []
-    for i, (coef, var) in enumerate(terms):
-        if coef < 0:
-            sign, mag = "-", -coef
-        else:
-            sign, mag = "+", coef
-        if i == 0 and sign == "+":
-            tokens.append(f"{_fmt(mag)} {names[var]}")
-        else:
-            tokens.append(f"{sign} {_fmt(mag)} {names[var]}")
-    return tokens
+def _terms_text(coefs: List[float], names: List[str]) -> List[str]:
+    """One ``+ c name`` or ``- c name`` token per term."""
+    return [
+        f"- {-c!r} {name}" if c < 0 else f"+ {c!r} {name}"
+        for c, name in zip(coefs, names)
+    ]
 
 
 def _wrap(prefix: str, tokens: List[str], tail: str = "") -> List[str]:
+    """Lines of ``prefix``, the terms and ``tail``, wrapped before a term
+    that would pass ``LP_LINE_WIDTH``; a leading plus sign is dropped."""
+    body = " ".join(tokens)
+    if body.startswith("+"):
+        body = body[2:]
+    if len(prefix) + 1 + len(body) <= LP_LINE_WIDTH:
+        # no term can overflow: the line is the whole expression
+        line = f"{prefix} {body}" if body else prefix
+        return [f"{line} {tail}" if tail else line]
     lines = []
     cur = prefix
-    for tok in tokens:
+    for k, tok in enumerate(tokens):
+        if k == 0 and tok.startswith("+"):
+            tok = tok[2:]
         if len(cur) + 1 + len(tok) > LP_LINE_WIDTH and cur.strip():
             lines.append(cur)
             cur = " " + tok
@@ -128,16 +139,26 @@ def export_lp(model: MipModel) -> str:
     sense_word = "Maximize" if model.objective_sense == "max" else "Minimize"
     out.append(sense_word)
     if model.objective:
-        obj_tokens = _terms_text(model.objective, names)
+        obj_tokens = _terms_text(
+            [float(c) for c, _ in model.objective],
+            [names[v] for _, v in model.objective],
+        )
     else:
         obj_tokens = [f"0.0 {names[0]}"]
     out.extend(_wrap(" obj:", obj_tokens))
     out.append("Subject To")
-    for i, row in enumerate(model.constraints, start=1):
-        out.append(f"\\ {row.tag}")
-        rel = {"==": "=", "<=": "<=", ">=": ">="}[row.sense]
-        tokens = _terms_text(row.terms, names)
-        out.extend(_wrap(f" c{i}:", tokens, tail=f"{rel} {_fmt(row.rhs)}"))
+    rows = model.rows
+    indptr = rows.indptr.tolist()
+    tokens = _terms_text(
+        rows.data.tolist(), [names[v] for v in rows.indices.tolist()]
+    )
+    relations = [("=", "<=", ">=")[code] for code in rows.sense.tolist()]
+    for i, (tag, rel, rhs) in enumerate(
+        zip(rows.tags(), relations, rows.rhs.tolist())
+    ):
+        out.append(f"\\ {tag}")
+        out.extend(_wrap(f" c{i + 1}:", tokens[indptr[i]:indptr[i + 1]],
+                         tail=f"{rel} {rhs!r}"))
     out.append("Bounds")
     for v in model.variables:
         if v.kind == VAR_UNIT:
@@ -165,23 +186,18 @@ class RowSystem:
 
     def __init__(self, model: MipModel):
         self.model = model
+        rows = model.rows
         n = len(model.variables)
-        data, rows, cols = [], [], []
-        rhs = []
-        senses = []
-        for i, c in enumerate(model.constraints):
-            for coef, var in c.terms:
-                data.append(coef)
-                rows.append(i)
-                cols.append(var)
-            rhs.append(c.rhs)
-            senses.append(c.sense)
-        m = len(model.constraints)
         self.matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(m, n), dtype=float
+            (rows.data, rows.indices, rows.indptr), shape=(len(rows), n),
+            copy=True,
         )
-        self.rhs = np.asarray(rhs, dtype=float)
-        self.senses = np.asarray(senses)
+        self.matrix.sort_indices()  # ascending columns within each row
+        self.rhs = rows.rhs
+        self.senses = rows.sense
+        kinds = np.array([v.kind for v in model.variables], dtype=object)
+        self.binary = kinds == VAR_BINARY
+        self.bounded = self.binary | (kinds == VAR_UNIT)
         obj = np.zeros(n)
         for coef, var in model.objective:
             obj[var] += coef
@@ -193,24 +209,22 @@ class RowSystem:
     def violations(self, x: np.ndarray, tol: float) -> List[str]:
         problems: List[str] = []
         res = self.matrix @ x - self.rhs
-        bad_eq = (self.senses == "==") & (np.abs(res) > tol)
-        bad_le = (self.senses == "<=") & (res > tol)
-        bad_ge = (self.senses == ">=") & (res < -tol)
+        bad_eq = (self.senses == EQ) & (np.abs(res) > tol)
+        bad_le = (self.senses == LE) & (res > tol)
+        bad_ge = (self.senses == GE) & (res < -tol)
         for i in np.nonzero(bad_eq | bad_le | bad_ge)[0]:
-            row = self.model.constraints[i]
             problems.append(
-                f"row c{i + 1} [{row.tag}] residual {res[i]:.3e} "
-                f"violates sense {row.sense}"
+                f"row c{i + 1} [{self.model.rows.tag(i)}] residual "
+                f"{res[i]:.3e} violates sense {SENSES[self.senses[i]]}"
             )
-        for v in self.model.variables:
-            val = x[v.index]
-            if v.kind in (VAR_UNIT, VAR_BINARY):
-                if val < -tol or val > 1.0 + tol:
-                    problems.append(
-                        f"variable {v.name} = {val!r} outside [0, 1]"
-                    )
-            if v.kind == VAR_BINARY and abs(val - round(val)) > tol:
-                problems.append(f"variable {v.name} = {val!r} is not integral")
+        outside = self.bounded & ((x < -tol) | (x > 1.0 + tol))
+        fractional = self.binary & (np.abs(x - np.round(x)) > tol)
+        for j in np.nonzero(outside | fractional)[0]:
+            name, val = self.model.variables[j].name, x[j]
+            if outside[j]:
+                problems.append(f"variable {name} = {val!r} outside [0, 1]")
+            if fractional[j]:
+                problems.append(f"variable {name} = {val!r} is not integral")
         return problems
 
 
@@ -364,7 +378,10 @@ def solve_reference(
 
 def parse_name_value_listing(text: str) -> Dict[str, object]:
     """Parse ``status <word>``, ``objective <num>``, and ``<name> <num>``
-    lines into a dict with keys "status", "objective", "assignment"."""
+    lines into a dict with keys "status", "objective", "assignment".
+
+    Only lines after the status line count: whatever a solver prints on
+    stdout before it, such as its log, never becomes a value."""
     status = None
     objective = None
     assignment: Dict[str, float] = {}
@@ -378,6 +395,8 @@ def parse_name_value_listing(text: str) -> Dict[str, object]:
         key, value = parts
         if key == "status":
             status = value.lower()
+            continue
+        if status is None:
             continue
         try:
             num = float(value)

@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 
 from limid.diagram_io import save_diagram
-from limid.generators import PigFarmSpec, gen_pigfarm
+from limid.generators import (
+    NMonitoringSpec,
+    PigFarmSpec,
+    gen_nmonitoring,
+    gen_pigfarm,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -190,6 +195,22 @@ class TestSolve:
         assert record["backend"] == "external"
         assert record["objective_value"] == pytest.approx(767.06, abs=1e-6)
         assert record["strategy"] == {"D1": [0, 0], "D2": [0, 1]}
+
+    def test_json_record_reports_solver_claim_and_drift(self, workdir):
+        save_diagram(
+            gen_nmonitoring(NMonitoringSpec(n_monitors=2)), workdir / "nm2.json"
+        )
+        proc = run_cli(
+            "solve", "nm2.json", "--backend", "external", "--json", cwd=workdir
+        )
+        assert proc.returncode == 0
+        record = json.loads(proc.stdout.splitlines()[-1])
+        check = record["verification"]
+        assert isinstance(check["solver_objective"], float)
+        assert check["drift"] == (
+            check["solver_objective"] - record["objective_value"]
+        )
+        assert abs(check["drift"]) < 1e-3
 
     def test_out_strategy_uses_state_names(self, workdir):
         proc = run_cli(

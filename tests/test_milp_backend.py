@@ -1,6 +1,8 @@
 """The bundled LP-file MILP backend: parser units, solver behaviour, and
 the command-line entry point."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from limid.milp_backend import LpParseError, main, parse_lp, solve_lp_text
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 SMALL_LP = """\
@@ -89,6 +92,8 @@ class TestParser:
             parse_lp("Maximize\n obj: x\nSubject To\n c1: x <= \nEnd")
         with pytest.raises(LpParseError, match="outside"):
             parse_lp("stray tokens here")
+        with pytest.raises(LpParseError, match="bad bound"):
+            parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1\nBounds\n 0 <=")
 
 
 class TestSolver:
@@ -183,3 +188,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0] == "status optimal"
+
+
+class TestLazyPackage:
+    def run_python(self, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_solver_child_imports_only_its_module(self):
+        loaded = self.run_python(
+            "import json, sys; import limid.milp_backend; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('limid'))))"
+        )
+        assert loaded == ["limid", "limid.milp_backend"]
+
+    def test_every_exported_name_resolves(self):
+        missing = self.run_python(
+            "import json, limid; "
+            "print(json.dumps([n for n in limid.__all__ "
+            "if getattr(limid, n, None) is None]))"
+        )
+        assert missing == []

@@ -13,7 +13,12 @@ from limid.diagram import (
     NodeKind,
     UtilityMap,
 )
-from limid.generators import PigFarmSpec, gen_pigfarm
+from limid.generators import (
+    NMonitoringSpec,
+    PigFarmSpec,
+    gen_nmonitoring,
+    gen_pigfarm,
+)
 from limid.mip import (
     VAR_BINARY,
     VAR_FREE,
@@ -34,6 +39,8 @@ from limid.risk import (
 )
 from limid.rjt import build_rjt, modify_rjt, tree_from_members
 from limid.transform import merge_value_nodes
+
+from helpers import random_diagram
 
 
 def pig_model(n, merged=False, targets=None):
@@ -62,6 +69,97 @@ class TestMakeConstraint:
     def test_rejects_bad_sense(self):
         with pytest.raises(ValueError):
             make_constraint([(1.0, 0)], "<", 0.0, "demo")
+
+
+def loop_rows(model, ctx):
+    """The rows of ``build_base_model``, written one at a time, term by
+    term, with ``make_constraint``: the reference for the array build."""
+    d, tree = ctx.diagram, ctx.tree
+    rows = []
+
+    def members(group_of, n_groups):
+        out = [[] for _ in range(n_groups)]
+        for cfg, g in enumerate(group_of):
+            out[g].append(cfg)
+        return out
+
+    for root in tree.order:
+        terms = [(1.0, model.mu_var(root, c))
+                 for c in range(ctx.layouts[root].total)]
+        rows.append(make_constraint(terms, "==", 1.0, f"normalize[{root}]"))
+    for child in tree.order:
+        parent = tree.parent.get(child)
+        if parent is None:
+            continue
+        lay = ctx.layouts[child]
+        from_parent = members(lay.parent_groups, lay.n_groups)
+        from_child = members(lay.group_of, lay.n_groups)
+        for g in range(lay.n_groups):
+            terms = [(1.0, model.mu_var(parent, p)) for p in from_parent[g]]
+            terms += [(-1.0, model.mu_var(child, c)) for c in from_child[g]]
+            rows.append(make_constraint(
+                terms, "==", 0.0, f"consistency[{parent}->{child}][g={g}]"))
+    for root in tree.order:
+        if d.kind(root) == NodeKind.DECISION:
+            continue
+        lay = ctx.layouts[root]
+        group = members(lay.group_of, lay.n_groups)
+        for cfg in range(lay.total):
+            p = float(d.cpts[root].rows[lay.table_row[cfg], lay.root_state[cfg]])
+            terms = [(1.0, model.mu_var(root, cfg))]
+            terms += [(-p, model.mu_var(root, c))
+                      for c in group[lay.group_of[cfg]]]
+            rows.append(make_constraint(
+                terms, "==", 0.0, f"cpt_link[{root}][c={cfg}]"))
+    for root in tree.order:
+        if d.kind(root) != NodeKind.DECISION:
+            continue
+        lay = ctx.layouts[root]
+        group = members(lay.group_of, lay.n_groups)
+        for cfg in range(lay.total):
+            own = model.mu_var(root, cfg)
+            bit = model.delta_var(
+                root, int(lay.table_row[cfg]), int(lay.root_state[cfg]))
+            rows.append(make_constraint(
+                [(1.0, own), (-1.0, bit)], "<=", 0.0,
+                f"policy_ub[{root}][c={cfg}]"))
+            terms = [(1.0, own)]
+            terms += [(-1.0, model.mu_var(root, c))
+                      for c in group[lay.group_of[cfg]]]
+            terms.append((-1.0, bit))
+            rows.append(make_constraint(
+                terms, ">=", -1.0, f"policy_lb[{root}][c={cfg}]"))
+    for dn in d.decision_nodes:
+        n_pcfg, n_states = model.delta_shape[dn]
+        for pcfg in range(n_pcfg):
+            terms = [(1.0, model.delta_var(dn, pcfg, s))
+                     for s in range(n_states)]
+            rows.append(make_constraint(
+                terms, "==", 1.0, f"policy_pick[{dn}][i={pcfg}]"))
+    return rows
+
+
+class TestRowStore:
+    def test_array_build_matches_row_by_row_reference(self):
+        # zero CPT entries (pig farm, load monitoring), widened trees and
+        # random diagrams of up to three states per node
+        cases = [pig_model(3)[2:], pig_model(2, targets=["D1", "D2"])[2:]]
+        d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+        cases.append(build_base_model(build_rjt(d), d))
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            d = random_diagram(rng, max_nodes=7, require_value=True)
+            cases.append(build_base_model(build_rjt(d), d))
+        for model, ctx in cases:
+            assert list(model.constraints) == loop_rows(model, ctx)
+
+    def test_view_indexes_like_a_list(self):
+        d, tree, model, ctx = pig_model(1)
+        rows = list(model.constraints)
+        assert len(model.constraints) == len(rows)
+        assert model.constraints[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            model.constraints[len(rows)]
 
 
 class TestBaseModel:

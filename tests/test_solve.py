@@ -2,6 +2,7 @@
 propagation, the enumerating reference solver, the external bridge, and
 solution decoding."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from limid.generators import (
 from limid.inference import joint_marginal, oracle_optimize
 from limid.mip import VAR_BINARY, VAR_UNIT, MipModel, add_risk, build_base_model
 from limid.risk import CvarObjective, parse_chance_text, parse_logical_text
-from limid.rjt import build_rjt
+from limid.rjt import build_rjt, modify_rjt
 from limid.solve import (
     ExternalSolverError,
     assignment_vector,
@@ -56,6 +57,31 @@ class TestLpExport:
     def test_cvar_model_snapshot(self):
         _, model, _ = pig_setup(1, merged=True, risk=CvarObjective(alpha=0.25))
         assert export_lp(model) == (DATA / "pigfarm1_merged_cvar.lp").read_text()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("nmonitoring3",
+         "9eb1de24df146212ca425b34da5507ee8ab632cd3600e24052da920d06d1eec5"),
+        ("pigfarm4_chance",
+         "4aa36531cff9a69b2b52b4297e4890e9428267c00b5fc1785856a0bdfeedcc95"),
+        ("pigfarm3_merged_cvar",
+         "d8ea69c053544c8f0f883772cbc261f59df65feed73c514d8b0539b0e682ab56"),
+    ])
+    def test_larger_model_text_pinned(self, name, digest):
+        # Decision clusters, zero CPT entries, chance and CVaR rows; the
+        # LP text of each must stay byte-for-byte what it was.
+        if name == "nmonitoring3":
+            d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+            model, _ = build_base_model(build_rjt(d), d)
+        elif name == "pigfarm4_chance":
+            d = gen_pigfarm(PigFarmSpec(n_periods=4))
+            tree = modify_rjt(build_rjt(d), ["H1", "H2", "H3"])
+            model, ctx = build_base_model(tree, d)
+            add_risk(model, parse_chance_text("P(H2=ill|H3=ill)<=0.5"), ctx)
+        else:
+            _, model, _ = pig_setup(3, merged=True,
+                                    risk=CvarObjective(alpha=0.15))
+        text = export_lp(model)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_export_is_deterministic(self):
         _, m1, _ = pig_setup(2)
@@ -145,6 +171,24 @@ class TestRowChecking:
         bad["mu_H1_0"] = 1.5
         msgs = check_solution(model, bad, tol=1e-6)
         assert any("outside [0, 1]" in m for m in msgs)
+
+    def test_messages_match_a_loop_over_rows_and_variables(self):
+        _, model, _ = pig_setup(2, merged=True, risk=CvarObjective(alpha=0.25))
+        x = np.random.default_rng(3).uniform(-0.5, 1.5, len(model.variables))
+        want = []
+        for i, row in enumerate(model.constraints):
+            res = sum(coef * x[var] for coef, var in row.terms) - row.rhs
+            if {"==": abs(res), "<=": res, ">=": -res}[row.sense] > 1e-6:
+                want.append(f"row c{i + 1} [{row.tag}]")
+        for v in model.variables:
+            val = x[v.index]
+            if v.kind in (VAR_UNIT, VAR_BINARY) and not -1e-6 <= val <= 1 + 1e-6:
+                want.append(f"variable {v.name} = {val!r} outside [0, 1]")
+            if v.kind == VAR_BINARY and abs(val - round(val)) > 1e-6:
+                want.append(f"variable {v.name} = {val!r} is not integral")
+        got = [m.split(" residual")[0]
+               for m in check_solution(model, x, tol=1e-6)]
+        assert got == want
 
     def test_missing_variables_rejected(self):
         _, model, ctx = pig_setup(1)
@@ -244,6 +288,13 @@ class TestParseListing:
         assert parsed["status"] == "optimal"
         assert parsed["objective"] == 12.5
         assert parsed["assignment"] == {"x": 1.0, "y": 0.25}
+
+    def test_values_before_the_status_line_ignored(self):
+        # a solver log line shaped like a pair must not become a value
+        text = "presolve 12\nobjective 3\nstatus optimal\nobjective 2.5\nx 1\n"
+        parsed = parse_name_value_listing(text)
+        assert parsed["assignment"] == {"x": 1.0}
+        assert parsed["objective"] == 2.5
 
     def test_empty_text(self):
         parsed = parse_name_value_listing("")

@@ -7,9 +7,9 @@ modify, and inspect junction trees), ``build`` (write the LP file),
 (seeded instance sweeps with re-validation).
 
 Solver backends: ``reference`` is the built-in exact strategy enumerator;
-``external`` shells out to a MILP solver command (``--solver-cmd``, the
-``LIMID_SOLVER_CMD`` environment variable, or a ``--config`` JSON file with
-a ``solver_cmd`` key; the bundled scipy/HiGHS backend is the default).
+``external`` shells out to a MILP solver command (``--solver-cmd``, else the
+``LIMID_SOLVER_CMD`` environment variable, else the bundled scipy/HiGHS
+backend).
 Machine-readable results are emitted as line-delimited JSON records.
 """
 
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -40,7 +39,6 @@ from .generators import (
 from .inference import oracle_optimize
 from .mip import add_risk, build_base_model, model_stats
 from .risk import (
-    BudgetConstraint,
     CvarConstraint,
     CvarObjective,
     MeuObjective,
@@ -59,30 +57,6 @@ from .solve import (
     write_lp,
 )
 from .transform import merge_value_nodes
-
-
-@dataclass
-class RunConfig:
-    """Solver and tolerance settings merged from flag, file, environment."""
-
-    solver_cmd: Optional[str] = None
-    tol: float = 1e-6
-
-    @classmethod
-    def gather(cls, args) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "config", None):
-            raw = json.loads(Path(args.config).read_text())
-            cfg.solver_cmd = raw.get("solver_cmd", cfg.solver_cmd)
-            cfg.tol = float(raw.get("tol", cfg.tol))
-        env_cmd = os.environ.get("LIMID_SOLVER_CMD")
-        if env_cmd and cfg.solver_cmd is None:
-            cfg.solver_cmd = env_cmd
-        if getattr(args, "solver_cmd", None):
-            cfg.solver_cmd = args.solver_cmd
-        if getattr(args, "tol", None) is not None:
-            cfg.tol = args.tol
-        return cfg
 
 
 def _fail(message: str) -> int:
@@ -123,6 +97,15 @@ def _gather_constraints(args) -> List[object]:
     return specs
 
 
+def _load(args) -> InfluenceDiagram:
+    """The diagram file, validated, with value nodes merged on request."""
+    diagram = load_diagram(args.diagram)
+    problems = validate_diagram(diagram)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return _prepare_diagram(args, diagram)
+
+
 def _prepare_diagram(args, diagram: InfluenceDiagram) -> InfluenceDiagram:
     if getattr(args, "merge_values", False):
         diagram, _ = merge_value_nodes(diagram)
@@ -142,15 +125,21 @@ def _prepare_tree(args, diagram: InfluenceDiagram):
 
 
 def _compile(args, diagram: InfluenceDiagram):
-    """Diagram + flags -> (model, context, objective, constraints)."""
-    objective = _parse_objective(getattr(args, "objective", "meu") or "meu")
-    constraints = _gather_constraints(args)
-    tree = _prepare_tree(args, diagram)
-    model, ctx = build_base_model(tree, diagram)
-    for spec in constraints:
-        add_risk(model, spec, ctx)
-    if isinstance(objective, CvarObjective):
-        add_risk(model, objective, ctx)
+    """Diagram + flags -> (model, context, objective, constraints).
+
+    A ``ValueError`` is raised again with ``_compile_hint`` appended.
+    """
+    try:
+        objective = _parse_objective(args.objective)
+        constraints = _gather_constraints(args)
+        tree = _prepare_tree(args, diagram)
+        model, ctx = build_base_model(tree, diagram)
+        for spec in constraints:
+            add_risk(model, spec, ctx)
+        if isinstance(objective, CvarObjective):
+            add_risk(model, objective, ctx)
+    except ValueError as exc:
+        raise ValueError(f"{exc}{_compile_hint(exc)}") from exc
     return model, ctx, objective, constraints
 
 
@@ -185,12 +174,19 @@ def _emit_record(args, record: Dict[str, object]) -> None:
             fh.write(line + "\n")
 
 
-def _solve_with_backend(args, cfg: RunConfig, model, ctx) -> Solution:
-    backend = getattr(args, "backend", "reference")
-    if backend == "reference":
+def _solver_command(args):
+    """``--solver-cmd``, else ``LIMID_SOLVER_CMD``, else the bundled backend."""
+    return (
+        args.solver_cmd
+        or os.environ.get("LIMID_SOLVER_CMD")
+        or reference_backend_command()
+    )
+
+
+def _solve_with_backend(args, model, ctx) -> Solution:
+    if args.backend == "reference":
         return solve_reference(model, ctx)
-    command = cfg.solver_cmd or reference_backend_command()
-    return solve_external(model, command, tol=cfg.tol)
+    return solve_external(model, _solver_command(args), tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +208,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rjt(args) -> int:
-    diagram = load_diagram(args.diagram)
-    problems = validate_diagram(diagram)
-    if problems:
-        return _fail("; ".join(problems))
-    diagram = _prepare_diagram(args, diagram)
+    diagram = _load(args)
     tree = _prepare_tree(args, diagram)
     tree_problems = validate_rjt(tree, diagram)
     print(f"clusters: {len(tree.clusters)}  width: {tree.width()}")
@@ -234,15 +226,7 @@ def cmd_rjt(args) -> int:
 
 
 def cmd_build(args) -> int:
-    diagram = load_diagram(args.diagram)
-    problems = validate_diagram(diagram)
-    if problems:
-        return _fail("; ".join(problems))
-    diagram = _prepare_diagram(args, diagram)
-    try:
-        model, ctx, objective, constraints = _compile(args, diagram)
-    except ValueError as exc:
-        return _fail(f"{exc}{_compile_hint(exc)}")
+    model, ctx, objective, constraints = _compile(args, _load(args))
     write_lp(model, args.out)
     stats = model_stats(model)
     print(json.dumps(stats, sort_keys=True))
@@ -251,21 +235,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = RunConfig.gather(args)
-    diagram = load_diagram(args.diagram)
-    problems = validate_diagram(diagram)
-    if problems:
-        return _fail("; ".join(problems))
-    diagram = _prepare_diagram(args, diagram)
-    try:
-        model, ctx, objective, constraints = _compile(args, diagram)
-    except ValueError as exc:
-        return _fail(f"{exc}{_compile_hint(exc)}")
+    diagram = _load(args)
+    model, ctx, objective, constraints = _compile(args, diagram)
     t0 = time.perf_counter()
-    try:
-        solution = _solve_with_backend(args, cfg, model, ctx)
-    except ExternalSolverError as exc:
-        return _fail(str(exc))
+    solution = _solve_with_backend(args, model, ctx)
     wall = time.perf_counter() - t0
 
     record: Dict[str, object] = {
@@ -293,7 +266,7 @@ def cmd_solve(args) -> int:
         ),
         "drift": solution.info.get("drift", 0.0),
     }
-    decoded = decode(solution, model, ctx, tol=cfg.tol)
+    decoded = decode(solution, model, ctx, tol=args.tol)
     record["strategy"] = {
         d: list(rule) for d, rule in decoded.strategy.rules.items()
     }
@@ -319,11 +292,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    diagram = load_diagram(args.diagram)
-    problems = validate_diagram(diagram)
-    if problems:
-        return _fail("; ".join(problems))
-    diagram = _prepare_diagram(args, diagram)
+    diagram = _load(args)
     objective = _parse_objective(args.objective)
     constraints = _gather_constraints(args)
     t0 = time.perf_counter()
@@ -357,16 +326,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = RunConfig.gather(args)
-    diagram = load_diagram(args.diagram)
-    problems = validate_diagram(diagram)
-    if problems:
-        return _fail("; ".join(problems))
-    diagram = _prepare_diagram(args, diagram)
-    try:
-        model, ctx, objective, constraints = _compile(args, diagram)
-    except ValueError as exc:
-        return _fail(f"{exc}{_compile_hint(exc)}")
+    diagram = _load(args)
+    model, ctx, objective, constraints = _compile(args, diagram)
 
     oracle = oracle_optimize(diagram, objective=objective, constraints=constraints)
     rows = [("oracle", "optimal" if oracle.feasible else "infeasible",
@@ -375,11 +336,7 @@ def cmd_compare(args) -> int:
     rows.append(("reference", reference.status, reference.objective_value))
     solutions = {"reference": reference}
     if args.external:
-        command = cfg.solver_cmd or reference_backend_command()
-        try:
-            external = solve_external(model, command, tol=cfg.tol)
-        except ExternalSolverError as exc:
-            return _fail(str(exc))
+        external = solve_external(model, _solver_command(args), tol=args.tol)
         rows.append(("external", external.status, external.objective_value))
         solutions["external"] = external
 
@@ -427,22 +384,14 @@ def _bench_instance(family: str, n: int, seed: int) -> InfluenceDiagram:
 
 
 def cmd_bench(args) -> int:
-    cfg = RunConfig.gather(args)
-    objective = _parse_objective(args.objective)
     all_ok = True
     for k in range(args.trials):
         seed = args.seed + k
         diagram = _bench_instance(args.family, args.n, seed)
         diagram = _prepare_diagram(args, diagram)
-        try:
-            model, ctx, _, constraints = _compile(args, diagram)
-        except ValueError as exc:
-            return _fail(f"{exc}{_compile_hint(exc)}")
+        model, ctx, objective, constraints = _compile(args, diagram)
         t0 = time.perf_counter()
-        try:
-            solution = _solve_with_backend(args, cfg, model, ctx)
-        except ExternalSolverError as exc:
-            return _fail(str(exc))
+        solution = _solve_with_backend(args, model, ctx)
         wall = time.perf_counter() - t0
         record: Dict[str, object] = {
             "record": "bench",
@@ -465,7 +414,7 @@ def cmd_bench(args) -> int:
             gap = abs(solution.objective_value - oracle.objective_value)
             record["oracle_value"] = oracle.objective_value
             record["oracle_gap"] = gap
-            check_tol = max(cfg.tol, 1e-9)
+            check_tol = max(args.tol, 1e-9)
             record["check_ok"] = bool(gap <= check_tol)
             line += f" oracle_gap={gap:.3e}"
             if gap > check_tol:
@@ -526,8 +475,7 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
         "--solver-cmd",
         help="external solver command template; '{lp}' marks the LP path",
     )
-    p.add_argument("--config", help="JSON config file (solver_cmd, tol)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-6,
                    help="feasibility re-check tolerance (default 1e-6)")
 
 
@@ -611,13 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-6
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError, ExternalSolverError) as exc:
         return _fail(str(exc))
 
 

@@ -279,24 +279,9 @@ class CompileContext:
         self.diagram = diagram
         self.tree = tree
         self.layouts: Dict[str, ClusterLayout] = {}
-        self.tree_order = self._tree_order()
+        self.tree_order = tree.preorder()
         for root in tree.order:
             self.layouts[root] = self._layout(root, cluster_cap)
-
-    def _tree_order(self) -> List[str]:
-        # Parents before children; siblings by node order.  After a re-hang
-        # the node order itself may put a cluster before its tree parent, so
-        # the walk goes from the tree root.
-        children: Dict[str, List[str]] = {}
-        for c in self.tree.order:
-            children.setdefault(self.tree.parent.get(c), []).append(c)
-        order: List[str] = []
-        stack = [self.tree.tree_root]
-        while stack:
-            cur = stack.pop()
-            order.append(cur)
-            stack.extend(reversed(children.get(cur, ())))
-        return order
 
     def _coords(self, members, radices, configs):
         coords = {}

@@ -45,14 +45,23 @@ class RootedJunctionTree:
         return self.clusters[root].members
 
     def children(self, root: str) -> List[str]:
-        return [r for r in self.order if self.parent.get(r) == root]
+        return _children_map(self.order, self.parent).get(root, [])
 
-    @property
-    def tree_root(self) -> str:
-        roots = [r for r in self.order if self.parent.get(r) is None]
+    def preorder(self) -> List[str]:
+        """Cluster roots from the tree root down, parents before children and
+        siblings in node order.  After a re-hang the node order itself may put
+        a cluster before its tree parent, so compilation walks this order."""
+        kids = _children_map(self.order, self.parent)
+        roots = kids.get(None, [])
         if len(roots) != 1:
             raise ValueError(f"tree has {len(roots)} parentless clusters")
-        return roots[0]
+        out: List[str] = []
+        stack = list(roots)
+        while stack:
+            cur = stack.pop()
+            out.append(cur)
+            stack.extend(reversed(kids.get(cur, ())))
+        return out
 
     def arcs(self) -> List[Tuple[str, str]]:
         return [(p, c) for c, p in self.parent.items() if p is not None]
@@ -62,6 +71,33 @@ class RootedJunctionTree:
 
     def width(self) -> int:
         return max(len(c.members) for c in self.clusters.values()) - 1
+
+
+def _children_map(
+    order: Sequence[str], parent: Dict[str, Optional[str]]
+) -> Dict[Optional[str], List[str]]:
+    """Children of each cluster in node order; parentless clusters under None."""
+    kids: Dict[Optional[str], List[str]] = {}
+    for c in order:
+        kids.setdefault(parent.get(c), []).append(c)
+    return kids
+
+
+def _ancestors(parent: Dict[str, Optional[str]], r: str) -> List[str]:
+    """r, its tree parent, and so on up to the tree root."""
+    chain = [r]
+    while parent.get(chain[-1]) is not None:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
+def _path(parent: Dict[str, Optional[str]], a: str, b: str) -> List[str]:
+    """Roots on the directed path C_a -> C_b, both ends included; empty when
+    C_a is not an ancestor of C_b."""
+    chain = _ancestors(parent, b)
+    if a not in chain:
+        return []
+    return chain[chain.index(a)::-1]
 
 
 def build_rjt(
@@ -145,17 +181,7 @@ def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[st
     if len(roots) != 1:
         problems.append(f"expected one parentless cluster, found {sorted(roots)}")
         return problems
-    seen = set()
-    cur_level = [roots[0]]
-    while cur_level:
-        nxt = []
-        for r in cur_level:
-            if r in seen:
-                problems.append(f"cluster {r!r} reached twice; parent links cycle")
-                return problems
-            seen.add(r)
-            nxt.extend(c for c in tree.clusters if tree.parent.get(c) == r)
-        cur_level = nxt
+    seen = reachable_roots(tree, roots[0])
     if seen != set(tree.clusters):
         problems.append(
             f"clusters unreachable from the tree root: {sorted(set(tree.clusters) - seen)}"
@@ -164,13 +190,13 @@ def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[st
 
     # Running intersection, checked per node: the clusters containing u must
     # form a connected subtree whose topmost cluster is u's own.
-    for u in names:
-        holding = [r for r, c in tree.clusters.items() if u in c.members]
-        tops = []
-        for r in holding:
-            p = tree.parent.get(r)
+    tops_of: Dict[str, List[str]] = {u: [] for u in names}
+    for r, cluster in tree.clusters.items():
+        p = tree.parent.get(r)
+        for u in cluster.members:
             if p is None or u not in tree.clusters[p].members:
-                tops.append(r)
+                tops_of[u].append(r)
+    for u, tops in tops_of.items():
         if len(tops) != 1:
             problems.append(
                 f"clusters containing {u!r} form {len(tops)} disconnected groups"
@@ -197,12 +223,12 @@ def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[st
 
 def reachable_roots(tree: RootedJunctionTree, j: str) -> FrozenSet[str]:
     """Nodes whose root cluster sits in the subtree of C_j (j included)."""
-    out = set()
-    stack = [j]
+    kids = _children_map(tree.order, tree.parent)
+    out, stack = set(), [j]
     while stack:
         cur = stack.pop()
         out.add(cur)
-        stack.extend(c for c in tree.clusters if tree.parent.get(c) == cur)
+        stack.extend(kids.get(cur, ()))
     return frozenset(out)
 
 
@@ -213,15 +239,7 @@ def directed_path_clusters(
 
     Inclusive of both ends; empty when no such path exists.
     """
-    walk = [end]
-    cur = end
-    while cur != start:
-        nxt = tree.parent.get(cur)
-        if nxt is None:
-            return ()
-        cur = nxt
-        walk.append(cur)
-    return tuple(reversed(walk))
+    return tuple(_path(tree.parent, start, end))
 
 
 def modify_rjt(
@@ -232,12 +250,14 @@ def modify_rjt(
     """Grow the tree so some cluster contains every node in ``targets``.
 
     Let m be the topologically largest target.  Every other target n is
-    routed into C_m: if C_m is not reachable from C_n, the subtree holding
-    C_m is first re-hung below C_n (filling the clusters between the common
-    ancestor and C_n with the severed arc's intersection so running
-    intersection survives), then n is added to every cluster on the path
-    from C_n to C_m.  Clusters and nodes are never removed, so the result
-    contains the input clusters member-wise.
+    routed into C_m: if C_m is not below C_n, the branch holding C_m is first
+    cut from the lowest common ancestor e of C_n and C_m and re-hung below
+    C_n (filling the clusters from C_e to C_n with the severed arc's
+    intersection so running intersection survives), then n is added to every
+    cluster on the path from C_n to C_m.  Clusters and nodes are never
+    removed, so the result contains the input clusters member-wise.  When C_m
+    lies above C_n (possible after an earlier re-hang) no such branch exists
+    and a ``ValueError`` names both nodes.
 
     ``trace``, when given, collects ``((step, node), snapshot)`` pairs after
     each fill / rehang / extend step.
@@ -265,61 +285,30 @@ def modify_rjt(
             parent=dict(parent),
         )
 
-    def children_of(r: str) -> List[str]:
-        return [c for c in tree.order if parent.get(c) == r]
-
-    def subtree_roots(r: str) -> Set[str]:
-        out, stack = set(), [r]
-        while stack:
-            cur = stack.pop()
-            out.add(cur)
-            stack.extend(children_of(cur))
-        return out
-
-    def path(a: str, b: str) -> List[str]:
-        walk, cur = [b], b
-        while cur != a:
-            cur = parent.get(cur)
-            if cur is None:
-                return []
-            walk.append(cur)
-        return list(reversed(walk))
-
     m = max(targets, key=pos.__getitem__)
     rest = sorted((set(targets) - {m}), key=pos.__getitem__)
     for n in rest:
         if n in members[m]:
             continue
-        if m not in subtree_roots(n):
-            # Find the lowest (topologically largest) cluster from which both
-            # C_n and C_m are reachable, and the child branch leading to C_m.
-            common = [j for j in tree.order if {n, m} <= subtree_roots(j)]
-            if not common:
-                raise ValueError(f"no cluster reaches both {n!r} and {m!r}")
-            e = max(common, key=pos.__getitem__)
-            branches = [
-                g
-                for g in children_of(e)
-                if m in subtree_roots(g) and n not in subtree_roots(g)
-            ]
-            if len(branches) != 1:
+        up_m = _ancestors(parent, m)
+        if n not in up_m:
+            above_n = set(_ancestors(parent, n))
+            i = next(k for k, c in enumerate(up_m) if c in above_n)
+            if i == 0:
                 raise ValueError(
-                    f"expected one branch from {e!r} toward {m!r} avoiding "
-                    f"{n!r}, found {branches}"
+                    f"cannot route {n!r} into the cluster of {m!r}: "
+                    f"C_{m} lies above C_{n}"
                 )
-            g = branches[0]
+            e, g = up_m[i], up_m[i - 1]
             carried = members[e] & members[g]
-            for c in path(e, n):
+            for c in _path(parent, e, n):
                 members[c] |= carried
             if trace is not None:
                 trace.append((("fill", n), snapshot()))
             parent[g] = n
             if trace is not None:
                 trace.append((("rehang", n), snapshot()))
-        walk = path(n, m)
-        if not walk:
-            raise ValueError(f"re-hang failed to connect {n!r} to {m!r}")
-        for c in walk:
+        for c in _path(parent, n, m):
             members[c].add(n)
         if trace is not None:
             trace.append((("extend", n), snapshot()))

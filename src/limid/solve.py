@@ -16,7 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -421,16 +421,15 @@ def solve_external(
     command: Union[str, Sequence[str]],
     tol: float = 1e-6,
     timeout: Optional[float] = None,
-    parse: Callable[[str], Dict[str, object]] = parse_name_value_listing,
 ) -> Solution:
     """Run an external MILP solver over the exported LP text.
 
     The command is a template (string or argv list); ``{lp}`` is replaced by
     the LP file path, or the path is appended when no placeholder appears.
     The solver must print a ``status`` line and whitespace-separated
-    name/value pairs; other layouts can supply their own ``parse`` callable.
-    Reported solutions are re-checked against every row at ``tol``; a failing
-    re-check downgrades the status to "unknown" and records the violations.
+    name/value pairs.  Reported solutions are re-checked against every row
+    at ``tol``; a failing re-check downgrades the status to "unknown" and
+    records the violations.
 
     A solution that passes is then polished, provided the model carries the
     ``CompileContext`` it was compiled from (``build_base_model`` sets it):
@@ -465,7 +464,7 @@ def solve_external(
         raise ExternalSolverError(
             f"solver exited with code {proc.returncode}: {tail}", command=argv
         )
-    parsed = parse(proc.stdout)
+    parsed = parse_name_value_listing(proc.stdout)
     status_word = parsed.get("status")
     if status_word in ("optimal", "solved"):
         status = STATUS_OPTIMAL

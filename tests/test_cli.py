@@ -414,3 +414,35 @@ class TestArgumentErrors:
             "solve", "pig2.json", "--objective", "cvar:2.0", cwd=workdir
         )
         assert proc.returncode != 0
+
+
+# The external backend under each subcommand that can run it.
+EXTERNAL_RUNS = [
+    ("solve", "pig2.json", "--backend", "external"),
+    ("compare", "pig2.json", "--external"),
+    ("bench", "pigfarm", "--n", "1", "--trials", "1", "--backend", "external"),
+]
+
+
+class TestSolverCommand:
+    @pytest.mark.parametrize("argv", EXTERNAL_RUNS, ids=lambda a: a[0])
+    def test_environment_variable_names_the_solver(
+        self, workdir, monkeypatch, argv
+    ):
+        monkeypatch.setenv("LIMID_SOLVER_CMD", "bogus_env")
+        proc = run_cli(*argv, cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: solver executable not found: 'bogus_env'\n"
+        )
+
+    @pytest.mark.parametrize("argv", EXTERNAL_RUNS, ids=lambda a: a[0])
+    def test_flag_wins_over_environment_variable(
+        self, workdir, monkeypatch, argv
+    ):
+        monkeypatch.setenv("LIMID_SOLVER_CMD", "bogus_env")
+        proc = run_cli(*argv, "--solver-cmd", "bogus_flag", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: solver executable not found: 'bogus_flag'\n"
+        )

@@ -36,14 +36,14 @@ _EXPORTS = {
     ),
     "mip": (
         "CompileContext", "CvarBlock", "LinearConstraint", "MipModel",
-        "VarRef", "add_risk", "build_base_model",
+        "VarBlock", "VarStore", "add_risk", "build_base_model",
         "linearize_decision_coupling", "model_stats",
     ),
     "risk": (
         "BudgetConstraint", "ChanceConstraint", "CvarConstraint",
         "CvarObjective", "EventSpec", "LogicalConstraint", "MeuObjective",
         "budget_from_dict", "parse_chance_text", "parse_event",
-        "parse_logical_text", "validate_risk_spec",
+        "parse_logical_text", "trigger_mask", "validate_risk_spec",
     ),
     "rjt": (
         "Cluster", "RootedJunctionTree", "build_rjt", "directed_path_clusters",

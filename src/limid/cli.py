@@ -466,11 +466,12 @@ def _add_risk_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--backend", choices=("reference", "external"), default="reference",
-        help="solver backend (default reference)",
-    )
+def _add_backend_flags(p: argparse.ArgumentParser, choice: bool = True) -> None:
+    if choice:  # compare runs every backend, so it takes no choice
+        p.add_argument(
+            "--backend", choices=("reference", "external"),
+            default="reference", help="solver backend (default reference)",
+        )
     p.add_argument(
         "--solver-cmd",
         help="external solver command template; '{lp}' marks the LP path",
@@ -533,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     _add_tree_flags(p)
     _add_risk_flags(p)
-    _add_backend_flags(p)
+    _add_backend_flags(p, choice=False)
     _add_report_flags(p)
     p.add_argument("--external", action="store_true",
                    help="also run the external backend")

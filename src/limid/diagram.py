@@ -125,6 +125,20 @@ class ConfigIndexer:
             idx += s * st
         return idx
 
+    def coordinates(self) -> Dict[str, np.ndarray]:
+        """The state of each scope node in every configuration, ascending."""
+        configs = np.arange(self.total)
+        return {n: configs // stride % radix for n, stride, radix
+                in zip(self.scope, self.strides, self.radices)}
+
+    def index_array(self, coords: Dict[str, np.ndarray], size: int) -> np.ndarray:
+        """``index_of`` over arrays: row k holds state ``coords[n][k]`` of
+        each scope node n."""
+        index = np.zeros(size, dtype=np.int64)
+        for n, stride in zip(self.scope, self.strides):
+            index += coords[n] * stride
+        return index
+
     def states_of(self, index: int) -> Tuple[int, ...]:
         if not 0 <= index < self.total:
             raise ValueError(f"config index {index} out of range [0, {self.total})")
@@ -182,10 +196,6 @@ class InfluenceDiagram:
         return [n.name for n in self.nodes if n.kind == kind]
 
     @property
-    def chance_nodes(self) -> List[str]:
-        return self.of_kind(NodeKind.CHANCE)
-
-    @property
     def decision_nodes(self) -> List[str]:
         return self.of_kind(NodeKind.DECISION)
 
@@ -199,9 +209,6 @@ class InfluenceDiagram:
 
     def indexer(self, scope: Sequence[str]) -> ConfigIndexer:
         return ConfigIndexer(scope, [self.n_states(s) for s in scope])
-
-    def copy_shell(self) -> "InfluenceDiagram":
-        return InfluenceDiagram(list(self.nodes), dict(self.cpts), dict(self.utilities))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 from ._tensor import place_table
 from .diagram import (
     CapExceededError,
-    ConfigIndexer,
     InfluenceDiagram,
     NodeKind,
     Strategy,
@@ -33,6 +32,7 @@ from .risk import (
     CvarObjective,
     LogicalConstraint,
     MeuObjective,
+    trigger_mask,
 )
 
 JOINT_STATES_CAP = 1 << 26
@@ -296,23 +296,10 @@ class OracleResult:
 
 
 def _constraint_ok(evaluator: Evaluator, strategy: Strategy, spec, tol: float) -> bool:
-    diagram = evaluator.diagram
     if isinstance(spec, (ChanceConstraint, LogicalConstraint, BudgetConstraint)):
-        scope = spec.scope
-        table = evaluator.marginal(strategy, scope)
-        indexer = diagram.indexer(scope)
-        prob = 0.0
-        for idx in range(indexer.total):
-            states = indexer.states_of(idx)
-            assignment = {
-                n: diagram.states(n)[s] for n, s in zip(scope, states)
-            }
-            if isinstance(spec, BudgetConstraint):
-                hit = spec.violated(assignment)
-            else:
-                hit = spec.event.matches(assignment)
-            if hit:
-                prob += float(table[idx])
+        table = evaluator.marginal(strategy, spec.scope)
+        hit = trigger_mask(evaluator.diagram, spec.scope, spec)
+        prob = sum(table[hit].tolist())  # left to right, as a loop would
         if isinstance(spec, ChanceConstraint) and spec.sense == ">=":
             return prob >= spec.p - tol
         bound = spec.p if isinstance(spec, ChanceConstraint) else 0.0

@@ -2,7 +2,8 @@
 
 Variables: one probability-mass variable per cluster configuration
 (``mu_<root>_<config>``) and one binary policy variable per decision,
-parent configuration, and state (``delta_<d>_<pcfg>_<state>``).
+parent configuration, and state (``delta_<d>_<pcfg>_<state>``), stored as
+one block per cluster and one per decision; names are built on request.
 
 Rows: each cluster's mass sums to one; adjacent clusters agree on the
 marginal of their shared nodes; inside a chance or value cluster, the
@@ -20,6 +21,7 @@ node, usable as objective or as a lower-bound constraint.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .diagram import CapExceededError, ConfigIndexer, InfluenceDiagram, NodeKind
+from .diagram import CapExceededError, InfluenceDiagram, NodeKind
 from .inference import round_to_sig
 from .risk import (
     BudgetConstraint,
@@ -35,22 +37,76 @@ from .risk import (
     CvarConstraint,
     CvarObjective,
     LogicalConstraint,
+    trigger_mask,
     validate_risk_spec,
 )
 from .rjt import RootedJunctionTree
 
 CLUSTER_STATES_CAP = 1 << 20
 
+# Variable kinds, stored in a model as their codes UNIT, BINARY and FREE.
 VAR_UNIT = "unit"
 VAR_BINARY = "binary"
 VAR_FREE = "free"
+KINDS = (VAR_UNIT, VAR_BINARY, VAR_FREE)
+UNIT, BINARY, FREE = range(len(KINDS))
 
 
 @dataclass(frozen=True)
-class VarRef:
-    index: int
-    name: str
-    kind: str
+class VarBlock:
+    """Variables ``start`` to ``start + size`` of one kind code, laid out
+    in C order over ``shape``.  The variable at coordinates ``(i, j)`` is
+    named ``head + "i_j"``; a block of shape ``()`` is the variable
+    ``head``."""
+
+    start: int
+    shape: Tuple[int, ...]
+    head: str
+    kind: int
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def names(self) -> List[str]:
+        if not self.shape:
+            return [self.head]
+        heads = [self.head]
+        for n in self.shape[:-1]:
+            heads = [f"{h}{i}_" for h in heads for i in range(n)]
+        return [f"{h}{i}" for h in heads for i in range(self.shape[-1])]
+
+
+class VarStore:
+    """Every variable of a model as blocks of consecutive indices.
+
+    A variable is its index; ``kinds`` gives the kind codes as an array and
+    ``names()`` the LP names, built only when asked for.
+    """
+
+    def __init__(self):
+        self.blocks: List[VarBlock] = []
+        self._n = 0
+
+    def add(self, head: str, shape: Tuple[int, ...], kind: str) -> int:
+        """Append a block; returns the index of its first variable."""
+        block = VarBlock(self._n, tuple(shape), head, KINDS.index(kind))
+        self.blocks.append(block)
+        self._n += block.size
+        return block.start
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return np.repeat(
+            np.array([b.kind for b in self.blocks], dtype=np.int8),
+            [b.size for b in self.blocks],
+        )
+
+    def names(self) -> List[str]:
+        return [name for block in self.blocks for name in block.names()]
 
 
 # Row senses, stored in a model as their codes EQ, LE and GE.
@@ -283,36 +339,20 @@ class CompileContext:
         for root in tree.order:
             self.layouts[root] = self._layout(root, cluster_cap)
 
-    def _coords(self, members, radices, configs):
-        coords = {}
-        stride = 1
-        for m, r in zip(reversed(members), reversed(radices)):
-            coords[m] = (configs // stride) % r
-            stride *= r
-        return coords
-
     def _layout(self, root: str, cluster_cap: int) -> ClusterLayout:
         d, tree = self.diagram, self.tree
         members = tree.members(root)
-        radices = tuple(d.n_states(m) for m in members)
-        total = 1
-        for r in radices:
-            total *= r
+        indexer = d.indexer(members)
+        total = indexer.total
         if total > cluster_cap:
             raise CapExceededError(
                 f"cluster {root!r} state space (width drives exponential growth)",
                 total,
                 cluster_cap,
             )
-        configs = np.arange(total)
-        coords = self._coords(members, radices, configs)
-
-        others = [m for m in members if m != root]
-        group_of = np.zeros(total, dtype=np.int64)
-        stride = 1
-        for m in reversed(others):
-            group_of += coords[m] * stride
-            stride *= d.n_states(m)
+        coords = indexer.coordinates()
+        others = d.indexer([m for m in members if m != root])
+        group_of = others.index_array(coords, total)
 
         parents = d.parents(root)
         absent = [p for p in parents if p not in coords]
@@ -321,37 +361,26 @@ class CompileContext:
                 f"cluster {root!r} lacks the information set {absent}; "
                 f"the tree is invalid (see validate_rjt)"
             )
-        table_row = np.zeros(total, dtype=np.int64)
-        stride = 1
-        for p in reversed(parents):
-            table_row += coords[p] * stride
-            stride *= d.n_states(p)
+        table_row = d.parent_indexer(root).index_array(coords, total)
 
         parent_root = tree.parent.get(root)
         parent_groups = None
         if parent_root is not None:
             pmembers = tree.members(parent_root)
-            pradices = tuple(d.n_states(m) for m in pmembers)
-            ptotal = 1
-            for r in pradices:
-                ptotal *= r
-            missing = [m for m in others if m not in pmembers]
+            missing = [m for m in others.scope if m not in pmembers]
             if missing:
                 raise ValueError(
                     f"tree is not gradual: cluster {root!r} members {missing} "
                     f"are absent from parent {parent_root!r}"
                 )
-            pcoords = self._coords(pmembers, pradices, np.arange(ptotal))
-            parent_groups = np.zeros(ptotal, dtype=np.int64)
-            stride = 1
-            for m in reversed(others):
-                parent_groups += pcoords[m] * stride
-                stride *= d.n_states(m)
+            pindexer = d.indexer(pmembers)
+            parent_groups = others.index_array(pindexer.coordinates(),
+                                               pindexer.total)
 
         return ClusterLayout(
             root=root,
             members=members,
-            radices=radices,
+            radices=indexer.radices,
             total=total,
             n_groups=total // d.n_states(root),
             group_of=group_of,
@@ -370,12 +399,12 @@ class CvarBlock:
     eps: float
     big_m: float
     utilities: np.ndarray
-    config_groups: Tuple[Tuple[int, ...], ...]
+    level: np.ndarray  # value-cluster config -> index into utilities
     eta: int
-    lam: Tuple[int, ...]
-    lambar: Tuple[int, ...]
-    rho: Tuple[int, ...]
-    rhobar: Tuple[int, ...]
+    lam: np.ndarray  # variable indices, one per utility level
+    lambar: np.ndarray
+    rho: np.ndarray
+    rhobar: np.ndarray
     mode: str  # "objective" or "constraint"
     bound: Optional[float] = None
 
@@ -384,10 +413,10 @@ class CvarBlock:
 class MipModel:
     """Solver-agnostic model: variables, rows, objective, catalogs."""
 
-    variables: List[VarRef] = field(default_factory=list)
+    variables: VarStore = field(default_factory=VarStore, repr=False,
+                                compare=False)
     rows: RowStore = field(default_factory=RowStore, repr=False, compare=False)
-    objective: Tuple[Tuple[float, int], ...] = ()
-    objective_sense: str = "max"
+    objective: Tuple[Tuple[float, int], ...] = ()  # maximized
     mu_start: Dict[str, int] = field(default_factory=dict)
     mu_total: Dict[str, int] = field(default_factory=dict)
     delta_start: Dict[str, int] = field(default_factory=dict)
@@ -405,9 +434,7 @@ class MipModel:
         return self.rows
 
     def add_var(self, name: str, kind: str) -> int:
-        idx = len(self.variables)
-        self.variables.append(VarRef(index=idx, name=name, kind=kind))
-        return idx
+        return self.variables.add(name, (), kind)
 
     def add_row(self, terms, sense: str, rhs: float, tag: str) -> None:
         row = make_constraint(terms, sense, rhs, tag)
@@ -427,7 +454,7 @@ class MipModel:
         return self.delta_start[decision] + pcfg * n_states + state
 
     def var_name(self, idx: int) -> str:
-        return self.variables[idx].name
+        return self.variables.names()[idx]
 
 
 def build_base_model(
@@ -449,19 +476,15 @@ def build_base_model(
     rows = model.rows
 
     for root in tree.order:
-        lay = ctx.layouts[root]
-        model.mu_start[root] = len(model.variables)
-        model.mu_total[root] = lay.total
-        for cfg in range(lay.total):
-            model.add_var(f"mu_{root}_{cfg}", VAR_UNIT)
+        total = ctx.layouts[root].total
+        model.mu_start[root] = model.variables.add(
+            f"mu_{root}_", (total,), VAR_UNIT)
+        model.mu_total[root] = total
     for d in diagram.decision_nodes:
-        n_pcfg = diagram.parent_indexer(d).total
-        n_states = diagram.n_states(d)
-        model.delta_start[d] = len(model.variables)
-        model.delta_shape[d] = (n_pcfg, n_states)
-        for pcfg in range(n_pcfg):
-            for s in range(n_states):
-                model.add_var(f"delta_{d}_{pcfg}_{s}", VAR_BINARY)
+        shape = (diagram.parent_indexer(d).total, diagram.n_states(d))
+        model.delta_start[d] = model.variables.add(
+            f"delta_{d}_", shape, VAR_BINARY)
+        model.delta_shape[d] = shape
 
     for root in tree.order:
         total = ctx.layouts[root].total
@@ -568,25 +591,6 @@ def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str)
     )
 
 
-def _matching_configs(ctx: CompileContext, root: str, spec) -> List[int]:
-    """Cluster configurations whose scope assignment triggers the spec."""
-    d = ctx.diagram
-    lay = ctx.layouts[root]
-    scope = spec.scope
-    indexer = ConfigIndexer(lay.members, lay.radices)
-    hits = []
-    for cfg in range(lay.total):
-        states = indexer.states_of(cfg)
-        assignment = {m: d.states(m)[s] for m, s in zip(lay.members, states)}
-        if isinstance(spec, BudgetConstraint):
-            hit = spec.violated(assignment)
-        else:
-            hit = spec.event.matches(assignment)
-        if hit:
-            hits.append(cfg)
-    return hits
-
-
 def _select_cluster(ctx: CompileContext, scope: Sequence[str], requested: Optional[str]):
     tree = ctx.tree
     need = set(scope)
@@ -617,8 +621,9 @@ def add_risk(model: MipModel, spec, ctx: CompileContext) -> MipModel:
         raise ValueError("; ".join(problems))
     if isinstance(spec, (ChanceConstraint, LogicalConstraint, BudgetConstraint)):
         root = _select_cluster(ctx, spec.scope, spec.cluster_root)
-        hits = _matching_configs(ctx, root, spec)
-        terms = [(1.0, model.mu_var(root, c)) for c in hits]
+        members = ctx.layouts[root].members
+        hits = np.flatnonzero(trigger_mask(ctx.diagram, members, spec))
+        terms = [(1.0, model.mu_start[root] + c) for c in hits.tolist()]
         if isinstance(spec, ChanceConstraint):
             model.add_row(terms, spec.sense, spec.p, f"chance[{root}]")
         elif isinstance(spec, LogicalConstraint):
@@ -645,66 +650,44 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
     v = values[0]
     lay = ctx.layouts[v]
     per_cfg = round_to_sig(d.utilities[v].values[lay.root_state])
-    utils = np.unique(per_cfg)
-    groups = tuple(
-        tuple(int(c) for c in np.nonzero(per_cfg == u)[0]) for u in utils
-    )
-    if utils.size > 1:
-        eps = float(np.min(np.diff(utils))) / 2.0
-    else:
-        eps = 1.0
+    utils, level = np.unique(per_cfg, return_inverse=True)
+    eps = float(np.min(np.diff(utils))) / 2.0 if utils.size > 1 else 1.0
     big_m = float(utils[-1] - utils[0]) + eps
 
     eta = model.add_var("eta", VAR_FREE)
-    lam = tuple(model.add_var(f"lam_{k}", VAR_BINARY) for k in range(utils.size))
-    lambar = tuple(model.add_var(f"lambar_{k}", VAR_BINARY) for k in range(utils.size))
-    rho = tuple(model.add_var(f"rho_{k}", VAR_UNIT) for k in range(utils.size))
-    rhobar = tuple(model.add_var(f"rhobar_{k}", VAR_UNIT) for k in range(utils.size))
+    lam, lambar, rho, rhobar = (
+        model.variables.add(head, utils.shape, kind) + np.arange(utils.size)
+        for head, kind in (("lam_", VAR_BINARY), ("lambar_", VAR_BINARY),
+                           ("rho_", VAR_UNIT), ("rhobar_", VAR_UNIT))
+    )
 
     alpha = spec.alpha
-    for k, u in enumerate(utils):
-        u = float(u)
-        mass = [(1.0, model.mu_var(v, c)) for c in groups[k]]
-        model.add_row(
-            [(1.0, eta), (-big_m, lam[k])], "<=", u, f"cvar_below_ub[k={k}]"
-        )
-        model.add_row(
-            [(1.0, eta), (-(big_m + eps), lam[k])], ">=", u - big_m,
-            f"cvar_below_lb[k={k}]",
-        )
-        model.add_row(
-            [(1.0, eta), (-(big_m + eps), lambar[k])], "<=", u - eps,
-            f"cvar_at_ub[k={k}]",
-        )
-        model.add_row(
-            [(1.0, eta), (-big_m, lambar[k])], ">=", u - big_m,
-            f"cvar_at_lb[k={k}]",
-        )
-        model.add_row(
-            [(1.0, rhobar[k]), (-1.0, lambar[k])], "<=", 0.0,
-            f"cvar_share_cap[k={k}]",
-        )
-        model.add_row(
-            mass + [(1.0, lam[k]), (-1.0, rho[k])], "<=", 1.0,
-            f"cvar_tail_lo[k={k}]",
-        )
-        model.add_row(
-            [(1.0, rho[k]), (-1.0, lam[k])], "<=", 0.0, f"cvar_tail_hi[k={k}]"
-        )
-        model.add_row(
-            [(1.0, rho[k]), (-1.0, rhobar[k])], "<=", 0.0,
-            f"cvar_share_order[k={k}]",
-        )
-        model.add_row(
-            [(1.0, rhobar[k])] + [(-c, v_) for c, v_ in mass], "<=", 0.0,
-            f"cvar_share_mass[k={k}]",
-        )
+    for k, (u, lk, lbk, rk, rbk) in enumerate(zip(
+            utils.tolist(), lam.tolist(), lambar.tolist(), rho.tolist(),
+            rhobar.tolist())):
+        mass = [(1.0, model.mu_start[v] + c)
+                for c in np.flatnonzero(level == k).tolist()]
+        for terms, sense, rhs, head in (
+            ([(1.0, eta), (-big_m, lk)], "<=", u, "cvar_below_ub"),
+            ([(1.0, eta), (-(big_m + eps), lk)], ">=", u - big_m,
+             "cvar_below_lb"),
+            ([(1.0, eta), (-(big_m + eps), lbk)], "<=", u - eps, "cvar_at_ub"),
+            ([(1.0, eta), (-big_m, lbk)], ">=", u - big_m, "cvar_at_lb"),
+            ([(1.0, rbk), (-1.0, lbk)], "<=", 0.0, "cvar_share_cap"),
+            (mass + [(1.0, lk), (-1.0, rk)], "<=", 1.0, "cvar_tail_lo"),
+            ([(1.0, rk), (-1.0, lk)], "<=", 0.0, "cvar_tail_hi"),
+            ([(1.0, rk), (-1.0, rbk)], "<=", 0.0, "cvar_share_order"),
+            ([(1.0, rbk)] + [(-c, j) for c, j in mass], "<=", 0.0,
+             "cvar_share_mass"),
+        ):
+            model.add_row(terms, sense, rhs, f"{head}[k={k}]")
     model.add_row(
-        [(1.0, r) for r in rhobar], "==", alpha, "cvar_share_total"
+        [(1.0, r) for r in rhobar.tolist()], "==", alpha, "cvar_share_total"
     )
 
     tail_terms = tuple(
-        (float(u) / alpha, rhobar[k]) for k, u in enumerate(utils) if u != 0.0
+        (u / alpha, r) for u, r in zip(utils.tolist(), rhobar.tolist())
+        if u != 0.0
     )
     if isinstance(spec, CvarObjective):
         mode = "objective"
@@ -720,7 +703,7 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
         eps=eps,
         big_m=big_m,
         utilities=utils,
-        config_groups=groups,
+        level=level,
         eta=eta,
         lam=lam,
         lambar=lambar,
@@ -732,12 +715,12 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
 
 
 def model_stats(model: MipModel) -> Dict[str, Dict[str, int]]:
-    """Variable counts by name family and row counts by tag family."""
+    """Variable counts by name family and kind, row counts by tag family."""
     variables: Dict[str, int] = {"total": len(model.variables)}
-    for v in model.variables:
-        stem = v.name.split("_", 1)[0]
-        variables[stem] = variables.get(stem, 0) + 1
-        variables[v.kind] = variables.get(v.kind, 0) + 1
+    for block in model.variables.blocks:
+        if block.size:
+            for key in (block.head.split("_", 1)[0], KINDS[block.kind]):
+                variables[key] = variables.get(key, 0) + block.size
     constraints: Dict[str, int] = {"total": len(model.rows)}
     constraints.update(model.rows.family_counts())
     return {"variables": variables, "constraints": constraints}

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .diagram import InfluenceDiagram
 
@@ -109,6 +111,29 @@ class BudgetConstraint:
 
     def violated(self, assignment: Mapping[str, str]) -> bool:
         return self.cost_of(assignment) > self.limit
+
+
+def trigger_mask(
+    diagram: InfluenceDiagram, scope: Sequence[str], spec
+) -> np.ndarray:
+    """Which joint states of ``scope`` trigger a chance or logical event or
+    break a budget, as a bool array over the scope's configurations (first
+    node most significant).  The scope must hold the spec's nodes."""
+    indexer = diagram.indexer(scope)
+    states = indexer.coordinates()
+    if isinstance(spec, BudgetConstraint):
+        cost = np.zeros(indexer.total)
+        for n, table in spec.costs.items():
+            per_state = [table.get(s, 0.0) for s in diagram.states(n)]
+            cost += np.array(per_state, dtype=float)[states[n]]
+        return cost > spec.limit
+    hits = []
+    for n, s in spec.event.terms:
+        labels = diagram.states(n)
+        # a label the node lacks matches no state
+        hits.append(states[n] == (labels.index(s) if s in labels else -1))
+    join = np.logical_or if spec.event.mode == "any" else np.logical_and
+    return join.reduce(hits)
 
 
 @dataclass(frozen=True)

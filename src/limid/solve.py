@@ -29,13 +29,13 @@ from .inference import (
     tail_witness,
 )
 from .mip import (
+    BINARY,
     EQ,
+    FREE,
     GE,
     LE,
     SENSES,
-    VAR_BINARY,
-    VAR_FREE,
-    VAR_UNIT,
+    UNIT,
     CompileContext,
     MipModel,
 )
@@ -66,9 +66,12 @@ class ExternalSolverError(RuntimeError):
 
 @dataclass
 class Solution:
+    """A solver's answer; ``x[j]`` is the value of variable ``j``, and
+    ``x`` is None when there is no answer."""
+
     status: str
     objective_value: Optional[float]
-    assignment: Dict[str, float]
+    x: Optional[np.ndarray]
     source: str
     violations: List[str] = field(default_factory=list)
     info: Dict[str, object] = field(default_factory=dict)
@@ -128,16 +131,17 @@ def export_lp(model: MipModel) -> str:
     emission order; coefficients use shortest round-trip decimal form; lines
     wrap near 200 characters with continuations indented by one space.
     """
-    names = [v.name for v in model.variables]
-    for name in names:
-        if not set(name) <= _LP_NAME_OK or name[0].isdigit():
+    blocks = model.variables.blocks
+    for block in blocks:
+        # a name is its block's head followed by digits and '_'
+        if block.size and (not set(block.head) <= _LP_NAME_OK
+                           or block.head[:1].isdigit()):
             raise ValueError(
-                f"variable name {name!r} is not LP-safe; rename diagram nodes "
-                f"to use letters, digits, '_' or '.'"
+                f"variable name {block.names()[0]!r} is not LP-safe; "
+                f"rename diagram nodes to use letters, digits, '_' or '.'"
             )
-    out: List[str] = ["\\ influence diagram mixed-integer program"]
-    sense_word = "Maximize" if model.objective_sense == "max" else "Minimize"
-    out.append(sense_word)
+    names = model.variables.names()
+    out: List[str] = ["\\ influence diagram mixed-integer program", "Maximize"]
     if model.objective:
         obj_tokens = _terms_text(
             [float(c) for c, _ in model.objective],
@@ -160,15 +164,18 @@ def export_lp(model: MipModel) -> str:
         out.extend(_wrap(f" c{i + 1}:", tokens[indptr[i]:indptr[i + 1]],
                          tail=f"{rel} {rhs!r}"))
     out.append("Bounds")
-    for v in model.variables:
-        if v.kind == VAR_UNIT:
-            out.append(f" 0 <= {v.name} <= 1")
-        elif v.kind == VAR_FREE:
-            out.append(f" {v.name} free")
-    binaries = [v.name for v in model.variables if v.kind == VAR_BINARY]
+    binaries: List[str] = []
+    for block in blocks:
+        block_names = names[block.start:block.start + block.size]
+        if block.kind == UNIT:
+            out += [f" 0 <= {name} <= 1" for name in block_names]
+        elif block.kind == FREE:
+            out += [f" {name} free" for name in block_names]
+        else:
+            binaries += [f" {name}" for name in block_names]
     if binaries:
         out.append("Binaries")
-        out.extend(f" {name}" for name in binaries)
+        out += binaries
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -195,9 +202,9 @@ class RowSystem:
         self.matrix.sort_indices()  # ascending columns within each row
         self.rhs = rows.rhs
         self.senses = rows.sense
-        kinds = np.array([v.kind for v in model.variables], dtype=object)
-        self.binary = kinds == VAR_BINARY
-        self.bounded = self.binary | (kinds == VAR_UNIT)
+        kinds = model.variables.kinds
+        self.binary = kinds == BINARY
+        self.bounded = self.binary | (kinds == UNIT)
         obj = np.zeros(n)
         for coef, var in model.objective:
             obj[var] += coef
@@ -219,8 +226,10 @@ class RowSystem:
             )
         outside = self.bounded & ((x < -tol) | (x > 1.0 + tol))
         fractional = self.binary & (np.abs(x - np.round(x)) > tol)
-        for j in np.nonzero(outside | fractional)[0]:
-            name, val = self.model.variables[j].name, x[j]
+        bad = np.nonzero(outside | fractional)[0]
+        names = self.model.variables.names() if bad.size else []
+        for j in bad:
+            name, val = names[j], x[j]
             if outside[j]:
                 problems.append(f"variable {name} = {val!r} outside [0, 1]")
             if fractional[j]:
@@ -229,7 +238,9 @@ class RowSystem:
 
 
 def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarray:
-    missing = [v.name for v in model.variables if v.name not in assignment]
+    """The values of a name -> value listing in variable order."""
+    names = model.variables.names()
+    missing = [name for name in names if name not in assignment]
     if missing:
         shown = ", ".join(missing[:10])
         raise ExternalSolverError(
@@ -237,7 +248,7 @@ def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarr
             + (", ..." if len(missing) > 10 else "") + ")",
             missing=missing,
         )
-    return np.array([float(assignment[v.name]) for v in model.variables])
+    return np.array([float(assignment[name]) for name in names])
 
 
 def check_solution(
@@ -308,20 +319,18 @@ def _strategy_vector(
             x[model.delta_var(dnode, pcfg, s)] = 1.0
     block = model.cvar
     if block is not None:
-        masses = mu[block.value_root]
-        probs = np.array([
-            float(sum(masses[c] for c in grp)) for grp in block.config_groups
-        ])
+        # bincount adds each level's masses in ascending config order
+        probs = np.bincount(block.level, weights=mu[block.value_root],
+                            minlength=block.utilities.size)
         dist = UtilityDistribution(
             utilities=block.utilities, probabilities=probs
         )
         wit = tail_witness(dist, block.alpha)
         x[block.eta] = wit["eta"]
-        for k in range(block.utilities.size):
-            x[block.lam[k]] = 1.0 if wit["below"][k] else 0.0
-            x[block.lambar[k]] = 1.0 if wit["at_or_below"][k] else 0.0
-            x[block.rho[k]] = probs[k] if wit["below"][k] else 0.0
-            x[block.rhobar[k]] = wit["tail_share"][k]
+        x[block.lam] = wit["below"]
+        x[block.lambar] = wit["at_or_below"]
+        x[block.rho] = np.where(wit["below"], probs, 0.0)
+        x[block.rhobar] = wit["tail_share"]
     return x, mu
 
 
@@ -356,17 +365,14 @@ def solve_reference(
         return Solution(
             status=STATUS_INFEASIBLE,
             objective_value=None,
-            assignment={},
+            x=None,
             source="reference",
             info={"strategies": n_total, "feasible": 0},
         )
-    assignment = {
-        v.name: float(best_x[v.index]) for v in model.variables
-    }
     return Solution(
         status=STATUS_OPTIMAL,
         objective_value=best_val,
-        assignment=assignment,
+        x=best_x,
         source="reference",
         info={"strategies": n_total, "feasible": n_feasible},
     )
@@ -476,15 +482,9 @@ def solve_external(
     if parsed.get("objective") is not None:
         info["reported_objective"] = parsed["objective"]
     if status != STATUS_OPTIMAL:
-        return Solution(
-            status=status,
-            objective_value=None,
-            assignment=dict(parsed.get("assignment") or {}),
-            source="external",
-            info=info,
-        )
-    assignment = dict(parsed["assignment"])
-    x = assignment_vector(model, assignment)  # raises with missing names
+        return Solution(status=status, objective_value=None, x=None,
+                        source="external", info=info)
+    x = assignment_vector(model, parsed["assignment"])  # raises when short
     system = RowSystem(model)
     violations = system.violations(x, tol)
     objective = system.objective_value(x)
@@ -496,21 +496,12 @@ def solve_external(
         solver_objective, objective = objective, system.objective_value(x)
         info["solver_objective"] = solver_objective
         info["drift"] = solver_objective - objective
-        assignment = {v.name: float(x[v.index]) for v in model.variables}
-    if violations:
-        return Solution(
-            status=STATUS_UNKNOWN,
-            objective_value=objective,
-            assignment=assignment,
-            source="external",
-            violations=violations,
-            info=info,
-        )
     return Solution(
-        status=STATUS_OPTIMAL,
+        status=STATUS_UNKNOWN if violations else STATUS_OPTIMAL,
         objective_value=objective,
-        assignment=assignment,
+        x=x,
         source="external",
+        violations=violations,
         info=info,
     )
 
@@ -532,23 +523,25 @@ def _strategy_from_bits(model: MipModel, x: np.ndarray, tol: float) -> Strategy:
     """
     rules: Dict[str, Tuple[int, ...]] = {}
     for dnode, (n_pcfg, n_states) in model.delta_shape.items():
-        rule = []
-        for pcfg in range(n_pcfg):
-            vals = [x[model.delta_var(dnode, pcfg, s)] for s in range(n_states)]
-            for s, val in enumerate(vals):
-                if abs(val - round(val)) > tol:
-                    raise ValueError(
-                        f"policy variable delta_{dnode}_{pcfg}_{s} = {val!r} "
-                        f"is not within {tol} of 0 or 1"
-                    )
-            picked = [s for s, val in enumerate(vals) if round(val) == 1]
-            if len(picked) != 1:
+        start = model.delta_start[dnode]
+        bits = x[start:start + n_pcfg * n_states].reshape(n_pcfg, n_states)
+        near = np.round(bits)
+        off = np.abs(bits - near) > tol
+        picks = (near == 1).sum(axis=1)
+        bad = off.any(axis=1) | (picks != 1)
+        if bad.any():
+            pcfg = int(np.argmax(bad))  # the first parent config at fault
+            if off[pcfg].any():
+                s = int(np.argmax(off[pcfg]))
                 raise ValueError(
-                    f"decision {dnode!r} parent config {pcfg} picks "
-                    f"{len(picked)} states instead of one"
+                    f"policy variable delta_{dnode}_{pcfg}_{s} = "
+                    f"{bits[pcfg, s]!r} is not within {tol} of 0 or 1"
                 )
-            rule.append(picked[0])
-        rules[dnode] = tuple(rule)
+            raise ValueError(
+                f"decision {dnode!r} parent config {pcfg} picks "
+                f"{picks[pcfg]} states instead of one"
+            )
+        rules[dnode] = tuple(np.argmax(near == 1, axis=1).tolist())
     return Strategy(rules=rules)
 
 
@@ -567,7 +560,7 @@ def decode(
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError(f"cannot decode a solution with status {solution.status!r}")
-    x = assignment_vector(model, solution.assignment)
+    x = solution.x
     d = ctx.diagram
     strategy = _strategy_from_bits(model, x, tol)
 

@@ -212,7 +212,7 @@ def test_05_cvar_optimum_and_tail_share_semantics():
         )
         for k, u in enumerate(model.cvar.utilities.tolist()):
             expected = share_of.get(u, 0.0)
-            got = ref.assignment[f"rhobar_{k}"]
+            got = ref.x[model.cvar.rhobar[k]]
             assert got == pytest.approx(expected, abs=1e-9), (k, u)
 
 

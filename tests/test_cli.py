@@ -415,6 +415,14 @@ class TestArgumentErrors:
         )
         assert proc.returncode != 0
 
+    def test_compare_takes_no_backend_flag(self, workdir):
+        # compare always runs the reference; --external adds the other row
+        proc = run_cli(
+            "compare", "pig2.json", "--backend", "external", cwd=workdir
+        )
+        assert proc.returncode == 2
+        assert "--backend" in proc.stderr
+
 
 # The external backend under each subcommand that can run it.
 EXTERNAL_RUNS = [

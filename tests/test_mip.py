@@ -20,9 +20,11 @@ from limid.generators import (
     gen_pigfarm,
 )
 from limid.mip import (
+    KINDS,
     VAR_BINARY,
     VAR_FREE,
     VAR_UNIT,
+    MipModel,
     add_risk,
     build_base_model,
     make_constraint,
@@ -162,6 +164,76 @@ class TestRowStore:
             model.constraints[len(rows)]
 
 
+def loop_names(model):
+    """Name and kind of each variable by the per-variable naming rule, from
+    the cluster, decision and CVaR catalogs."""
+    names = [None] * len(model.variables)
+    kinds = [None] * len(model.variables)
+
+    def put(idx, name, kind):
+        assert names[idx] is None
+        names[idx], kinds[idx] = name, kind
+
+    for root, start in model.mu_start.items():
+        for cfg in range(model.mu_total[root]):
+            put(start + cfg, f"mu_{root}_{cfg}", VAR_UNIT)
+    for d, start in model.delta_start.items():
+        n_pcfg, n_states = model.delta_shape[d]
+        for pcfg in range(n_pcfg):
+            for s in range(n_states):
+                put(start + pcfg * n_states + s, f"delta_{d}_{pcfg}_{s}",
+                    VAR_BINARY)
+    block = model.cvar
+    if block is not None:
+        put(block.eta, "eta", VAR_FREE)
+        for k in range(block.utilities.size):
+            put(block.lam[k], f"lam_{k}", VAR_BINARY)
+            put(block.lambar[k], f"lambar_{k}", VAR_BINARY)
+            put(block.rho[k], f"rho_{k}", VAR_UNIT)
+            put(block.rhobar[k], f"rhobar_{k}", VAR_UNIT)
+    assert None not in names
+    return names, kinds
+
+
+def loop_stats(names, kinds):
+    counts = {"total": len(names)}
+    for name, kind in zip(names, kinds):
+        for key in (name.split("_", 1)[0], kind):
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestVarStore:
+    def test_blocks_name_every_variable_like_the_loop(self):
+        cvar = pig_model(3, merged=True)
+        add_risk(cvar[2], CvarObjective(alpha=0.15), cvar[3])
+        d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+        models = [pig_model(3)[2], build_base_model(build_rjt(d), d)[0],
+                  cvar[2]]
+        for model in models:
+            names, kinds = loop_names(model)
+            assert model.variables.names() == names
+            assert [KINDS[k] for k in model.variables.kinds] == kinds
+            assert model_stats(model)["variables"] == loop_stats(names, kinds)
+
+    def test_hand_built_model(self):
+        model = MipModel()
+        assert model.add_var("x", VAR_UNIT) == 0
+        assert model.add_var("y_1", VAR_BINARY) == 1
+        assert model.add_var("z", VAR_FREE) == 2
+        assert len(model.variables) == 3
+        assert model.variables.names() == ["x", "y_1", "z"]
+        assert [KINDS[k] for k in model.variables.kinds] == [
+            VAR_UNIT, VAR_BINARY, VAR_FREE]
+        assert model.var_name(1) == "y_1"
+        with pytest.raises(IndexError):
+            model.var_name(3)
+        assert model_stats(model)["variables"] == {
+            "total": 3, "x": 1, "unit": 1, "y": 1, "binary": 1, "z": 1,
+            "free": 1,
+        }
+
+
 class TestBaseModel:
     def test_single_chance_node(self):
         d = InfluenceDiagram(
@@ -222,7 +294,6 @@ class TestBaseModel:
                     want.append((u, model.mu_var(v, cfg)))
         assert sorted(model.objective) == sorted(want)
         assert len(model.objective) == 6
-        assert model.objective_sense == "max"
 
     def test_policy_rows_have_expected_shape(self):
         d, tree, model, ctx = pig_model(1)

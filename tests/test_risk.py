@@ -1,5 +1,6 @@
 """Risk-specification objects: parsing, event matching, validation."""
 
+import numpy as np
 import pytest
 
 from limid.generators import PigFarmSpec, gen_pigfarm
@@ -15,8 +16,11 @@ from limid.risk import (
     parse_chance_text,
     parse_event,
     parse_logical_text,
+    trigger_mask,
     validate_risk_spec,
 )
+
+from helpers import random_diagram
 
 
 class TestEventSpec:
@@ -159,3 +163,47 @@ class TestValidation:
 
     def test_unrecognized_spec_object_reported(self):
         assert validate_risk_spec(self.d, object()) != []
+
+
+def loop_mask(diagram, scope, spec):
+    """The trigger predicate, one scope configuration at a time."""
+    indexer = diagram.indexer(scope)
+    hits = []
+    for idx in range(indexer.total):
+        states = indexer.states_of(idx)
+        assignment = {n: diagram.states(n)[s] for n, s in zip(scope, states)}
+        if isinstance(spec, BudgetConstraint):
+            hits.append(spec.violated(assignment))
+        else:
+            hits.append(spec.event.matches(assignment))
+    return hits
+
+
+class TestTriggerMask:
+    def test_matches_a_loop_over_configurations(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            d = random_diagram(rng, max_nodes=7, max_states=3)
+            names = [n.name for n in d.nodes]
+            scope = [names[i] for i in rng.permutation(len(names))]
+            scope = scope[: int(rng.integers(1, len(scope) + 1))]
+            picks = [scope[i] for i in rng.integers(len(scope), size=3)]
+            terms = []
+            for n in picks[: int(rng.integers(1, 4))]:
+                labels = d.states(n) + ("absent",)
+                terms.append((n, labels[int(rng.integers(len(labels)))]))
+            mode = ("any", "all")[int(rng.integers(2))]
+            # whole costs, so that some totals equal the limit
+            budget = BudgetConstraint(
+                costs={
+                    n: {s: float(rng.integers(3)) for s in d.states(n)
+                        if rng.random() < 0.7}
+                    for n in picks
+                },
+                limit=float(rng.integers(4)),
+            )
+            for spec in (LogicalConstraint(EventSpec(tuple(terms), mode)),
+                         budget):
+                got = trigger_mask(d, scope, spec)
+                assert got.dtype == bool
+                assert got.tolist() == loop_mask(d, scope, spec)

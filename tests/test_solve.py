@@ -16,7 +16,15 @@ from limid.generators import (
     gen_pigfarm,
 )
 from limid.inference import joint_marginal, oracle_optimize
-from limid.mip import VAR_BINARY, VAR_UNIT, MipModel, add_risk, build_base_model
+from limid.mip import (
+    BINARY,
+    UNIT,
+    VAR_BINARY,
+    VAR_UNIT,
+    MipModel,
+    add_risk,
+    build_base_model,
+)
 from limid.risk import CvarObjective, parse_chance_text, parse_logical_text
 from limid.rjt import build_rjt, modify_rjt
 from limid.solve import (
@@ -143,13 +151,13 @@ class TestRowChecking:
     def test_reference_solution_is_clean(self):
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
-        assert check_solution(model, sol.assignment, tol=1e-9) == []
+        assert check_solution(model, sol.x, tol=1e-9) == []
 
     def test_perturbed_mass_reports_row_and_residual(self):
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
-        bad = dict(sol.assignment)
-        bad["mu_H1_0"] += 0.01
+        bad = sol.x.copy()
+        bad[model.mu_var("H1", 0)] += 0.01
         msgs = check_solution(model, bad, tol=1e-6)
         assert msgs
         assert any("normalize[H1]" in m and "residual" in m for m in msgs)
@@ -157,18 +165,18 @@ class TestRowChecking:
     def test_fractional_policy_bit_reported(self):
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
-        bad = dict(sol.assignment)
+        bad = sol.x.copy()
         name = "delta_D1_0_0"
-        other = "delta_D1_0_1"
-        bad[name], bad[other] = 0.5, 0.5
+        bad[model.delta_var("D1", 0, 0)] = 0.5
+        bad[model.delta_var("D1", 0, 1)] = 0.5
         msgs = check_solution(model, bad, tol=1e-6)
         assert any("not integral" in m and name in m for m in msgs)
 
     def test_out_of_bounds_variable_reported(self):
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
-        bad = dict(sol.assignment)
-        bad["mu_H1_0"] = 1.5
+        bad = sol.x.copy()
+        bad[model.mu_var("H1", 0)] = 1.5
         msgs = check_solution(model, bad, tol=1e-6)
         assert any("outside [0, 1]" in m for m in msgs)
 
@@ -180,12 +188,13 @@ class TestRowChecking:
             res = sum(coef * x[var] for coef, var in row.terms) - row.rhs
             if {"==": abs(res), "<=": res, ">=": -res}[row.sense] > 1e-6:
                 want.append(f"row c{i + 1} [{row.tag}]")
-        for v in model.variables:
-            val = x[v.index]
-            if v.kind in (VAR_UNIT, VAR_BINARY) and not -1e-6 <= val <= 1 + 1e-6:
-                want.append(f"variable {v.name} = {val!r} outside [0, 1]")
-            if v.kind == VAR_BINARY and abs(val - round(val)) > 1e-6:
-                want.append(f"variable {v.name} = {val!r} is not integral")
+        names = model.variables.names()
+        for j, (name, kind) in enumerate(zip(names, model.variables.kinds)):
+            val = x[j]
+            if kind in (UNIT, BINARY) and not -1e-6 <= val <= 1 + 1e-6:
+                want.append(f"variable {name} = {val!r} outside [0, 1]")
+            if kind == BINARY and abs(val - round(val)) > 1e-6:
+                want.append(f"variable {name} = {val!r} is not integral")
         got = [m.split(" residual")[0]
                for m in check_solution(model, x, tol=1e-6)]
         assert got == want
@@ -213,16 +222,16 @@ class TestPropagation:
         sol_ref = solve_reference(model, ctx)
         mu = propagate_cluster_marginals(ctx, strategy)
         # rebuild a full assignment and let the row system judge it
-        assignment = dict(sol_ref.assignment)
+        x = sol_ref.x.copy()
         for root in ctx.tree.order:
             for cfg, val in enumerate(mu[root]):
-                assignment[f"mu_{root}_{cfg}"] = float(val)
+                x[model.mu_var(root, cfg)] = float(val)
         for dn, rule in strategy.rules.items():
             n_pcfg, n_states = model.delta_shape[dn]
             for pcfg in range(n_pcfg):
                 for s in range(n_states):
-                    assignment[f"delta_{dn}_{pcfg}_{s}"] = float(rule[pcfg] == s)
-        assert check_solution(model, assignment, tol=1e-9) == []
+                    x[model.delta_var(dn, pcfg, s)] = float(rule[pcfg] == s)
+        assert check_solution(model, x, tol=1e-9) == []
 
 
 class TestSolveReference:
@@ -267,7 +276,7 @@ class TestSolveReference:
         sol = solve_reference(model, ctx)
         assert sol.status == "infeasible"
         assert sol.objective_value is None
-        assert sol.assignment == {}
+        assert sol.x is None
         with pytest.raises(ValueError, match="status"):
             decode(sol, model, ctx)
 
@@ -317,6 +326,13 @@ class TestExternalBridge:
             ext.objective_value, abs=1e-6
         )
 
+    def test_polished_answer_equals_the_reference_vector(self):
+        _, model, ctx = pig_setup(3)
+        ref = solve_reference(model, ctx)
+        ext = solve_external(model, reference_backend_command())
+        assert ext.status == "optimal"
+        np.testing.assert_array_equal(ext.x, ref.x)
+
     def test_drifting_answer_polished_to_its_strategy(self):
         # On nmonitoring n=2 the solver's masses sit inside its feasibility
         # slack, and their objective is off by ~5e-6 at utilities of ~1e3.
@@ -324,7 +340,7 @@ class TestExternalBridge:
         model, ctx = build_base_model(build_rjt(d), d)
         ext = solve_external(model, reference_backend_command())
         assert ext.status == "optimal"
-        assert check_solution(model, ext.assignment, tol=1e-9) == []
+        assert check_solution(model, ext.x, tol=1e-9) == []
         assert ext.info["drift"] == (
             ext.info["solver_objective"] - ext.objective_value
         )
@@ -422,7 +438,7 @@ class TestDecode:
     def test_fractional_policy_rejected(self):
         d, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
-        sol.assignment["delta_D1_0_0"] = 0.4
-        sol.assignment["delta_D1_0_1"] = 0.6
+        sol.x[model.delta_var("D1", 0, 0)] = 0.4
+        sol.x[model.delta_var("D1", 0, 1)] = 0.6
         with pytest.raises(ValueError, match="not within"):
             decode(sol, model, ctx, tol=1e-6)

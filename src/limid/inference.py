@@ -2,9 +2,11 @@
 
 Everything here works on the explicit joint probability tensor: one axis
 per node in topological order, each CPT (and each decision rule, as a 0/1
-table) broadcast-multiplied in.  No elimination order, no message passing;
-simplicity is the guarantee of correctness, which is what an oracle is
-for.  Sizes are guarded by caps and refused beyond them.
+mask) broadcast in.  No elimination order, no message passing; simplicity
+is the guarantee of correctness, which is what an oracle is for.  Per
+strategy, the work is a refresh of the rule masks that changed plus one
+scatter of the CPT product onto the strategy's support.  Sizes are guarded
+by caps and refused beyond them.
 """
 
 from __future__ import annotations
@@ -150,7 +152,12 @@ def tail_witness(
 
 
 class Evaluator:
-    """Joint-tensor evaluator with the strategy-independent parts cached."""
+    """Joint-tensor evaluator; the CPT product and utility grid are built once.
+
+    Per strategy, the rule masks are refreshed from the first decision whose
+    rule changed since the last query, and the CPT product is scattered onto
+    the support.  The last strategy's support and joint are kept.
+    """
 
     def __init__(self, diagram: InfluenceDiagram, cap: int = JOINT_STATES_CAP):
         self.diagram = diagram
@@ -170,6 +177,8 @@ class Evaluator:
                 continue
             factors.append(self._placed_table(name, diagram.cpts[name].rows))
         self.base = reduce(np.multiply, factors) if factors else np.ones(self.sizes)
+        self._flat_base = np.ascontiguousarray(
+            np.broadcast_to(self.base, self.sizes)).ravel()
 
         value_axes = [
             place_table(self.sizes, [self.pos[v]], diagram.utilities[v].values)
@@ -185,6 +194,13 @@ class Evaluator:
         self._inverse = self._inverse.ravel()
         self._flat_utils = np.ascontiguousarray(flat_utils)
 
+        # Per decision k in declaration order: its rule at the last query and
+        # the AND of the rule masks of decisions 1..k, in broadcast shape.
+        self._decisions = diagram.decision_nodes
+        self._rules = [None] * len(self._decisions)
+        self._masks = [None] * len(self._decisions)
+        self._support = self._joint = None
+
     def _placed_table(self, name: str, rows: np.ndarray) -> np.ndarray:
         ps = self.diagram.parents(name)
         shaped = rows.reshape(
@@ -192,24 +208,53 @@ class Evaluator:
         )
         return place_table(self.sizes, [self.pos[p] for p in ps] + [self.pos[name]], shaped)
 
-    def _rule_table(self, d: str, rule: Tuple[int, ...]) -> np.ndarray:
-        rows = np.zeros((len(rule), self.diagram.n_states(d)))
-        rows[np.arange(len(rule)), list(rule)] = 1.0
+    def _rule_mask(self, d: str, rule: Tuple[int, ...]) -> np.ndarray:
+        rows = np.zeros((len(rule), self.diagram.n_states(d)), dtype=bool)
+        rows[np.arange(len(rule)), list(rule)] = True
         return self._placed_table(d, rows)
 
-    def joint(self, strategy: Strategy) -> np.ndarray:
+    def _select(self, strategy: Strategy) -> np.ndarray:
+        """Flat grid indices where every rule of ``strategy`` holds."""
         problems = check_strategy(self.diagram, strategy)
         if problems:
             raise ValueError("; ".join(problems))
-        grid = self.base
-        for d in self.diagram.decision_nodes:
-            grid = grid * self._rule_table(d, strategy.rules[d])
-        return np.broadcast_to(grid, self.sizes)
+        rules = [tuple(strategy.rules[d]) for d in self._decisions]
+        k = 0
+        while k < len(rules) and rules[k] == self._rules[k]:
+            k += 1
+        if self._support is not None and k == len(rules):
+            return self._support
+        self._support = self._joint = None
+        mask = self._masks[k - 1] if k else np.ones([1] * len(self.sizes), dtype=bool)
+        for i in range(k, len(rules)):
+            mask = mask & self._rule_mask(self._decisions[i], rules[i])
+            self._masks[i], self._rules[i] = mask, rules[i]
+        self._support = np.flatnonzero(np.broadcast_to(mask, self.sizes))
+        return self._support
+
+    def joint(self, strategy: Strategy) -> np.ndarray:
+        """Read-only joint: the CPT product times every rule's 0/1 table."""
+        support = self._select(strategy)
+        if self._joint is None:
+            # Rule entries are exactly 0.0 or 1.0 and the CPT product holds
+            # finite probabilities >= 0, so the product of all factors is
+            # the CPT product on the support and +0.0 elsewhere, bit for bit.
+            # (Validation lets a CPT entry sit within ROW_SUM_TOL below 0;
+            # the product has -0.0 there, which compares equal.)
+            flat = np.zeros(self.total)
+            flat[support] = self._flat_base[support]
+            flat.flags.writeable = False
+            self._joint = flat.reshape(self.sizes)
+        return self._joint
 
     def distribution(self, strategy: Strategy) -> UtilityDistribution:
+        # bincount adds in ascending index order and every entry off the
+        # support is +0.0, so skipping them leaves each mass bit-identical
+        # to the sum over the full joint.
+        support = self._select(strategy)
         mass = np.bincount(
-            self._inverse,
-            weights=self.joint(strategy).ravel(),
+            self._inverse[support],
+            weights=self._flat_base[support],
             minlength=self.unique_utilities.size,
         )
         keep = mass > ATOM_PROB_FLOOR
@@ -221,7 +266,9 @@ class Evaluator:
         """Expected total utility from the unrounded utility grid.
 
         More precise than ``distribution(...).expected()``, whose atoms are
-        rounded to 12 significant digits for aggregation.
+        rounded to 12 significant digits for aggregation.  The dot runs over
+        the full grid so that its blocking is the same for every strategy:
+        equal joints get equal values, and ties break the same way.
         """
         return float(np.dot(self._flat_utils, self.joint(strategy).ravel()))
 
@@ -295,10 +342,13 @@ class OracleResult:
     n_feasible: int
 
 
-def _constraint_ok(evaluator: Evaluator, strategy: Strategy, spec, tol: float) -> bool:
-    if isinstance(spec, (ChanceConstraint, LogicalConstraint, BudgetConstraint)):
+_SCOPED = (ChanceConstraint, LogicalConstraint, BudgetConstraint)
+
+
+def _constraint_ok(evaluator: Evaluator, strategy: Strategy, spec, hit, tol: float) -> bool:
+    """``hit``: the spec's ``trigger_mask`` over its scope, None for CVaR."""
+    if isinstance(spec, _SCOPED):
         table = evaluator.marginal(strategy, spec.scope)
-        hit = trigger_mask(evaluator.diagram, spec.scope, spec)
         prob = sum(table[hit].tolist())  # left to right, as a loop would
         if isinstance(spec, ChanceConstraint) and spec.sense == ">=":
             return prob >= spec.p - tol
@@ -326,13 +376,16 @@ def oracle_optimize(
     """
     evaluator = Evaluator(diagram, cap=joint_cap)
     constraints = list(constraints)
+    hits = [trigger_mask(diagram, c.scope, c) if isinstance(c, _SCOPED) else None
+            for c in constraints]
     best: Optional[Strategy] = None
     best_val: Optional[float] = None
     n_total = 0
     n_feasible = 0
     for strategy in enumerate_strategies(diagram, cap=cap):
         n_total += 1
-        if not all(_constraint_ok(evaluator, strategy, c, tol) for c in constraints):
+        if not all(_constraint_ok(evaluator, strategy, c, hit, tol)
+                   for c, hit in zip(constraints, hits)):
             continue
         n_feasible += 1
         if isinstance(objective, MeuObjective):

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from limid._tensor import place_table
 from limid.diagram import (
     Cpt,
     InfluenceDiagram,
@@ -219,3 +220,27 @@ def slow_marginal(
             key = tuple(assignment[n] for n in scope)
             out[key] = out.get(key, 0.0) + prob
     return out
+
+
+def dense_joint(evaluator, strategy: Strategy) -> np.ndarray:
+    """The evaluator's joint under ``strategy`` as a plain product.
+
+    The CPT product times every decision rule's 0/1 table, one full-grid
+    multiply per decision, exactly as the evaluator once computed it: the
+    reference the evaluator's joint must equal byte for byte.
+    """
+    diagram = evaluator.diagram
+    grid = evaluator.base
+    for d in diagram.decision_nodes:
+        rule = strategy.rules[d]
+        rows = np.zeros((len(rule), diagram.n_states(d)))
+        rows[np.arange(len(rule)), list(rule)] = 1.0
+        ps = diagram.parents(d)
+        shaped = rows.reshape(
+            [diagram.n_states(p) for p in ps] + [diagram.n_states(d)]
+        )
+        grid = grid * place_table(
+            evaluator.sizes, [evaluator.pos[p] for p in ps] + [evaluator.pos[d]],
+            shaped,
+        )
+    return np.broadcast_to(grid, evaluator.sizes)

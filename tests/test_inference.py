@@ -2,12 +2,17 @@
 enumeration, and the exhaustive optimizer, checked against slow
 pure-Python re-computations and hand-worked numbers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from limid.diagram import CapExceededError, Strategy
-from limid.generators import PigFarmSpec, gen_pigfarm
+from limid.generators import (
+    NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm,
+)
 from limid.inference import (
+    ATOM_PROB_FLOOR,
     Evaluator,
     UtilityDistribution,
     cvar_of_distribution,
@@ -25,9 +30,14 @@ from limid.risk import (
     MeuObjective,
     parse_chance_text,
     parse_event,
+    parse_logical_text,
+    trigger_mask,
 )
+from limid.transform import merge_value_nodes
 
 from helpers import (
+    dense_joint,
+    random_diagram,
     slow_cvar,
     small_random_diagram,
     slow_distribution,
@@ -350,3 +360,190 @@ class TestEvaluatorReuse:
             assert ev.distribution(s).expected() == pytest.approx(
                 evaluate_strategy(d, s).expected(), abs=1e-12
             )
+
+
+def _dense_marginal(ev: Evaluator, joint: np.ndarray, scope) -> np.ndarray:
+    axes = [ev.pos[n] for n in scope]
+    drop = tuple(i for i in range(len(ev.sizes)) if i not in set(axes))
+    table = joint.sum(axis=drop)
+    rank = {a: i for i, a in enumerate(sorted(axes))}
+    return np.transpose(table, [rank[a] for a in axes]).ravel()
+
+
+def _digest(joint: np.ndarray) -> bytes:
+    return hashlib.sha256(memoryview(np.ascontiguousarray(joint)).cast("B")).digest()
+
+
+def _dense_answers(ev: Evaluator, joint: np.ndarray, scopes):
+    """Every query's answer computed from a ``dense_joint``: the joint's
+    digest, the expected utility, the distribution's bytes and the
+    marginal over each scope."""
+    flat = joint.ravel()
+    mass = np.bincount(ev._inverse, weights=flat,
+                       minlength=ev.unique_utilities.size)
+    keep = mass > ATOM_PROB_FLOOR
+    return {
+        "joint": _digest(joint),
+        "expected": float(np.dot(ev._flat_utils, flat)),
+        "distribution": (ev.unique_utilities[keep].tobytes(),
+                         mass[keep].tobytes()),
+        "marginal": [_dense_marginal(ev, joint, sc).tobytes() for sc in scopes],
+    }
+
+
+def _assert_query(ev: Evaluator, s: Strategy, kind: str, want, scopes):
+    if kind == "joint":
+        joint = ev.joint(s)
+        assert not joint.flags.writeable
+        assert joint.shape == tuple(ev.sizes)
+        assert _digest(joint) == want["joint"]
+    elif kind == "expected":
+        assert ev.expected(s) == want["expected"]
+    elif kind == "distribution":
+        dist = ev.distribution(s)
+        assert (dist.utilities.tobytes(),
+                dist.probabilities.tobytes()) == want["distribution"]
+    else:
+        for sc, m in zip(scopes, want["marginal"]):
+            assert ev.marginal(s, sc).tobytes() == m
+
+
+QUERIES = ("joint", "expected", "distribution", "marginal")
+
+
+def _invalid_like(diagram, strategy: Strategy) -> Strategy:
+    """``strategy`` with its last decision picking a state out of range
+    (or, without decisions, a rule for a chance node)."""
+    decisions = diagram.decision_nodes
+    if not decisions:
+        return Strategy(rules={diagram.nodes[0].name: (0,)})
+    last = decisions[-1]
+    rule = tuple(strategy.rules[last][:-1]) + (diagram.n_states(last),)
+    return Strategy(rules={**strategy.rules, last: rule})
+
+
+def _dense_oracle(ev: Evaluator, answers, strategies, objective, constraints):
+    """Exhaustive optimum over the dense answers, first strict improvement
+    in lexicographic order wins."""
+    best, best_val, n_feasible = None, None, 0
+    for s, a in zip(strategies, answers):
+        joint = None
+        ok = True
+        for c in constraints:
+            if joint is None:
+                joint = dense_joint(ev, s)
+            table = _dense_marginal(ev, joint, c.scope)
+            hit = trigger_mask(ev.diagram, c.scope, c)
+            prob = sum(table[hit].tolist())
+            if isinstance(c, ChanceConstraint) and c.sense == ">=":
+                ok = ok and prob >= c.p - 1e-9
+            else:
+                bound = c.p if isinstance(c, ChanceConstraint) else 0.0
+                ok = ok and prob <= bound + 1e-9
+        if not ok:
+            continue
+        n_feasible += 1
+        if isinstance(objective, CvarObjective):
+            utils, probs = a["distribution"]
+            dist = UtilityDistribution(np.frombuffer(utils),
+                                       np.frombuffer(probs))
+            val = cvar_of_distribution(dist, objective.alpha).cvar
+        else:
+            val = a["expected"]
+        if best_val is None or val > best_val:
+            best, best_val = s, val
+    return best, best_val, n_feasible
+
+
+def _check_incremental(diagram, objective=MeuObjective(), constraints=(),
+                       seed=0):
+    """One evaluator queried in lexicographic, reversed and shuffled order,
+    with an invalid strategy between the passes, must give the dense
+    product's bytes on every query; the oracle must match a test-side
+    enumeration over the dense joints."""
+    ev = Evaluator(diagram)
+    strategies = list(slow_strategies(diagram))
+    names = ev.order
+    scopes = [[names[-1], names[0]] if len(names) > 1 else [names[0]]]
+    scopes += [c.scope for c in constraints]
+    invalid = _invalid_like(diagram, strategies[len(strategies) // 2])
+
+    # Lexicographic pass: every query of every strategy, the joint compared
+    # bit for bit with the dense product.
+    answers = []
+    for s in strategies:
+        dense = dense_joint(ev, s)
+        joint = ev.joint(s)
+        assert not joint.flags.writeable
+        assert np.array_equal(joint.view(np.uint64), dense.view(np.uint64))
+        answers.append(_dense_answers(ev, dense, scopes))
+        for kind in QUERIES:
+            _assert_query(ev, s, kind, answers[-1], scopes)
+    # Reversed and shuffled passes, one query per strategy in rotation so
+    # that the kinds of query interleave; an invalid strategy before each.
+    idx = list(range(len(strategies)))
+    shuffled = [int(i) for i in np.random.default_rng(seed).permutation(idx)]
+    for order in (idx[::-1], shuffled):
+        with pytest.raises(ValueError):
+            ev.joint(invalid)
+        with pytest.raises(ValueError):
+            ev.distribution(invalid)
+        for k, i in enumerate(order):
+            _assert_query(ev, strategies[i], QUERIES[k % len(QUERIES)],
+                          answers[i], scopes)
+
+    res = oracle_optimize(diagram, objective=objective, constraints=constraints)
+    best, best_val, n_feasible = _dense_oracle(
+        ev, answers, strategies, objective, constraints)
+    assert res.n_strategies == len(strategies)
+    assert res.n_feasible == n_feasible
+    assert res.objective_value == best_val
+    assert (res.best.rules if res.best else None) == (
+        best.rules if best else None)
+    return res
+
+
+def _verify_diagram(family: str, n: int, merged: bool):
+    if family == "pigfarm":
+        d = gen_pigfarm(PigFarmSpec(n_periods=n, seed=1))
+    else:
+        d = gen_nmonitoring(NMonitoringSpec(n_monitors=n, seed=1))
+    return merge_value_nodes(d)[0] if merged else d
+
+
+class TestIncrementalEvaluator:
+    """The evaluator reuses work between strategies; every answer must
+    still be byte-identical to the dense product of all factors."""
+
+    @pytest.mark.parametrize("family,n,cvar", [
+        ("pigfarm", 3, None), ("pigfarm", 4, None),
+        ("pigfarm", 3, 0.15), ("pigfarm", 4, 0.15),
+        ("nmonitoring", 3, None), ("nmonitoring", 4, None),
+        ("nmonitoring", 5, None),
+    ])
+    def test_verify_instances(self, family, n, cvar):
+        d = _verify_diagram(family, n, merged=cvar is not None)
+        objective = MeuObjective() if cvar is None else CvarObjective(alpha=cvar)
+        _check_incremental(d, objective=objective, seed=n)
+
+    def test_chance_and_logical_constrained_pig_farm(self):
+        d = gen_pigfarm(PigFarmSpec(n_periods=3, seed=1))
+        cons = [parse_chance_text("P(H2=ill)<=0.37"),
+                parse_chance_text("P(H3=ill)>=0.35"),
+                parse_logical_text("P(D1=treat&D2=treat&D3=treat)")]
+        res = _check_incremental(d, constraints=cons, seed=3)
+        assert 0 < res.n_feasible < res.n_strategies
+
+    def test_random_diagrams_meu_and_merged_cvar(self):
+        rng = np.random.default_rng(2024)
+        alphas = (0.05, 0.15, 0.5)
+        for k in range(150):
+            while True:
+                d = random_diagram(rng, min_nodes=6, max_nodes=8,
+                                   require_value=True)
+                if strategy_count(d) <= 300:
+                    break
+            _check_incremental(d, seed=k)
+            merged, _ = merge_value_nodes(d)
+            _check_incremental(
+                merged, objective=CvarObjective(alpha=alphas[k % 3]), seed=k)

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagram import (
     InfluenceDiagram,
@@ -36,7 +36,7 @@ from .generators import (
     gen_nmonitoring,
     gen_pigfarm,
 )
-from .inference import oracle_optimize
+from .inference import OracleResult, oracle_optimize
 from .mip import add_risk, build_base_model, model_stats
 from .risk import (
     CvarConstraint,
@@ -183,10 +183,39 @@ def _solver_command(args):
     )
 
 
-def _solve_with_backend(args, model, ctx) -> Solution:
-    if args.backend == "reference":
-        return solve_reference(model, ctx)
-    return solve_external(model, _solver_command(args), tol=args.tol)
+def _timed_solve(args, model, ctx, backend: str) -> Tuple[Solution, float]:
+    """The backend's answer and its wall time in seconds."""
+    t0 = time.perf_counter()
+    if backend == "reference":
+        solution = solve_reference(model, ctx)
+    else:
+        solution = solve_external(model, _solver_command(args), tol=args.tol)
+    return solution, time.perf_counter() - t0
+
+
+def _solve_fields(args, model, solution: Solution, wall: float) -> Dict[str, object]:
+    """The record fields ``solve`` and ``bench`` share."""
+    return {
+        "backend": args.backend,
+        "objective": args.objective,
+        "status": solution.status,
+        "objective_value": solution.objective_value,
+        "wall_time_s": round(wall, 6),
+        "stats": model_stats(model),
+    }
+
+
+def _agrees(
+    oracle: OracleResult, solution: Solution, tol: float
+) -> Tuple[bool, Optional[float]]:
+    """Whether an answer agrees with the oracle (feasibility first, then an
+    objective gap of at most ``tol``), and the gap when both are feasible."""
+    if oracle.feasible != (solution.status == "optimal"):
+        return False, None
+    if not oracle.feasible:
+        return True, None
+    gap = abs(solution.objective_value - oracle.objective_value)
+    return bool(gap <= tol), gap
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +266,9 @@ def cmd_build(args) -> int:
 def cmd_solve(args) -> int:
     diagram = _load(args)
     model, ctx, objective, constraints = _compile(args, diagram)
-    t0 = time.perf_counter()
-    solution = _solve_with_backend(args, model, ctx)
-    wall = time.perf_counter() - t0
-
-    record: Dict[str, object] = {
-        "record": "solve",
-        "diagram": args.diagram,
-        "backend": args.backend,
-        "objective": args.objective,
-        "status": solution.status,
-        "objective_value": solution.objective_value,
-        "wall_time_s": round(wall, 6),
-        "stats": model_stats(model),
-    }
+    solution, wall = _timed_solve(args, model, ctx, args.backend)
+    record = {"record": "solve", "diagram": args.diagram,
+              **_solve_fields(args, model, solution, wall)}
     print(f"status          : {solution.status}")
     if solution.status != "optimal":
         for v in solution.violations[:10]:
@@ -332,13 +350,10 @@ def cmd_compare(args) -> int:
     oracle = oracle_optimize(diagram, objective=objective, constraints=constraints)
     rows = [("oracle", "optimal" if oracle.feasible else "infeasible",
              oracle.objective_value)]
-    reference = solve_reference(model, ctx)
-    rows.append(("reference", reference.status, reference.objective_value))
-    solutions = {"reference": reference}
-    if args.external:
-        external = solve_external(model, _solver_command(args), tol=args.tol)
-        rows.append(("external", external.status, external.objective_value))
-        solutions["external"] = external
+    solutions = {}
+    for name in ("reference", "external") if args.external else ("reference",):
+        solutions[name], _ = _timed_solve(args, model, ctx, name)
+        rows.append((name, solutions[name].status, solutions[name].objective_value))
 
     print(f"{'backend':<10} {'status':<12} objective")
     for name, status, value in rows:
@@ -346,20 +361,15 @@ def cmd_compare(args) -> int:
         print(f"{name:<10} {status:<12} {shown}")
 
     ok = True
-    target = oracle.objective_value
     for name, solution in solutions.items():
-        if oracle.feasible != (solution.status == "optimal"):
+        agree, gap = _agrees(oracle, solution, args.tol)
+        ok = ok and agree
+        if not agree and gap is None:
             print(f"mismatch: oracle feasible={oracle.feasible} but "
                   f"{name} status={solution.status}")
-            ok = False
-            continue
-        if not oracle.feasible:
-            continue
-        gap = abs(solution.objective_value - target)
-        if gap > args.tol:
+        elif not agree:
             print(f"mismatch: {name} objective differs from oracle by {gap!r}")
-            ok = False
-        else:
+        elif gap is not None:
             print(f"agree: {name} within {args.tol} of oracle (gap {gap:.3e})")
     record = {
         "record": "compare",
@@ -390,34 +400,21 @@ def cmd_bench(args) -> int:
         diagram = _bench_instance(args.family, args.n, seed)
         diagram = _prepare_diagram(args, diagram)
         model, ctx, objective, constraints = _compile(args, diagram)
-        t0 = time.perf_counter()
-        solution = _solve_with_backend(args, model, ctx)
-        wall = time.perf_counter() - t0
-        record: Dict[str, object] = {
-            "record": "bench",
-            "family": args.family,
-            "n": args.n,
-            "seed": seed,
-            "backend": args.backend,
-            "objective": args.objective,
-            "status": solution.status,
-            "objective_value": solution.objective_value,
-            "wall_time_s": round(wall, 6),
-            "stats": model_stats(model),
-        }
+        solution, wall = _timed_solve(args, model, ctx, args.backend)
+        record = {"record": "bench", "family": args.family, "n": args.n,
+                  "seed": seed, **_solve_fields(args, model, solution, wall)}
         line = (f"trial seed={seed}: {solution.status}"
                 f" objective={solution.objective_value!r} ({wall:.3f}s)")
         if solution.status == "optimal" and not args.no_check:
             oracle = oracle_optimize(
                 diagram, objective=objective, constraints=constraints
             )
-            gap = abs(solution.objective_value - oracle.objective_value)
+            check_ok, gap = _agrees(oracle, solution, max(args.tol, 1e-9))
             record["oracle_value"] = oracle.objective_value
             record["oracle_gap"] = gap
-            check_tol = max(args.tol, 1e-9)
-            record["check_ok"] = bool(gap <= check_tol)
-            line += f" oracle_gap={gap:.3e}"
-            if gap > check_tol:
+            record["check_ok"] = check_ok
+            line += " oracle infeasible" if gap is None else f" oracle_gap={gap:.3e}"
+            if not check_ok:
                 all_ok = False
                 line += " CHECK FAILED"
         elif solution.status != "optimal":
@@ -476,8 +473,19 @@ def _add_backend_flags(p: argparse.ArgumentParser, choice: bool = True) -> None:
         "--solver-cmd",
         help="external solver command template; '{lp}' marks the LP path",
     )
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=tolerance, default=1e-6,
                    help="feasibility re-check tolerance (default 1e-6)")
+
+
+def tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < float("inf"):  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:

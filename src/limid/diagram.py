@@ -10,9 +10,10 @@ degenerate 0/1 rows rather than as a separate function type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,14 +69,6 @@ class Cpt:
         if arr.ndim != 2:
             raise ValueError(f"CPT for {self.owner} must be 2-d (rows x states)")
         object.__setattr__(self, "rows", arr)
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -151,9 +144,6 @@ class ConfigIndexer:
         if name not in self.scope:
             raise KeyError(f"node {name!r} is not in scope {self.scope}")
         return self.scope.index(name)
-
-    def __len__(self) -> int:
-        return self.total
 
 
 @dataclass
@@ -240,7 +230,7 @@ def check_strategy(diagram: InfluenceDiagram, strategy: Strategy) -> List[str]:
         if d not in decisions:
             problems.append(f"strategy covers {d!r}, which is not a decision node")
             continue
-        want = diagram.parent_indexer(d).total
+        want = math.prod(diagram.n_states(p) for p in diagram.parents(d))
         if len(rule) != want:
             problems.append(
                 f"strategy for {d!r} has {len(rule)} entries, expected {want}"
@@ -299,7 +289,9 @@ def validate_diagram(diagram: InfluenceDiagram) -> List[str]:
                 f"expected ({want_rows}, {len(n.states)})"
             )
             continue
-        if np.any(cpt.rows < -ROW_SUM_TOL) or np.any(cpt.rows > 1 + ROW_SUM_TOL):
+        if not np.all(np.isfinite(cpt.rows)):
+            problems.append(f"CPT for {n.name!r} has non-finite entries")
+        elif np.any(cpt.rows < -ROW_SUM_TOL) or np.any(cpt.rows > 1 + ROW_SUM_TOL):
             problems.append(f"CPT for {n.name!r} has entries outside [0, 1]")
         sums = cpt.rows.sum(axis=1)
         for i in np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]:
@@ -328,21 +320,19 @@ def validate_diagram(diagram: InfluenceDiagram) -> List[str]:
     return problems
 
 
-def topological_order(
-    diagram: InfluenceDiagram, within: Optional[Iterable[str]] = None
-) -> List[str]:
+def topological_order(diagram: InfluenceDiagram) -> List[str]:
     """Deterministic topological order: Kahn's algorithm where the ready
     queue is kept in node declaration order.
 
     Raises ValueError naming one cycle if the arcs are cyclic.
     """
-    names = diagram.names() if within is None else [n for n in diagram.names() if n in set(within)]
-    name_set = set(names)
+    names = diagram.names()
+    pos = {n: i for i, n in enumerate(names)}
     indeg = {n: 0 for n in names}
     children: Dict[str, List[str]] = {n: [] for n in names}
     for n in names:
         for p in diagram.parents(n):
-            if p in name_set:
+            if p in pos:  # unknown parents are validate_diagram's to report
                 indeg[n] += 1
                 children[p].append(n)
     order: List[str] = []
@@ -358,7 +348,6 @@ def topological_order(
         if fresh:
             # Keep the queue sorted by declaration position so ties always
             # break the same way.
-            pos = {n: i for i, n in enumerate(names)}
             ready = sorted(ready + fresh, key=pos.__getitem__)
     if len(order) != len(names):
         stuck = [n for n in names if n not in set(order)]

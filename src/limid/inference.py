@@ -41,15 +41,16 @@ JOINT_STATES_CAP = 1 << 26
 STRATEGY_CAP = 1 << 24
 ATOM_PROB_FLOOR = 1e-15
 UTILITY_SIG_DIGITS = 12
+ORACLE_TOL = 1e-9  # slack of the oracle's constraint checks
 
 
-def round_to_sig(values: np.ndarray, digits: int = UTILITY_SIG_DIGITS) -> np.ndarray:
-    """Round to ``digits`` significant digits (aggregation key for utilities)."""
+def round_to_sig(values: np.ndarray) -> np.ndarray:
+    """Round to 12 significant digits (aggregation key for utilities)."""
     arr = np.asarray(values, dtype=float)
     out = arr.copy()
     nz = (arr != 0) & np.isfinite(arr)
     mag = np.floor(np.log10(np.abs(arr[nz])))
-    scale = np.power(10.0, digits - 1 - mag)
+    scale = np.power(10.0, UTILITY_SIG_DIGITS - 1 - mag)
     out[nz] = np.round(arr[nz] * scale) / scale
     return out
 
@@ -297,10 +298,9 @@ def joint_marginal(
     diagram: InfluenceDiagram,
     strategy: Strategy,
     scope: Sequence[str],
-    cap: int = JOINT_STATES_CAP,
 ) -> np.ndarray:
     """Marginal probability table over ``scope`` (flat, scope order given)."""
-    return Evaluator(diagram, cap=cap).marginal(strategy, scope)
+    return Evaluator(diagram).marginal(strategy, scope)
 
 
 def strategy_count(diagram: InfluenceDiagram) -> int:
@@ -345,18 +345,18 @@ class OracleResult:
 _SCOPED = (ChanceConstraint, LogicalConstraint, BudgetConstraint)
 
 
-def _constraint_ok(evaluator: Evaluator, strategy: Strategy, spec, hit, tol: float) -> bool:
+def _constraint_ok(evaluator: Evaluator, strategy: Strategy, spec, hit) -> bool:
     """``hit``: the spec's ``trigger_mask`` over its scope, None for CVaR."""
     if isinstance(spec, _SCOPED):
         table = evaluator.marginal(strategy, spec.scope)
         prob = sum(table[hit].tolist())  # left to right, as a loop would
         if isinstance(spec, ChanceConstraint) and spec.sense == ">=":
-            return prob >= spec.p - tol
+            return prob >= spec.p - ORACLE_TOL
         bound = spec.p if isinstance(spec, ChanceConstraint) else 0.0
-        return prob <= bound + tol
+        return prob <= bound + ORACLE_TOL
     if isinstance(spec, CvarConstraint):
         dist = evaluator.distribution(strategy)
-        return cvar_of_distribution(dist, spec.alpha).cvar >= spec.bound - tol
+        return cvar_of_distribution(dist, spec.alpha).cvar >= spec.bound - ORACLE_TOL
     raise ValueError(f"unsupported constraint type {type(spec).__name__}")
 
 
@@ -364,9 +364,6 @@ def oracle_optimize(
     diagram: InfluenceDiagram,
     objective=MeuObjective(),
     constraints: Iterable = (),
-    cap: int = STRATEGY_CAP,
-    joint_cap: int = JOINT_STATES_CAP,
-    tol: float = 1e-9,
 ) -> OracleResult:
     """Best feasible strategy by exhaustive enumeration.
 
@@ -374,7 +371,7 @@ def oracle_optimize(
     incumbent is replaced only on strict improvement along the lexicographic
     enumeration order.
     """
-    evaluator = Evaluator(diagram, cap=joint_cap)
+    evaluator = Evaluator(diagram)
     constraints = list(constraints)
     hits = [trigger_mask(diagram, c.scope, c) if isinstance(c, _SCOPED) else None
             for c in constraints]
@@ -382,9 +379,9 @@ def oracle_optimize(
     best_val: Optional[float] = None
     n_total = 0
     n_feasible = 0
-    for strategy in enumerate_strategies(diagram, cap=cap):
+    for strategy in enumerate_strategies(diagram):
         n_total += 1
-        if not all(_constraint_ok(evaluator, strategy, c, hit, tol)
+        if not all(_constraint_ok(evaluator, strategy, c, hit)
                    for c, hit in zip(constraints, hits)):
             continue
         n_feasible += 1

@@ -212,8 +212,7 @@ class RowStore(Sequence):
         self.blocks.append(RowBlock(self._n, self._n + n, tuple(heads), indexed))
         self._n += n
 
-    def append_terms(self, n_rows, row, var, coef, sense, rhs, heads,
-                     indexed=True):
+    def append_terms(self, n_rows, row, var, coef, sense, rhs, heads):
         """Add ``n_rows`` rows from terms ``coef * x[var]`` on rows ``row``
         (numbered from 0 in this block).  A row keeps its terms in the
         order given, less those with a zero coefficient."""
@@ -221,7 +220,7 @@ class RowStore(Sequence):
         row = row[keep]
         order = np.argsort(row, kind="stable")
         self.append(np.bincount(row, minlength=n_rows), var[keep][order],
-                    coef[keep][order], sense, rhs, heads, indexed)
+                    coef[keep][order], sense, rhs, heads)
 
     def _join(self) -> None:
         if not self._pending:

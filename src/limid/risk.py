@@ -17,7 +17,7 @@ constraint next to expected utility.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -162,6 +162,8 @@ class CvarConstraint:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        if not np.isfinite(self.bound):
+            raise ValueError(f"CVaR bound must be a finite number, got {self.bound!r}")
 
 
 _EVENT_RE = re.compile(r"^\s*P\((?P<body>[^()]+)\)\s*(?:(?P<sense><=|>=)\s*(?P<p>\S+))?\s*$")
@@ -217,6 +219,8 @@ def budget_from_dict(data: Mapping) -> BudgetConstraint:
         limit = float(data["limit"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"budget sidecar needs 'costs' and 'limit': {exc}") from None
+    if not np.isfinite([limit, *(c for t in costs.values() for c in t.values())]).all():
+        raise ValueError("budget sidecar costs and limit must be finite numbers")
     return BudgetConstraint(costs=costs, limit=limit)
 
 

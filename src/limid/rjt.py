@@ -18,7 +18,7 @@ exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .diagram import InfluenceDiagram, check_order, topological_order
@@ -28,9 +28,6 @@ from .diagram import InfluenceDiagram, check_order, topological_order
 class Cluster:
     root: str
     members: Tuple[str, ...]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,6 @@ class RootedJunctionTree:
     def arcs(self) -> List[Tuple[str, str]]:
         return [(p, c) for c, p in self.parent.items() if p is not None]
 
-    def position(self, name: str) -> int:
-        return self.order.index(name)
-
     def width(self) -> int:
         return max(len(c.members) for c in self.clusters.values()) - 1
 
@@ -98,6 +92,20 @@ def _path(parent: Dict[str, Optional[str]], a: str, b: str) -> List[str]:
     if a not in chain:
         return []
     return chain[chain.index(a)::-1]
+
+
+def tree_from_members(
+    order: Sequence[str],
+    member_map: Dict[str, Sequence[str]],
+    parent: Dict[str, Optional[str]],
+) -> RootedJunctionTree:
+    """Assemble a tree from explicit clusters (members get sorted)."""
+    pos = {n: i for i, n in enumerate(order)}
+    clusters = {
+        r: Cluster(root=r, members=tuple(sorted(ms, key=pos.__getitem__)))
+        for r, ms in member_map.items()
+    }
+    return RootedJunctionTree(order=tuple(order), clusters=clusters, parent=dict(parent))
 
 
 def build_rjt(
@@ -140,11 +148,7 @@ def build_rjt(
         if i > 0 and parent[j] is None:
             parent[j] = order[i - 1]
 
-    clusters = {
-        j: Cluster(root=j, members=tuple(sorted(ms, key=pos.__getitem__)))
-        for j, ms in members.items()
-    }
-    return RootedJunctionTree(order=tuple(order), clusters=clusters, parent=parent)
+    return tree_from_members(order, members, parent)
 
 
 def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[str]:
@@ -276,14 +280,7 @@ def modify_rjt(
     parent: Dict[str, Optional[str]] = dict(tree.parent)
 
     def snapshot() -> RootedJunctionTree:
-        return RootedJunctionTree(
-            order=tree.order,
-            clusters={
-                r: Cluster(root=r, members=tuple(sorted(ms, key=pos.__getitem__)))
-                for r, ms in members.items()
-            },
-            parent=dict(parent),
-        )
+        return tree_from_members(tree.order, members, parent)
 
     m = max(targets, key=pos.__getitem__)
     rest = sorted((set(targets) - {m}), key=pos.__getitem__)
@@ -313,20 +310,6 @@ def modify_rjt(
         if trace is not None:
             trace.append((("extend", n), snapshot()))
     return snapshot()
-
-
-def tree_from_members(
-    order: Sequence[str],
-    member_map: Dict[str, Sequence[str]],
-    parent: Dict[str, Optional[str]],
-) -> RootedJunctionTree:
-    """Assemble a tree from explicit clusters (members get sorted)."""
-    pos = {n: i for i, n in enumerate(order)}
-    clusters = {
-        r: Cluster(root=r, members=tuple(sorted(ms, key=pos.__getitem__)))
-        for r, ms in member_map.items()
-    }
-    return RootedJunctionTree(order=tuple(order), clusters=clusters, parent=dict(parent))
 
 
 def to_dot(tree: RootedJunctionTree) -> str:

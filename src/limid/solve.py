@@ -23,7 +23,6 @@ from scipy import sparse
 
 from .diagram import NodeKind, Strategy
 from .inference import (
-    STRATEGY_CAP,
     UtilityDistribution,
     enumerate_strategies,
     tail_witness,
@@ -56,12 +55,6 @@ _LP_NAME_OK = frozenset(
 
 class ExternalSolverError(RuntimeError):
     """Raised when an external solver run cannot produce a usable solution."""
-
-    def __init__(self, message: str, command: Optional[Sequence[str]] = None,
-                 missing: Optional[List[str]] = None):
-        super().__init__(message)
-        self.command = list(command) if command else None
-        self.missing = missing or []
 
 
 @dataclass
@@ -245,8 +238,7 @@ def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarr
         shown = ", ".join(missing[:10])
         raise ExternalSolverError(
             f"solution misses {len(missing)} model variables ({shown}"
-            + (", ..." if len(missing) > 10 else "") + ")",
-            missing=missing,
+            + (", ..." if len(missing) > 10 else "") + ")"
         )
     return np.array([float(assignment[name]) for name in names])
 
@@ -306,7 +298,7 @@ def propagate_cluster_marginals(
 
 def _strategy_vector(
     model: MipModel, ctx: CompileContext, strategy: Strategy
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+) -> np.ndarray:
     """Full variable assignment implied by a strategy (masses, policy bits,
     and canonical tail bookkeeping when the model carries a CVaR block)."""
     x = np.zeros(len(model.variables))
@@ -331,15 +323,20 @@ def _strategy_vector(
         x[block.lambar] = wit["at_or_below"]
         x[block.rho] = np.where(wit["below"], probs, 0.0)
         x[block.rhobar] = wit["tail_share"]
-    return x, mu
+    return x
 
 
-def solve_reference(
-    model: MipModel,
-    ctx: CompileContext,
-    tol: float = EXACT_TOL,
-    cap: int = STRATEGY_CAP,
-) -> Solution:
+def _score(
+    system: RowSystem, ctx: CompileContext, strategy: Strategy
+) -> Tuple[np.ndarray, List[str], Optional[float]]:
+    """The assignment a strategy implies, its row violations at
+    ``EXACT_TOL``, and its objective, which is None unless it passes."""
+    x = _strategy_vector(system.model, ctx, strategy)
+    violations = system.violations(x, EXACT_TOL)
+    return x, violations, None if violations else system.objective_value(x)
+
+
+def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     """Exact optimum by strategy enumeration with full row checking.
 
     Every deterministic strategy is converted to a complete variable
@@ -352,25 +349,16 @@ def solve_reference(
     best_val: Optional[float] = None
     n_total = 0
     n_feasible = 0
-    for strategy in enumerate_strategies(ctx.diagram, cap=cap):
+    for strategy in enumerate_strategies(ctx.diagram):
         n_total += 1
-        x, _ = _strategy_vector(model, ctx, strategy)
-        if system.violations(x, tol):
+        x, _, val = _score(system, ctx, strategy)
+        if val is None:
             continue
         n_feasible += 1
-        val = system.objective_value(x)
         if best_val is None or val > best_val:
             best_val, best_x = val, x
-    if best_x is None:
-        return Solution(
-            status=STATUS_INFEASIBLE,
-            objective_value=None,
-            x=None,
-            source="reference",
-            info={"strategies": n_total, "feasible": 0},
-        )
     return Solution(
-        status=STATUS_OPTIMAL,
+        status=STATUS_INFEASIBLE if best_x is None else STATUS_OPTIMAL,
         objective_value=best_val,
         x=best_x,
         source="reference",
@@ -446,8 +434,9 @@ def solve_external(
     solver's own assignment, whose masses may sit anywhere inside the
     solver's feasibility slack, is kept as ``info["solver_objective"]`` and
     the difference as ``info["drift"]`` (solver minus exact).  A polished
-    assignment that violates a row is returned with status "unknown" and its
-    violations.  Models without a context are returned unpolished.
+    assignment that violates a row is returned with status "unknown", its
+    violations and no objective (and so no drift).  Models without a context
+    are returned unpolished.
     """
     with tempfile.TemporaryDirectory(prefix="limid_lp_") as tmp:
         lp_path = str(Path(tmp) / "model.lp")
@@ -459,16 +448,16 @@ def solve_external(
             )
         except FileNotFoundError as exc:
             raise ExternalSolverError(
-                f"solver executable not found: {argv[0]!r}", command=argv
+                f"solver executable not found: {argv[0]!r}"
             ) from exc
         except subprocess.TimeoutExpired as exc:
             raise ExternalSolverError(
-                f"solver timed out after {timeout}s", command=argv
+                f"solver timed out after {timeout}s"
             ) from exc
     if proc.returncode != 0:
         tail = (proc.stderr or proc.stdout or "").strip()[-500:]
         raise ExternalSolverError(
-            f"solver exited with code {proc.returncode}: {tail}", command=argv
+            f"solver exited with code {proc.returncode}: {tail}"
         )
     parsed = parse_name_value_listing(proc.stdout)
     status_word = parsed.get("status")
@@ -478,7 +467,7 @@ def solve_external(
         status = STATUS_INFEASIBLE
     else:
         status = STATUS_UNKNOWN
-    info: Dict[str, object] = {"command": argv}
+    info: Dict[str, object] = {}
     if parsed.get("objective") is not None:
         info["reported_objective"] = parsed["objective"]
     if status != STATUS_OPTIMAL:
@@ -491,11 +480,11 @@ def solve_external(
     ctx = model.context
     if not violations and ctx is not None:
         strategy = _strategy_from_bits(model, x, tol)
-        x, _ = _strategy_vector(model, ctx, strategy)
-        violations = system.violations(x, EXACT_TOL)
-        solver_objective, objective = objective, system.objective_value(x)
-        info["solver_objective"] = solver_objective
-        info["drift"] = solver_objective - objective
+        x, violations, exact = _score(system, ctx, strategy)
+        info["solver_objective"] = objective
+        if exact is not None:
+            info["drift"] = objective - exact
+        objective = exact
     return Solution(
         status=STATUS_UNKNOWN if violations else STATUS_OPTIMAL,
         objective_value=objective,
@@ -589,12 +578,9 @@ def decode(
         distribution = UtilityDistribution.from_values(per_cfg, mass / total)
         expected = distribution.expected()
 
-    objective = solution.objective_value
-    if objective is None:
-        objective = RowSystem(model).objective_value(x)
     return DecodedSolution(
         strategy=strategy,
-        objective_value=float(objective),
+        objective_value=float(solution.objective_value),
         expected_utility=expected,
         distribution=distribution,
         cluster_marginals=marginals,

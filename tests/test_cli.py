@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from limid.diagram import Cpt
 from limid.diagram_io import save_diagram
 from limid.generators import (
     NMonitoringSpec,
@@ -357,6 +358,16 @@ class TestCompare:
         assert proc.returncode == 0
         assert "agree: external within" in proc.stdout
 
+    def test_both_sides_infeasible_agree(self, workdir):
+        proc = run_cli(
+            "compare", "pig2.json", "--chance", "P(H1=ill) <= 0.05",
+            "--external", cwd=workdir,
+        )
+        assert proc.returncode == 0
+        assert "infeasible" in proc.stdout
+        assert "mismatch" not in proc.stdout
+        assert "agree" not in proc.stdout
+
 
 class TestBench:
     def test_pigfarm_trials_write_report(self, workdir):
@@ -403,6 +414,23 @@ class TestBench:
         assert "trial seed=0:" in proc.stdout
         assert "oracle_gap" not in proc.stdout
 
+    def test_record_shares_the_solve_fields(self, workdir):
+        save_diagram(
+            gen_pigfarm(PigFarmSpec(n_periods=1, seed=3)), workdir / "pig1s3.json"
+        )
+        solve = run_cli("solve", "pig1s3.json", "--json", cwd=workdir)
+        bench = run_cli(
+            "bench", "pigfarm", "--n", "1", "--seed", "3", "--trials", "1",
+            "--json", cwd=workdir,
+        )
+        assert solve.returncode == 0 and bench.returncode == 0
+        solved = json.loads(solve.stdout.splitlines()[-1])
+        benched = json.loads(bench.stdout.splitlines()[-1])
+        assert (solved["record"], benched["record"]) == ("solve", "bench")
+        for key in ("backend", "objective", "status", "objective_value", "stats"):
+            assert solved[key] == benched[key], key
+        assert benched["check_ok"] is True
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand(self, workdir):
@@ -414,6 +442,47 @@ class TestArgumentErrors:
             "solve", "pig2.json", "--objective", "cvar:2.0", cwd=workdir
         )
         assert proc.returncode != 0
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_tol_must_be_finite_and_above_zero(self, workdir, command, value):
+        # NaN made every gap "agree"; a negative tolerance made every gap differ
+        proc = run_cli(command, "pig2.json", f"--tol={value}", cwd=workdir)
+        assert proc.returncode == 2
+        assert "argument --tol: must be a finite number above 0" in proc.stderr
+
+    def test_nan_cvar_floor_refused(self, workdir):
+        proc = run_cli(
+            "solve", "pig2.json", "--merge-values", "--cvar-floor", "0.2:nan",
+            cwd=workdir,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: CVaR bound must be a finite number, got nan\n"
+        )
+
+    def test_nan_budget_limit_refused(self, workdir):
+        (workdir / "nan_budget.json").write_text(
+            '{"costs": {"D1": {"treat": 100}, "D2": {"treat": 100}}, "limit": NaN}'
+        )
+        proc = run_cli(
+            "oracle", "pig2.json", "--budget", "nan_budget.json", cwd=workdir
+        )
+        assert proc.returncode == 1
+        assert "must be finite numbers" in proc.stderr
+
+    def test_nan_cpt_entry_refused(self, workdir):
+        diagram = gen_pigfarm(PigFarmSpec(n_periods=1))
+        rows = diagram.cpts["H1"].rows.copy()
+        rows[0, 0] = float("nan")
+        diagram.cpts["H1"] = Cpt("H1", rows)
+        save_diagram(diagram, workdir / "nan_cpt.json")
+        proc = run_cli("validate", "nan_cpt.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stdout == "CPT for 'H1' has non-finite entries\n"
+        proc = run_cli("oracle", "nan_cpt.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert "non-finite" in proc.stderr
 
     def test_compare_takes_no_backend_flag(self, workdir):
         # compare always runs the reference; --external adds the other row

@@ -111,6 +111,14 @@ class TestValidation:
         d2 = InfluenceDiagram(nodes=d.nodes, cpts=bad, utilities=d.utilities)
         assert any("outside [0, 1]" in p for p in validate_diagram(d2))
 
+    def test_nan_probability_reported(self):
+        # NaN fails both the range test and the row-sum test silently
+        d = two_node_diagram()
+        bad = dict(d.cpts)
+        bad["V"] = Cpt("V", np.array([[0.9, 0.1], [np.nan, 0.8]]))
+        d2 = InfluenceDiagram(nodes=d.nodes, cpts=bad, utilities=d.utilities)
+        assert validate_diagram(d2) == ["CPT for 'V' has non-finite entries"]
+
     def test_decision_with_cpt_reported(self):
         nodes = (
             Node("D", NodeKind.DECISION, ("a", "b"), ()),
@@ -229,6 +237,26 @@ class TestStrategy:
         assert check_strategy(
             d, Strategy(rules={"D": (0, 1), "X": (0,)})
         ) != []
+
+    def test_rule_length_is_the_parent_configuration_count(self):
+        nodes = (
+            Node("A", NodeKind.CHANCE, ("x", "y"), ()),
+            Node("B", NodeKind.CHANCE, ("p", "q", "r"), ()),
+            Node("D", NodeKind.DECISION, ("no", "yes"), ("A", "B")),
+            Node("E", NodeKind.DECISION, ("no", "yes"), ()),
+        )
+        cpts = {
+            "A": Cpt("A", np.array([[0.5, 0.5]])),
+            "B": Cpt("B", np.array([[0.2, 0.3, 0.5]])),
+        }
+        d = InfluenceDiagram(nodes=nodes, cpts=cpts, utilities={})
+        ok = Strategy(rules={"D": (0,) * 6, "E": (1,)})
+        assert check_strategy(d, ok) == []
+        short = Strategy(rules={"D": (0,) * 5, "E": (1, 0)})
+        assert check_strategy(d, short) == [
+            "strategy for 'D' has 5 entries, expected 6",
+            "strategy for 'E' has 2 entries, expected 1",
+        ]
 
     def test_strategy_key_is_stable(self):
         s1 = Strategy(rules={"D": (0, 1), "E": (1,)})

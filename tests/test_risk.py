@@ -115,6 +115,18 @@ class TestParsing:
         with pytest.raises(ValueError, match="costs"):
             budget_from_dict({"limit": 10})
 
+    @pytest.mark.parametrize("limit, cost", [
+        (float("nan"), 100), (float("inf"), 100), (150, float("nan")),
+        (150, float("-inf")),
+    ])
+    def test_budget_from_dict_rejects_non_finite_numbers(self, limit, cost):
+        # a NaN limit compares False against every cost, so the budget
+        # would forbid nothing
+        with pytest.raises(ValueError, match="finite"):
+            budget_from_dict(
+                {"costs": {"D1": {"treat": cost}}, "limit": limit}
+            )
+
 
 class TestBounds:
     def test_chance_probability_must_be_in_unit_interval(self):
@@ -130,6 +142,11 @@ class TestBounds:
             CvarObjective(alpha=0.0)
         with pytest.raises(ValueError):
             CvarConstraint(alpha=1.2, bound=0.0)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf")])
+    def test_cvar_bound_must_be_finite(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            CvarConstraint(alpha=0.2, bound=bound)
 
 
 class TestValidation:

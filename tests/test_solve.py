@@ -349,6 +349,32 @@ class TestExternalBridge:
         for root in ctx.tree.order:
             np.testing.assert_array_equal(dec.cluster_marginals[root], mu[root])
 
+    def test_polish_failing_the_exact_recheck_leaves_no_objective(self, tmp_path):
+        # A chance bound 5e-7 below the exact P(H2=ill) of the MEU strategy:
+        # that strategy's exact assignment passes the 1e-6 re-check of the
+        # solver's answer and fails the 1e-9 re-check of the polish.
+        d, model, ctx = pig_setup(2)
+        ref = solve_reference(model, ctx)
+        strategy = decode(ref, model, ctx).strategy
+        p_ill = float(joint_marginal(d, strategy, ["H2"])[1])
+        con = parse_chance_text(f"P(H2=ill) <= {p_ill - 5e-7!r}")
+        _, cmodel, _ = pig_setup(2, risk=con)
+        names = cmodel.variables.names()
+        assert names == model.variables.names()
+        listing = tmp_path / "answer.txt"
+        listing.write_text("status optimal\n" + "".join(
+            f"{name} {value!r}\n" for name, value in zip(names, ref.x.tolist())
+        ))
+        cmd = [sys.executable, "-c",
+               "import sys; print(open(sys.argv[1]).read())", str(listing), "{lp}"]
+        ext = solve_external(cmodel, cmd)
+        assert ext.status == "unknown"
+        assert ext.objective_value is None
+        assert len(ext.violations) == 1 and "chance" in ext.violations[0]
+        assert ext.info["solver_objective"] == ref.objective_value
+        assert "drift" not in ext.info
+        np.testing.assert_array_equal(ext.x, ref.x)
+
     def test_model_without_context_left_unpolished(self):
         model = MipModel()
         model.add_var("x", VAR_UNIT)

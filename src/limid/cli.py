@@ -59,11 +59,6 @@ from .solve import (
 from .transform import merge_value_nodes
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _compile_hint(exc: ValueError) -> str:
     text = str(exc)
     if "merge_value_nodes" in text:
@@ -77,7 +72,13 @@ def _parse_objective(text: str):
     if text == "meu":
         return MeuObjective()
     if text.startswith("cvar:"):
-        return CvarObjective(alpha=float(text.split(":", 1)[1]))
+        try:
+            alpha = float(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"bad --objective value {text!r}; expected 'cvar:<alpha>'"
+            ) from None
+        return CvarObjective(alpha=alpha)
     raise ValueError(
         f"unknown objective {text!r}; expected 'meu' or 'cvar:<alpha>'"
     )
@@ -92,8 +93,13 @@ def _gather_constraints(args) -> List[object]:
     for path in args.budget or ():
         specs.append(budget_from_dict(json.loads(Path(path).read_text())))
     for text in args.cvar_floor or ():
-        alpha, bound = text.split(":", 1)
-        specs.append(CvarConstraint(alpha=float(alpha), bound=float(bound)))
+        try:
+            alpha, bound = map(float, text.split(":", 1))
+        except ValueError:
+            raise ValueError(
+                f"bad --cvar-floor value {text!r}; expected ALPHA:BOUND"
+            ) from None
+        specs.append(CvarConstraint(alpha=alpha, bound=bound))
     return specs
 
 
@@ -571,7 +577,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, ValueError, ExternalSolverError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -83,18 +83,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> List[str]:
-    return _TOKEN_RE.findall(_COMMENT_RE.sub("", text))
-
-
-def _is_number(token: str) -> bool:
-    return bool(_NUMBER_RE.match(token))
-
-
-def _section_of(token: str) -> Optional[str]:
-    return _SECTION_WORDS.get(token.lower())
-
-
 _REL, _SECTION, _PLUS, _MINUS, _NUMBER, _WORD = range(6)
 
 
@@ -104,13 +92,13 @@ class _Kinds(dict):
     def __missing__(self, tok: str) -> int:
         if tok in ("<=", ">=", "="):
             kind = _REL
-        elif _section_of(tok):
+        elif tok.lower() in _SECTION_WORDS:
             kind = _SECTION
         elif tok == "+":
             kind = _PLUS
         elif tok == "-":
             kind = _MINUS
-        elif _is_number(tok):
+        elif _NUMBER_RE.match(tok):
             kind = _NUMBER
         else:
             kind = _WORD
@@ -119,7 +107,7 @@ class _Kinds(dict):
 
 
 def parse_lp(text: str) -> LpProblem:
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(_COMMENT_RE.sub("", text))
     if not tokens:
         raise LpParseError("empty LP file")
     n = len(tokens)
@@ -196,7 +184,7 @@ def parse_lp(text: str) -> LpProblem:
 
     while i < n:
         tok = tokens[i]
-        sec = _section_of(tok) if kinds[tok] == _SECTION else None
+        sec = _SECTION_WORDS[tok.lower()] if kinds[tok] == _SECTION else None
         if sec == "objective-max" or sec == "objective-min":
             sense = "max" if sec == "objective-max" else "min"
             i += 1
@@ -225,23 +213,19 @@ def parse_lp(text: str) -> LpProblem:
                 )
             i += 1  # consume sense token
             val, i = _read_signed(
-                tokens, i, kinds, allow_inf=False, what="right-hand side"
+                tokens, i, kinds, "right-hand side", allow_inf=False
             )
             rows.append((coeffs, rel, val - const))
             continue
         if section == "bounds":
             i = _parse_bound(tokens, i, kinds, lower, upper, touch)
             continue
-        if section == "binaries":
+        if section in ("binaries", "generals"):
             touch(tok)
             integer[tok] = True
-            lower.setdefault(tok, 0.0)
-            upper.setdefault(tok, 1.0)
-            i += 1
-            continue
-        if section == "generals":
-            touch(tok)
-            integer[tok] = True
+            if section == "binaries":
+                lower.setdefault(tok, 0.0)
+                upper.setdefault(tok, 1.0)
             i += 1
             continue
         raise LpParseError(f"unexpected token {tok!r} outside any section")
@@ -259,7 +243,7 @@ def parse_lp(text: str) -> LpProblem:
 
 
 def _read_signed(
-    tokens, i, kinds, allow_inf: bool, what: str
+    tokens, i, kinds, what: str, allow_inf: bool = True
 ) -> Tuple[float, int]:
     """Read a possibly signed number (or infinity); return (value, next index)."""
     sign = 1.0
@@ -277,26 +261,20 @@ def _read_signed(
     return sign * float(tok), i + 1
 
 
-def _read_bound_value(tokens, i, kinds) -> Tuple[float, int]:
-    return _read_signed(
-        tokens, i, kinds, allow_inf=True, what="bounds declaration"
-    )
-
-
 def _parse_bound(tokens, i, kinds, lower, upper, touch) -> int:
     """Parse one bounds declaration starting at tokens[i]; return new index."""
     tok = tokens[i]
     if (kinds[tok] in (_PLUS, _MINUS, _NUMBER)
             or tok.lower() in ("inf", "infinity")):
         # form: a <= x <= b   (or a <= x)
-        lo, j = _read_bound_value(tokens, i, kinds)
+        lo, j = _read_signed(tokens, i, kinds, "bounds declaration")
         if j + 1 >= len(tokens) or tokens[j] != "<=":
             raise LpParseError(f"bad bound near {tok!r}")
         name = tokens[j + 1]
         touch(name)
         lower[name] = lo
         if j + 2 < len(tokens) and tokens[j + 2] == "<=":
-            up, k = _read_bound_value(tokens, j + 3, kinds)
+            up, k = _read_signed(tokens, j + 3, kinds, "bounds declaration")
             upper[name] = up
             return k
         return j + 2
@@ -308,7 +286,7 @@ def _parse_bound(tokens, i, kinds, lower, upper, touch) -> int:
         upper[name] = _INF
         return i + 2
     if nxt in ("<=", ">=", "="):
-        val, k = _read_bound_value(tokens, i + 2, kinds)
+        val, k = _read_signed(tokens, i + 2, kinds, "bounds declaration")
         if nxt == "<=":
             upper[name] = val
         elif nxt == ">=":

@@ -44,12 +44,13 @@ class RootedJunctionTree:
     def children(self, root: str) -> List[str]:
         return _children_map(self.order, self.parent).get(root, [])
 
-    def preorder(self) -> List[str]:
-        """Cluster roots from the tree root down, parents before children and
-        siblings in node order.  After a re-hang the node order itself may put
-        a cluster before its tree parent, so compilation walks this order."""
+    def preorder(self, start: Optional[str] = None) -> List[str]:
+        """Cluster roots of the subtree of C_start (the whole tree by
+        default) from the top down, parents before children and siblings in
+        node order.  After a re-hang the node order itself may put a cluster
+        before its tree parent, so compilation walks this order."""
         kids = _children_map(self.order, self.parent)
-        roots = kids.get(None, [])
+        roots = kids.get(None, []) if start is None else [start]
         if len(roots) != 1:
             raise ValueError(f"tree has {len(roots)} parentless clusters")
         out: List[str] = []
@@ -227,13 +228,7 @@ def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[st
 
 def reachable_roots(tree: RootedJunctionTree, j: str) -> FrozenSet[str]:
     """Nodes whose root cluster sits in the subtree of C_j (j included)."""
-    kids = _children_map(tree.order, tree.parent)
-    out, stack = set(), [j]
-    while stack:
-        cur = stack.pop()
-        out.add(cur)
-        stack.extend(kids.get(cur, ()))
-    return frozenset(out)
+    return frozenset(tree.preorder(j))
 
 
 def directed_path_clusters(
@@ -253,15 +248,17 @@ def modify_rjt(
 ) -> RootedJunctionTree:
     """Grow the tree so some cluster contains every node in ``targets``.
 
-    Let m be the topologically largest target.  Every other target n is
-    routed into C_m: if C_m is not below C_n, the branch holding C_m is first
-    cut from the lowest common ancestor e of C_n and C_m and re-hung below
-    C_n (filling the clusters from C_e to C_n with the severed arc's
-    intersection so running intersection survives), then n is added to every
-    cluster on the path from C_n to C_m.  Clusters and nodes are never
-    removed, so the result contains the input clusters member-wise.  When C_m
-    lies above C_n (possible after an earlier re-hang) no such branch exists
-    and a ``ValueError`` names both nodes.
+    The targets gather in the lowest target cluster reached so far, at
+    first C_m for the topologically largest target m.  Each other target n,
+    in node order, is routed there.  If that cluster lies above C_n
+    (possible after an earlier re-hang), the targets it holds are carried
+    down the path to C_n, which takes its place.  Otherwise, unless C_n is
+    above it, the branch holding it is first cut from the lowest common
+    ancestor e of the two and re-hung below C_n (filling the clusters from
+    C_e to C_n with the severed arc's intersection so running intersection
+    survives); then n is added to every cluster on the path down from C_n.
+    Clusters and nodes are never removed, so the result contains the input
+    clusters member-wise.
 
     ``trace``, when given, collects ``((step, node), snapshot)`` pairs after
     each fill / rehang / extend step.
@@ -282,31 +279,30 @@ def modify_rjt(
     def snapshot() -> RootedJunctionTree:
         return tree_from_members(tree.order, members, parent)
 
-    m = max(targets, key=pos.__getitem__)
-    rest = sorted((set(targets) - {m}), key=pos.__getitem__)
+    dest = max(targets, key=pos.__getitem__)
+    rest = sorted((set(targets) - {dest}), key=pos.__getitem__)
     for n in rest:
-        if n in members[m]:
+        if n in members[dest]:
             continue
-        up_m = _ancestors(parent, m)
-        if n not in up_m:
+        up_dest = _ancestors(parent, dest)
+        top, moved = n, {n}
+        if n not in up_dest:
             above_n = set(_ancestors(parent, n))
-            i = next(k for k, c in enumerate(up_m) if c in above_n)
-            if i == 0:
-                raise ValueError(
-                    f"cannot route {n!r} into the cluster of {m!r}: "
-                    f"C_{m} lies above C_{n}"
-                )
-            e, g = up_m[i], up_m[i - 1]
-            carried = members[e] & members[g]
-            for c in _path(parent, e, n):
-                members[c] |= carried
-            if trace is not None:
-                trace.append((("fill", n), snapshot()))
-            parent[g] = n
-            if trace is not None:
-                trace.append((("rehang", n), snapshot()))
-        for c in _path(parent, n, m):
-            members[c].add(n)
+            i = next(k for k, c in enumerate(up_dest) if c in above_n)
+            if i == 0:  # the destination lies above C_n: C_n takes its place
+                top, moved, dest = dest, members[dest] & set(targets), n
+            else:
+                e, g = up_dest[i], up_dest[i - 1]
+                carried = members[e] & members[g]
+                for c in _path(parent, e, n):
+                    members[c] |= carried
+                if trace is not None:
+                    trace.append((("fill", n), snapshot()))
+                parent[g] = n
+                if trace is not None:
+                    trace.append((("rehang", n), snapshot()))
+        for c in _path(parent, top, dest):
+            members[c] |= moved
         if trace is not None:
             trace.append((("extend", n), snapshot()))
     return snapshot()

@@ -23,6 +23,8 @@ from limid.generators import (
     gen_pigfarm,
 )
 
+from test_modify_rjt import two_branch_diagram
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -126,6 +128,16 @@ class TestRjt:
         assert proc.returncode == 0
         assert "V_merged" in proc.stdout
         assert "V1" not in proc.stdout
+
+    def test_chained_modify_gathers_below_an_earlier_rehang(self, workdir):
+        # The second group's C_C lies above C_B after the first re-hang.
+        save_diagram(two_branch_diagram(), workdir / "two_branch.json")
+        proc = run_cli(
+            "rjt", "two_branch.json", "--modify", "C,D,E", "--modify", "B,C",
+            cwd=workdir,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "  C[B]: {B C} <- C" in proc.stdout.splitlines()
 
     def test_dot_export_writes_file(self, workdir):
         proc = run_cli("rjt", "pig2.json", "--dot", "tree.dot", cwd=workdir)
@@ -460,6 +472,18 @@ class TestArgumentErrors:
         assert proc.stderr == (
             "error: CVaR bound must be a finite number, got nan\n"
         )
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cvar-floor", "abc", "bad --cvar-floor value 'abc'; expected ALPHA:BOUND"),
+        ("--cvar-floor", "0.2:abc",
+         "bad --cvar-floor value '0.2:abc'; expected ALPHA:BOUND"),
+        ("--objective", "cvar:abc",
+         "bad --objective value 'cvar:abc'; expected 'cvar:<alpha>'"),
+    ], ids=["no-colon", "bad-bound", "bad-alpha"])
+    def test_malformed_cvar_value_names_the_flag(self, workdir, flag, value, message):
+        proc = run_cli("solve", "pig2.json", "--merge-values", flag, value, cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
 
     def test_nan_budget_limit_refused(self, workdir):
         (workdir / "nan_budget.json").write_text(

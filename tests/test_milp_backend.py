@@ -1,15 +1,29 @@
 """The bundled LP-file MILP backend: parser units, solver behaviour, and
 the command-line entry point."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import optimize
 
+from limid.generators import (
+    NMonitoringSpec,
+    PigFarmSpec,
+    gen_nmonitoring,
+    gen_pigfarm,
+)
 from limid.milp_backend import LpParseError, main, parse_lp, solve_lp_text
+from limid.mip import add_risk, build_base_model
+from limid.risk import CvarObjective
+from limid.rjt import build_rjt
+from limid.solve import export_lp
+from limid.transform import merge_value_nodes
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,6 +154,43 @@ class TestSolver:
         integral = solve_lp_text(base.format("General\n x\n"))
         assert relaxed[1] == pytest.approx(1.5)
         assert integral[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("nmonitoring3",
+         "50e94371a56e3f8291cd1cedf4db1fe110955dd7f79a6296e9fd0a0caf6b92e3"),
+        ("pigfarm3_merged_cvar",
+         "c30f2de041c38a385f598c44a18e4473ffdda00639a6b82ed5a2fb34095cba33"),
+    ])
+    def test_highs_input_pinned(self, monkeypatch, name, digest):
+        # Everything the child hands HiGHS: objective, matrix, row and
+        # column bounds, integrality and options.  HiGHS's answers on these
+        # models move with such details, column order included.
+        if name == "nmonitoring3":
+            d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+            model, _ = build_base_model(build_rjt(d), d)
+        else:
+            d, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=3)))
+            model, ctx = build_base_model(build_rjt(d), d)
+            add_risk(model, CvarObjective(alpha=0.15), ctx)
+        sha = hashlib.sha256()
+        real_milp = optimize.milp
+
+        def milp(c, *, constraints, integrality, bounds, options):
+            (rows,) = constraints
+            matrix = rows.A
+            for part in (c, matrix.data, matrix.indices, matrix.indptr,
+                         rows.lb, rows.ub, bounds.lb, bounds.ub, integrality):
+                part = np.ascontiguousarray(part)
+                sha.update(f"{part.dtype.str}{part.shape}".encode())
+                sha.update(part.tobytes())
+            sha.update(f"{matrix.format}{matrix.shape}{sorted(options.items())}".encode())
+            return real_milp(c, constraints=constraints, integrality=integrality,
+                             bounds=bounds, options=options)
+
+        monkeypatch.setattr(optimize, "milp", milp)
+        status, _, _ = solve_lp_text(export_lp(model))
+        assert status == "optimal"
+        assert sha.hexdigest() == digest
 
 
 class TestCli:

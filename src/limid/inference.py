@@ -1,31 +1,30 @@
-"""Exact inference over the full joint state space.
+"""Exact inference by contracting the diagram's factors.
 
-Everything here works on the explicit joint probability tensor: one axis
-per node in topological order, each CPT (and each decision rule, as a 0/1
-mask) broadcast in.  No elimination order, no message passing; simplicity
-is the guarantee of correctness, which is what an oracle is for.  Per
-strategy, the work is a refresh of the rule masks that changed plus one
-scatter of the CPT product onto the strategy's support.  Sizes are guarded
-by caps and refused beyond them.
+Each CPT, and each decision rule as a 0/1 table, sits on its family's axes
+(the parents plus the node).  A query contracts all of them straight onto
+its output axes along a pairwise path that ``np.einsum_path`` plans once
+per output scope.  Nothing is pruned or approximated: the answer is the
+product of every factor summed onto the output, and simplicity is the
+guarantee of correctness, which is what an oracle is for.  The largest
+tensor one step spans is guarded by a cap and refused beyond it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import string
 from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._tensor import place_table
 from .diagram import (
     CapExceededError,
     InfluenceDiagram,
     NodeKind,
     Strategy,
     check_strategy,
-    topological_order,
 )
 from .risk import (
     BudgetConstraint,
@@ -37,7 +36,8 @@ from .risk import (
     trigger_mask,
 )
 
-JOINT_STATES_CAP = 1 << 26
+CONTRACTION_CAP = 1 << 26
+_LABELS = string.ascii_letters  # the 52 subscript labels np.einsum accepts
 STRATEGY_CAP = 1 << 24
 ATOM_PROB_FLOOR = 1e-15
 UTILITY_SIG_DIGITS = 12
@@ -153,109 +153,87 @@ def tail_witness(
 
 
 class Evaluator:
-    """Joint-tensor evaluator; the CPT product and utility grid are built once.
+    """Contracts the CPTs and a strategy's rule tables afresh per query.
 
-    Per strategy, the rule masks are refreshed from the first decision whose
-    rule changed since the last query, and the CPT product is scattered onto
-    the support.  The last strategy's support and joint are kept.
+    The utility grid over the value nodes and the contraction path of each
+    output scope are built once; per query, only the rule tables are new.
     """
 
-    def __init__(self, diagram: InfluenceDiagram, cap: int = JOINT_STATES_CAP):
+    def __init__(self, diagram: InfluenceDiagram, cap: int = CONTRACTION_CAP):
+        names = [n.name for n in diagram.nodes]
+        if len(names) > len(_LABELS):
+            raise CapExceededError("a label per node for np.einsum", len(names),
+                                   len(_LABELS))
         self.diagram = diagram
-        self.order = topological_order(diagram)
-        self.sizes = [diagram.n_states(n) for n in self.order]
-        total = 1
-        for s in self.sizes:
-            total *= s
-            if total > cap:
-                raise CapExceededError("joint state space", total, cap)
-        self.total = total
-        self.pos = {n: i for i, n in enumerate(self.order)}
-
-        factors = []
-        for name in self.order:
-            if diagram.kind(name) == NodeKind.DECISION:
-                continue
-            factors.append(self._placed_table(name, diagram.cpts[name].rows))
-        self.base = reduce(np.multiply, factors) if factors else np.ones(self.sizes)
-        self._flat_base = np.ascontiguousarray(
-            np.broadcast_to(self.base, self.sizes)).ravel()
-
-        value_axes = [
-            place_table(self.sizes, [self.pos[v]], diagram.utilities[v].values)
-            for v in diagram.value_nodes
+        self._cap = cap
+        self._label = dict(zip(names, _LABELS))
+        self._size = {self._label[n]: diagram.n_states(n) for n in names}
+        # One factor per node on its family's axes: the CPT, or (None) the
+        # rule table a query's strategy supplies.
+        self._nodes = names
+        self._terms = ["".join(self._label[p] for p in (*diagram.parents(n), n))
+                       for n in names]
+        self._shapes = [tuple(self._size[c] for c in t) for t in self._terms]
+        self._tables = [
+            None if diagram.kind(n) == NodeKind.DECISION
+            else diagram.cpts[n].rows.reshape(shape)
+            for n, shape in zip(names, self._shapes)
         ]
-        if value_axes:
-            utils = np.broadcast_to(reduce(np.add, value_axes), self.sizes)
-        else:
-            utils = np.zeros(self.sizes)
-        flat_utils = utils.ravel()
-        keys = round_to_sig(flat_utils)
-        self.unique_utilities, self._inverse = np.unique(keys, return_inverse=True)
-        self._inverse = self._inverse.ravel()
-        self._flat_utils = np.ascontiguousarray(flat_utils)
+        self._plans: Dict[Tuple[str, ...], List[Tuple[List[int], str]]] = {}
 
-        # Per decision k in declaration order: its rule at the last query and
-        # the AND of the rule masks of decisions 1..k, in broadcast shape.
-        self._decisions = diagram.decision_nodes
-        self._rules = [None] * len(self._decisions)
-        self._masks = [None] * len(self._decisions)
-        self._support = self._joint = None
+        self._values = tuple(diagram.value_nodes)
+        self._plan(self._values)  # checks the cap before the grid is built
+        grid = sum(np.ix_(*(diagram.utilities[v].values for v in self._values)),
+                   np.zeros(()))
+        self._utils = np.ravel(grid)
+        self.unique_utilities, self._inverse = np.unique(
+            round_to_sig(self._utils), return_inverse=True)
 
-    def _placed_table(self, name: str, rows: np.ndarray) -> np.ndarray:
-        ps = self.diagram.parents(name)
-        shaped = rows.reshape(
-            [self.diagram.n_states(p) for p in ps] + [self.diagram.n_states(name)]
-        )
-        return place_table(self.sizes, [self.pos[p] for p in ps] + [self.pos[name]], shaped)
+    def _plan(self, scope: Tuple[str, ...]) -> List[Tuple[List[int], str]]:
+        """Steps contracting every factor onto ``scope``: the operand
+        positions each step pops (descending, as numpy's paths count them)
+        and its subscripts.  Planned once per scope."""
+        plan = self._plans.get(scope)
+        if plan is not None:
+            return plan
+        out = "".join(self._label[n] for n in scope)
+        terms = list(self._terms)
+        shaped = [np.broadcast_to(0.0, shape) for shape in self._shapes]
+        # The memory limit keeps greedy off intermediates above the cap; a
+        # step it cannot avoid is refused below.
+        path = np.einsum_path(",".join(terms) + "->" + out, *shaped,
+                              optimize=("greedy", self._cap))[0][1:]
+        plan = []
+        for step in path:
+            step = sorted(step, reverse=True)
+            picked = [terms.pop(i) for i in step]
+            touched = set("".join(picked))
+            span = math.prod(self._size[c] for c in touched)
+            if span > self._cap:
+                raise CapExceededError("a contraction step", span, self._cap)
+            kept = "".join(sorted(touched & set("".join(terms) + out)))
+            terms.append(kept if terms else out)
+            plan.append((step, ",".join(picked) + "->" + terms[-1]))
+        self._plans[scope] = plan
+        return plan
 
-    def _rule_mask(self, d: str, rule: Tuple[int, ...]) -> np.ndarray:
-        rows = np.zeros((len(rule), self.diagram.n_states(d)), dtype=bool)
-        rows[np.arange(len(rule)), list(rule)] = True
-        return self._placed_table(d, rows)
-
-    def _select(self, strategy: Strategy) -> np.ndarray:
-        """Flat grid indices where every rule of ``strategy`` holds."""
+    def _contract(self, strategy: Strategy, scope: Sequence[str]) -> np.ndarray:
+        """Probability table over ``scope`` (axes in scope order)."""
         problems = check_strategy(self.diagram, strategy)
         if problems:
             raise ValueError("; ".join(problems))
-        rules = [tuple(strategy.rules[d]) for d in self._decisions]
-        k = 0
-        while k < len(rules) and rules[k] == self._rules[k]:
-            k += 1
-        if self._support is not None and k == len(rules):
-            return self._support
-        self._support = self._joint = None
-        mask = self._masks[k - 1] if k else np.ones([1] * len(self.sizes), dtype=bool)
-        for i in range(k, len(rules)):
-            mask = mask & self._rule_mask(self._decisions[i], rules[i])
-            self._masks[i], self._rules[i] = mask, rules[i]
-        self._support = np.flatnonzero(np.broadcast_to(mask, self.sizes))
-        return self._support
-
-    def joint(self, strategy: Strategy) -> np.ndarray:
-        """Read-only joint: the CPT product times every rule's 0/1 table."""
-        support = self._select(strategy)
-        if self._joint is None:
-            # Rule entries are exactly 0.0 or 1.0 and the CPT product holds
-            # finite probabilities >= 0, so the product of all factors is
-            # the CPT product on the support and +0.0 elsewhere, bit for bit.
-            # (Validation lets a CPT entry sit within ROW_SUM_TOL below 0;
-            # the product has -0.0 there, which compares equal.)
-            flat = np.zeros(self.total)
-            flat[support] = self._flat_base[support]
-            flat.flags.writeable = False
-            self._joint = flat.reshape(self.sizes)
-        return self._joint
+        # A rule's 0/1 table: row i is the one-hot of the state it picks.
+        ops = [np.eye(shape[-1])[list(strategy.rules[n])].reshape(shape)
+               if table is None else table
+               for n, shape, table in zip(self._nodes, self._shapes, self._tables)]
+        for step, subscripts in self._plan(tuple(scope)):
+            ops.append(np.einsum(subscripts, *[ops.pop(i) for i in step]))
+        return ops[0]
 
     def distribution(self, strategy: Strategy) -> UtilityDistribution:
-        # bincount adds in ascending index order and every entry off the
-        # support is +0.0, so skipping them leaves each mass bit-identical
-        # to the sum over the full joint.
-        support = self._select(strategy)
         mass = np.bincount(
-            self._inverse[support],
-            weights=self._flat_base[support],
+            self._inverse,
+            weights=self._contract(strategy, self._values).ravel(),
             minlength=self.unique_utilities.size,
         )
         keep = mass > ATOM_PROB_FLOOR
@@ -264,31 +242,24 @@ class Evaluator:
         )
 
     def expected(self, strategy: Strategy) -> float:
-        """Expected total utility from the unrounded utility grid.
+        """Expected total utility: the contraction onto the value nodes
+        dotted with their unrounded utility grid.
 
         More precise than ``distribution(...).expected()``, whose atoms are
-        rounded to 12 significant digits for aggregation.  The dot runs over
-        the full grid so that its blocking is the same for every strategy:
-        equal joints get equal values, and ties break the same way.
+        rounded to 12 significant digits for aggregation.
         """
-        return float(np.dot(self._flat_utils, self.joint(strategy).ravel()))
+        table = self._contract(strategy, self._values)
+        return float(np.dot(self._utils, table.ravel()))
 
     def marginal(self, strategy: Strategy, scope: Sequence[str]) -> np.ndarray:
         """Flat probability table over ``scope`` in the given node order."""
-        axes_keep = [self.pos[n] for n in scope]
-        if len(set(axes_keep)) != len(axes_keep):
+        if len(set(scope)) != len(scope):
             raise ValueError("marginal scope repeats a node")
-        drop = tuple(i for i in range(len(self.sizes)) if i not in set(axes_keep))
-        table = self.joint(strategy).sum(axis=drop)
-        # Axes of ``table`` follow ascending grid position; rearrange to the
-        # caller's scope order.
-        rank = {a: i for i, a in enumerate(sorted(axes_keep))}
-        table = np.transpose(table, [rank[a] for a in axes_keep])
-        return table.ravel()
+        return self._contract(strategy, scope).ravel()
 
 
 def evaluate_strategy(
-    diagram: InfluenceDiagram, strategy: Strategy, cap: int = JOINT_STATES_CAP
+    diagram: InfluenceDiagram, strategy: Strategy, cap: int = CONTRACTION_CAP
 ) -> UtilityDistribution:
     """Distribution of total utility under a fixed deterministic strategy."""
     return Evaluator(diagram, cap=cap).distribution(strategy)
@@ -367,9 +338,12 @@ def oracle_optimize(
 ) -> OracleResult:
     """Best feasible strategy by exhaustive enumeration.
 
-    Ties break toward the lexicographically smallest strategy because the
-    incumbent is replaced only on strict improvement along the lexicographic
-    enumeration order.
+    Exact ties break toward the lexicographically smallest strategy because
+    the incumbent is replaced only on strict improvement along the
+    lexicographic enumeration order.  Strategies whose values differ only
+    at the rounding level (about 1e-15 relative) are not exact ties: which
+    of them wins depends on how the contraction rounds, and may differ from
+    what a dense product of all factors would pick.
     """
     evaluator = Evaluator(diagram)
     constraints = list(constraints)

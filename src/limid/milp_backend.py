@@ -297,7 +297,7 @@ def _parse_bound(tokens, i, kinds, lower, upper, touch) -> int:
     raise LpParseError(f"bad bounds declaration near {name!r}")
 
 
-def solve_lp_text(text: str, time_limit: Optional[float] = None):
+def solve_lp_text(text: str):
     """Parse and solve; returns (status word, objective or None, assignment)."""
     prob = parse_lp(text)
     names = prob.variables
@@ -336,15 +336,12 @@ def solve_lp_text(text: str, time_limit: Optional[float] = None):
         matrix = sparse.csr_matrix((data, cols, indptr), shape=(m, n)).tocsc()
         constraints.append(optimize.LinearConstraint(matrix, lb, ub))
 
-    options = {"mip_rel_gap": 0.0}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
     result = optimize.milp(
         c,
         constraints=constraints,
         integrality=integrality,
         bounds=optimize.Bounds(lo, hi),
-        options=options,
+        options={"mip_rel_gap": 0.0},
     )
     if result.status == 0:
         sign = -1.0 if prob.sense == "max" else 1.0
@@ -365,14 +362,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "and print a status / objective / name-value listing.",
     )
     parser.add_argument("lp_file", help="path to the LP file")
-    parser.add_argument(
-        "--time-limit", type=float, default=None,
-        help="solver wall-time limit in seconds",
-    )
     args = parser.parse_args(argv)
     try:
         text = open(args.lp_file, "r").read()
-        status, objective, assignment = solve_lp_text(text, args.time_limit)
+        status, objective, assignment = solve_lp_text(text)
     except (OSError, LpParseError, ValueError) as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2

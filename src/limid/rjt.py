@@ -41,9 +41,6 @@ class RootedJunctionTree:
     def members(self, root: str) -> Tuple[str, ...]:
         return self.clusters[root].members
 
-    def children(self, root: str) -> List[str]:
-        return _children_map(self.order, self.parent).get(root, [])
-
     def preorder(self, start: Optional[str] = None) -> List[str]:
         """Cluster roots of the subtree of C_start (the whole tree by
         default) from the top down, parents before children and siblings in

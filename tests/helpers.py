@@ -222,25 +222,37 @@ def slow_marginal(
     return out
 
 
-def dense_joint(evaluator, strategy: Strategy) -> np.ndarray:
-    """The evaluator's joint under ``strategy`` as a plain product.
+def dense_joint(
+    diagram: InfluenceDiagram,
+    strategy: Optional[Strategy],
+    base: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The joint under ``strategy`` as a plain product over the full grid.
 
-    The CPT product times every decision rule's 0/1 table, one full-grid
-    multiply per decision, exactly as the evaluator once computed it: the
-    reference the evaluator's joint must equal byte for byte.
+    One axis per node in topological order; every CPT and every decision
+    rule's 0/1 table is broadcast in and multiplied, one full-grid multiply
+    per factor: the reference the evaluator's contractions must match.
+    ``strategy=None`` gives the product of the CPTs alone; passing that as
+    ``base`` multiplies in only the rule tables.
     """
-    diagram = evaluator.diagram
-    grid = evaluator.base
-    for d in diagram.decision_nodes:
-        rule = strategy.rules[d]
-        rows = np.zeros((len(rule), diagram.n_states(d)))
-        rows[np.arange(len(rule)), list(rule)] = 1.0
-        ps = diagram.parents(d)
+    order = topological_order(diagram)
+    sizes = [diagram.n_states(n) for n in order]
+    pos = {n: i for i, n in enumerate(order)}
+    grid = np.ones(sizes) if base is None else base
+    for name in order:
+        if diagram.kind(name) == NodeKind.DECISION:
+            if strategy is None:
+                continue
+            rule = strategy.rules[name]
+            rows = np.zeros((len(rule), diagram.n_states(name)))
+            rows[np.arange(len(rule)), list(rule)] = 1.0
+        elif base is None:
+            rows = diagram.cpts[name].rows
+        else:
+            continue
+        ps = diagram.parents(name)
         shaped = rows.reshape(
-            [diagram.n_states(p) for p in ps] + [diagram.n_states(d)]
+            [diagram.n_states(p) for p in ps] + [diagram.n_states(name)]
         )
-        grid = grid * place_table(
-            evaluator.sizes, [evaluator.pos[p] for p in ps] + [evaluator.pos[d]],
-            shaped,
-        )
-    return np.broadcast_to(grid, evaluator.sizes)
+        grid = grid * place_table(sizes, [pos[p] for p in ps] + [pos[name]], shaped)
+    return grid

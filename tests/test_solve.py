@@ -281,6 +281,31 @@ class TestSolveReference:
             decode(sol, model, ctx)
 
 
+class TestOracleReach:
+    """The oracle against the reference where a full joint grid is costly:
+    pigfarm n=7 would need 2^27 entries, above the cap of 2^26."""
+
+    def test_pig_farm_seven_periods_meu(self):
+        d = gen_pigfarm(PigFarmSpec(n_periods=7, seed=1))
+        model, ctx = build_base_model(build_rjt(d), d)
+        sol = solve_reference(model, ctx)
+        got = oracle_optimize(d)
+        assert got.n_strategies == 1 << 14
+        assert got.objective_value == pytest.approx(
+            sol.objective_value, rel=1e-9)
+
+    def test_merged_pig_farm_five_periods_cvar(self):
+        d, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=5, seed=20)))
+        objective = CvarObjective(alpha=0.5)
+        model, ctx = build_base_model(build_rjt(d), d)
+        add_risk(model, objective, ctx)
+        sol = solve_reference(model, ctx)
+        got = oracle_optimize(d, objective=objective)
+        assert got.objective_value == pytest.approx(
+            sol.objective_value, rel=1e-9)
+        assert got.objective_value == pytest.approx(328.814765, abs=1e-6)
+
+
 class TestParseListing:
     def test_parses_status_objective_and_pairs(self):
         text = """

@@ -214,12 +214,13 @@ def _solve_fields(args, model, solution: Solution, wall: float) -> Dict[str, obj
 def _agrees(
     oracle: OracleResult, solution: Solution, tol: float
 ) -> Tuple[bool, Optional[float]]:
-    """Whether an answer agrees with the oracle (feasibility first, then an
+    """Whether an answer agrees with the oracle (an infeasible oracle only
+    with status ``infeasible``, a feasible one only with ``optimal`` and an
     objective gap of at most ``tol``), and the gap when both are feasible."""
-    if oracle.feasible != (solution.status == "optimal"):
-        return False, None
     if not oracle.feasible:
-        return True, None
+        return solution.status == "infeasible", None
+    if solution.status != "optimal":
+        return False, None
     gap = abs(solution.objective_value - oracle.objective_value)
     return bool(gap <= tol), gap
 

@@ -140,11 +140,6 @@ class ConfigIndexer:
             out.append((index // st) % r)
         return tuple(out)
 
-    def position(self, name: str) -> int:
-        if name not in self.scope:
-            raise KeyError(f"node {name!r} is not in scope {self.scope}")
-        return self.scope.index(name)
-
 
 @dataclass
 class InfluenceDiagram:
@@ -217,9 +212,6 @@ class Strategy:
         object.__setattr__(
             self, "rules", {d: tuple(int(s) for s in r) for d, r in self.rules.items()}
         )
-
-    def key(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-        return tuple(sorted(self.rules.items()))
 
 
 def check_strategy(diagram: InfluenceDiagram, strategy: Strategy) -> List[str]:

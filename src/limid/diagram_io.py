@@ -52,21 +52,22 @@ def diagram_to_dict(diagram: InfluenceDiagram) -> Dict[str, Any]:
 
 
 def diagram_from_dict(data: Dict[str, Any]) -> InfluenceDiagram:
-    nodes = [
-        Node(
-            name=nd["name"],
-            kind=NodeKind(nd["kind"]),
-            states=tuple(nd["states"]),
-            parents=tuple(nd.get("parents", ())),
-        )
-        for nd in data["nodes"]
-    ]
+    """Raises ``ValueError`` naming the first part of ``data`` that does not
+    have the shape shown above."""
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ValueError("a diagram is a JSON object with a 'nodes' list")
+    for key in ("cpts", "utilities"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"a diagram's {key!r} must map node names to lists")
+    nodes = [_node_from_dict(i, nd) for i, nd in enumerate(data["nodes"])]
     by_name = {n.name: n for n in nodes}
     cpts = {}
     for name, flat in data.get("cpts", {}).items():
         node = by_name.get(name)
         if node is None:
             raise ValueError(f"CPT given for unknown node {name!r}")
+        if not isinstance(flat, list):
+            raise ValueError(f"CPT for {name!r} must be a list of numbers")
         n_states = len(node.states)
         if n_states == 0 or len(flat) % n_states != 0:
             raise ValueError(
@@ -75,11 +76,33 @@ def diagram_from_dict(data: Dict[str, Any]) -> InfluenceDiagram:
             )
         rows = np.asarray(flat, dtype=float).reshape(-1, n_states)
         cpts[name] = Cpt(owner=name, rows=rows)
-    utilities = {
-        name: UtilityMap(owner=name, values=np.asarray(vals, dtype=float))
-        for name, vals in data.get("utilities", {}).items()
-    }
+    utilities = {}
+    for name, vals in data.get("utilities", {}).items():
+        if not isinstance(vals, list):
+            raise ValueError(f"utilities for {name!r} must be a list of numbers")
+        utilities[name] = UtilityMap(owner=name, values=np.asarray(vals, dtype=float))
     return InfluenceDiagram(nodes=nodes, cpts=cpts, utilities=utilities)
+
+
+def _node_from_dict(i: int, nd: Any) -> Node:
+    if not isinstance(nd, dict):
+        raise ValueError(f"node {i} must be a JSON object")
+    for key in ("name", "kind", "states"):
+        if key not in nd:
+            raise ValueError(f"node {i} lacks {key!r}")
+    labels = [nd["name"]]
+    for key in ("states", "parents"):
+        if not isinstance(nd.get(key, []), list):
+            raise ValueError(f"node {i}'s {key!r} must be a list of names")
+        labels += nd.get(key, [])
+    if not all(isinstance(x, str) for x in labels):
+        raise ValueError(f"node {i}'s name, states and parents must be strings")
+    return Node(
+        name=nd["name"],
+        kind=NodeKind(nd["kind"]),
+        states=tuple(nd["states"]),
+        parents=tuple(nd.get("parents", ())),
+    )
 
 
 def save_diagram(diagram: InfluenceDiagram, path: str) -> None:
@@ -102,10 +125,14 @@ def strategy_to_dict(diagram: InfluenceDiagram, strategy: Strategy) -> Dict[str,
 
 
 def strategy_from_dict(diagram: InfluenceDiagram, data: Dict[str, Any]) -> Strategy:
+    if not isinstance(data, dict):
+        raise ValueError("a strategy is a JSON object mapping decisions to lists")
     rules: Dict[str, tuple] = {}
     for d, labels in data.items():
         if not diagram.has_node(d):
             raise ValueError(f"strategy names unknown node {d!r}")
+        if not isinstance(labels, list):
+            raise ValueError(f"strategy for {d!r} must be a list of state labels")
         states = diagram.states(d)
         try:
             rules[d] = tuple(states.index(lab) for lab in labels)

@@ -159,13 +159,12 @@ class Evaluator:
     output scope are built once; per query, only the rule tables are new.
     """
 
-    def __init__(self, diagram: InfluenceDiagram, cap: int = CONTRACTION_CAP):
+    def __init__(self, diagram: InfluenceDiagram):
         names = [n.name for n in diagram.nodes]
         if len(names) > len(_LABELS):
             raise CapExceededError("a label per node for np.einsum", len(names),
                                    len(_LABELS))
         self.diagram = diagram
-        self._cap = cap
         self._label = dict(zip(names, _LABELS))
         self._size = {self._label[n]: diagram.n_states(n) for n in names}
         # One factor per node on its family's axes: the CPT, or (None) the
@@ -202,15 +201,15 @@ class Evaluator:
         # The memory limit keeps greedy off intermediates above the cap; a
         # step it cannot avoid is refused below.
         path = np.einsum_path(",".join(terms) + "->" + out, *shaped,
-                              optimize=("greedy", self._cap))[0][1:]
+                              optimize=("greedy", CONTRACTION_CAP))[0][1:]
         plan = []
         for step in path:
             step = sorted(step, reverse=True)
             picked = [terms.pop(i) for i in step]
             touched = set("".join(picked))
             span = math.prod(self._size[c] for c in touched)
-            if span > self._cap:
-                raise CapExceededError("a contraction step", span, self._cap)
+            if span > CONTRACTION_CAP:
+                raise CapExceededError("a contraction step", span, CONTRACTION_CAP)
             kept = "".join(sorted(touched & set("".join(terms) + out)))
             terms.append(kept if terms else out)
             plan.append((step, ",".join(picked) + "->" + terms[-1]))
@@ -230,26 +229,30 @@ class Evaluator:
             ops.append(np.einsum(subscripts, *[ops.pop(i) for i in step]))
         return ops[0]
 
-    def distribution(self, strategy: Strategy) -> UtilityDistribution:
-        mass = np.bincount(
-            self._inverse,
-            weights=self._contract(strategy, self._values).ravel(),
-            minlength=self.unique_utilities.size,
-        )
+    def value_table(self, strategy: Strategy) -> np.ndarray:
+        """Flat probability table over the value nodes' joint states, from
+        which ``distribution_of`` and ``expected_of`` read."""
+        return self._contract(strategy, self._values).ravel()
+
+    def distribution_of(self, table: np.ndarray) -> UtilityDistribution:
+        mass = np.bincount(self._inverse, weights=table,
+                           minlength=self.unique_utilities.size)
         keep = mass > ATOM_PROB_FLOOR
         return UtilityDistribution(
             utilities=self.unique_utilities[keep], probabilities=mass[keep]
         )
 
-    def expected(self, strategy: Strategy) -> float:
-        """Expected total utility: the contraction onto the value nodes
-        dotted with their unrounded utility grid.
+    def expected_of(self, table: np.ndarray) -> float:
+        """Expected total utility: the value table dotted with the
+        unrounded utility grid.
 
-        More precise than ``distribution(...).expected()``, whose atoms are
-        rounded to 12 significant digits for aggregation.
+        More precise than ``distribution_of(...).expected()``, whose atoms
+        are rounded to 12 significant digits for aggregation.
         """
-        table = self._contract(strategy, self._values)
-        return float(np.dot(self._utils, table.ravel()))
+        return float(np.dot(self._utils, table))
+
+    def distribution(self, strategy: Strategy) -> UtilityDistribution:
+        return self.distribution_of(self.value_table(strategy))
 
     def marginal(self, strategy: Strategy, scope: Sequence[str]) -> np.ndarray:
         """Flat probability table over ``scope`` in the given node order."""
@@ -259,10 +262,10 @@ class Evaluator:
 
 
 def evaluate_strategy(
-    diagram: InfluenceDiagram, strategy: Strategy, cap: int = CONTRACTION_CAP
+    diagram: InfluenceDiagram, strategy: Strategy
 ) -> UtilityDistribution:
     """Distribution of total utility under a fixed deterministic strategy."""
-    return Evaluator(diagram, cap=cap).distribution(strategy)
+    return Evaluator(diagram).distribution(strategy)
 
 
 def joint_marginal(
@@ -281,9 +284,7 @@ def strategy_count(diagram: InfluenceDiagram) -> int:
     return total
 
 
-def enumerate_strategies(
-    diagram: InfluenceDiagram, cap: int = STRATEGY_CAP
-) -> Iterator[Strategy]:
+def enumerate_strategies(diagram: InfluenceDiagram) -> Iterator[Strategy]:
     """All feasible deterministic strategies, lexicographic, each exactly once.
 
     Order: decisions in declaration order, each rule read as a tuple of
@@ -291,8 +292,8 @@ def enumerate_strategies(
     decisions are more significant.
     """
     count = strategy_count(diagram)
-    if count > cap:
-        raise CapExceededError("strategy enumeration", count, cap)
+    if count > STRATEGY_CAP:
+        raise CapExceededError("strategy enumeration", count, STRATEGY_CAP)
     decisions = diagram.decision_nodes
     rule_spaces = [
         itertools.product(
@@ -316,19 +317,15 @@ class OracleResult:
 _SCOPED = (ChanceConstraint, LogicalConstraint, BudgetConstraint)
 
 
-def _constraint_ok(evaluator: Evaluator, strategy: Strategy, spec, hit) -> bool:
-    """``hit``: the spec's ``trigger_mask`` over its scope, None for CVaR."""
-    if isinstance(spec, _SCOPED):
-        table = evaluator.marginal(strategy, spec.scope)
-        prob = sum(table[hit].tolist())  # left to right, as a loop would
-        if isinstance(spec, ChanceConstraint) and spec.sense == ">=":
-            return prob >= spec.p - ORACLE_TOL
-        bound = spec.p if isinstance(spec, ChanceConstraint) else 0.0
-        return prob <= bound + ORACLE_TOL
-    if isinstance(spec, CvarConstraint):
-        dist = evaluator.distribution(strategy)
-        return cvar_of_distribution(dist, spec.alpha).cvar >= spec.bound - ORACLE_TOL
-    raise ValueError(f"unsupported constraint type {type(spec).__name__}")
+def _scoped_ok(evaluator: Evaluator, strategy: Strategy, spec, hit) -> bool:
+    """Whether a chance, logical or budget spec holds; ``hit`` is its
+    ``trigger_mask`` over its scope."""
+    table = evaluator.marginal(strategy, spec.scope)
+    prob = sum(table[hit].tolist())  # left to right, as a loop would
+    if isinstance(spec, ChanceConstraint) and spec.sense == ">=":
+        return prob >= spec.p - ORACLE_TOL
+    bound = spec.p if isinstance(spec, ChanceConstraint) else 0.0
+    return prob <= bound + ORACLE_TOL
 
 
 def oracle_optimize(
@@ -345,27 +342,37 @@ def oracle_optimize(
     of them wins depends on how the contraction rounds, and may differ from
     what a dense product of all factors would pick.
     """
+    if not isinstance(objective, (MeuObjective, CvarObjective)):
+        raise ValueError(f"unsupported objective type {type(objective).__name__}")
     evaluator = Evaluator(diagram)
-    constraints = list(constraints)
-    hits = [trigger_mask(diagram, c.scope, c) if isinstance(c, _SCOPED) else None
-            for c in constraints]
+    scoped, floors = [], []
+    for c in constraints:
+        if isinstance(c, _SCOPED):
+            scoped.append((c, trigger_mask(diagram, c.scope, c)))
+        elif isinstance(c, CvarConstraint):
+            floors.append(c)
+        else:
+            raise ValueError(f"unsupported constraint type {type(c).__name__}")
+    needs_dist = bool(floors) or isinstance(objective, CvarObjective)
     best: Optional[Strategy] = None
     best_val: Optional[float] = None
     n_total = 0
     n_feasible = 0
     for strategy in enumerate_strategies(diagram):
         n_total += 1
-        if not all(_constraint_ok(evaluator, strategy, c, hit)
-                   for c, hit in zip(constraints, hits)):
+        if not all(_scoped_ok(evaluator, strategy, c, hit) for c, hit in scoped):
+            continue
+        # One contraction onto the value nodes serves floors and objective.
+        table = evaluator.value_table(strategy)
+        dist = evaluator.distribution_of(table) if needs_dist else None
+        if not all(cvar_of_distribution(dist, c.alpha).cvar >= c.bound - ORACLE_TOL
+                   for c in floors):
             continue
         n_feasible += 1
         if isinstance(objective, MeuObjective):
-            val = evaluator.expected(strategy)
-        elif isinstance(objective, CvarObjective):
-            dist = evaluator.distribution(strategy)
-            val = cvar_of_distribution(dist, objective.alpha).cvar
+            val = evaluator.expected_of(table)
         else:
-            raise ValueError(f"unsupported objective type {type(objective).__name__}")
+            val = cvar_of_distribution(dist, objective.alpha).cvar
         if best_val is None or val > best_val:
             best, best_val = strategy, val
     return OracleResult(

@@ -325,29 +325,24 @@ class ClusterLayout:
 class CompileContext:
     """Diagram + tree + per-cluster layouts, shared by compiler and solvers."""
 
-    def __init__(
-        self,
-        diagram: InfluenceDiagram,
-        tree: RootedJunctionTree,
-        cluster_cap: int = CLUSTER_STATES_CAP,
-    ):
+    def __init__(self, diagram: InfluenceDiagram, tree: RootedJunctionTree):
         self.diagram = diagram
         self.tree = tree
         self.layouts: Dict[str, ClusterLayout] = {}
         self.tree_order = tree.preorder()
         for root in tree.order:
-            self.layouts[root] = self._layout(root, cluster_cap)
+            self.layouts[root] = self._layout(root)
 
-    def _layout(self, root: str, cluster_cap: int) -> ClusterLayout:
+    def _layout(self, root: str) -> ClusterLayout:
         d, tree = self.diagram, self.tree
         members = tree.members(root)
         indexer = d.indexer(members)
         total = indexer.total
-        if total > cluster_cap:
+        if total > CLUSTER_STATES_CAP:
             raise CapExceededError(
                 f"cluster {root!r} state space (width drives exponential growth)",
                 total,
-                cluster_cap,
+                CLUSTER_STATES_CAP,
             )
         coords = indexer.coordinates()
         others = d.indexer([m for m in members if m != root])
@@ -452,14 +447,9 @@ class MipModel:
             raise IndexError(f"bad policy coordinates for {decision!r}")
         return self.delta_start[decision] + pcfg * n_states + state
 
-    def var_name(self, idx: int) -> str:
-        return self.variables.names()[idx]
-
 
 def build_base_model(
-    tree: RootedJunctionTree,
-    diagram: InfluenceDiagram,
-    cluster_cap: int = CLUSTER_STATES_CAP,
+    tree: RootedJunctionTree, diagram: InfluenceDiagram
 ) -> Tuple[MipModel, CompileContext]:
     """Emit the expected-utility model for a diagram and its junction tree.
 
@@ -470,7 +460,7 @@ def build_base_model(
     times mass over every value cluster (zero-utility terms omitted).
     Each family is emitted one cluster at a time as a block of arrays.
     """
-    ctx = CompileContext(diagram, tree, cluster_cap=cluster_cap)
+    ctx = CompileContext(diagram, tree)
     model = MipModel(context=ctx)
     rows = model.rows
 
@@ -590,19 +580,11 @@ def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str)
     )
 
 
-def _select_cluster(ctx: CompileContext, scope: Sequence[str], requested: Optional[str]):
+def _select_cluster(ctx: CompileContext, scope: Sequence[str]) -> str:
+    """The smallest cluster holding ``scope``, the first in root order on
+    ties."""
     tree = ctx.tree
     need = set(scope)
-    if requested is not None:
-        if requested not in tree.clusters:
-            raise ValueError(f"no cluster rooted at {requested!r}")
-        have = set(tree.members(requested))
-        if not need <= have:
-            raise ValueError(
-                f"cluster {requested!r} lacks {sorted(need - have)}; "
-                f"extend the tree with modify_rjt over {sorted(need)} first"
-            )
-        return requested
     covering = [r for r in tree.order if need <= set(tree.members(r))]
     if not covering:
         raise ValueError(
@@ -619,7 +601,7 @@ def add_risk(model: MipModel, spec, ctx: CompileContext) -> MipModel:
     if problems:
         raise ValueError("; ".join(problems))
     if isinstance(spec, (ChanceConstraint, LogicalConstraint, BudgetConstraint)):
-        root = _select_cluster(ctx, spec.scope, spec.cluster_root)
+        root = _select_cluster(ctx, spec.scope)
         members = ctx.layouts[root].members
         hits = np.flatnonzero(trigger_mask(ctx.diagram, members, spec))
         terms = [(1.0, model.mu_start[root] + c) for c in hits.tolist()]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class ChanceConstraint:
     event: EventSpec
     sense: str
     p: float
-    cluster_root: Optional[str] = None
 
     def __post_init__(self):
         if self.sense not in ("<=", ">="):
@@ -81,7 +80,6 @@ class LogicalConstraint:
     """Forbid an event entirely (probability forced to zero)."""
 
     event: EventSpec
-    cluster_root: Optional[str] = None
 
     @property
     def scope(self) -> Tuple[str, ...]:
@@ -98,7 +96,6 @@ class BudgetConstraint:
 
     costs: Dict[str, Dict[str, float]]
     limit: float
-    cluster_root: Optional[str] = None
 
     @property
     def scope(self) -> Tuple[str, ...]:

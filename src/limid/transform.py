@@ -29,7 +29,7 @@ from .diagram import (
 )
 
 MERGED_STATES_CAP = 1 << 24
-DEFAULT_MERGED_NAME = "V_merged"
+MERGED_NAME = "V_merged"
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class MergedValueMap:
     mixed-radix index over the components in declaration order.
     """
 
-    merged_name: str
     components: Tuple[str, ...]
     indexer: ConfigIndexer
 
@@ -51,25 +50,21 @@ class MergedValueMap:
         return self.indexer.states_of(merged_index)
 
 
-def merge_value_nodes(
-    diagram: InfluenceDiagram,
-    merged_name: str = DEFAULT_MERGED_NAME,
-    cap: int = MERGED_STATES_CAP,
-) -> Tuple[InfluenceDiagram, MergedValueMap]:
+def merge_value_nodes(diagram: InfluenceDiagram) -> Tuple[InfluenceDiagram, MergedValueMap]:
     components = tuple(diagram.value_nodes)
     if not components:
         raise ValueError("diagram has no value nodes to merge")
-    if diagram.has_node(merged_name) and merged_name not in components:
-        raise ValueError(f"merged node name {merged_name!r} is already taken")
+    if diagram.has_node(MERGED_NAME) and MERGED_NAME not in components:
+        raise ValueError(f"merged node name {MERGED_NAME!r} is already taken")
 
     radices = [diagram.n_states(v) for v in components]
     total = 1
     for r in radices:
         total *= r
-        if total > cap:
-            raise CapExceededError("merged value node state space", total, cap)
+        if total > MERGED_STATES_CAP:
+            raise CapExceededError("merged value node state space", total,
+                                   MERGED_STATES_CAP)
     vmap = MergedValueMap(
-        merged_name=merged_name,
         components=components,
         indexer=ConfigIndexer(components, radices),
     )
@@ -87,15 +82,15 @@ def merge_value_nodes(
     kept = [n for n in diagram.nodes if n.kind != NodeKind.VALUE]
     nodes = kept + [
         Node(
-            name=merged_name,
+            name=MERGED_NAME,
             kind=NodeKind.VALUE,
             states=merged_states,
             parents=merged_parents,
         )
     ]
     cpts = {n.name: diagram.cpts[n.name] for n in kept if n.name in diagram.cpts}
-    cpts[merged_name] = Cpt(owner=merged_name, rows=merged_rows)
-    utilities = {merged_name: UtilityMap(owner=merged_name, values=merged_utils)}
+    cpts[MERGED_NAME] = Cpt(owner=MERGED_NAME, rows=merged_rows)
+    utilities = {MERGED_NAME: UtilityMap(owner=MERGED_NAME, values=merged_utils)}
     return InfluenceDiagram(nodes=nodes, cpts=cpts, utilities=utilities), vmap
 
 

@@ -28,8 +28,8 @@ from test_modify_rjt import two_branch_diagram
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
-    """Run ``python -m limid.cli <args>`` and return the completed process.
+def run_python(*args, cwd=None):
+    """Run ``python <args>`` and return the completed process.
 
     The child runs in ``cwd``, where a relative ``PYTHONPATH`` no longer
     resolves, so the checkout's ``src`` goes first on it as an absolute path
@@ -41,13 +41,18 @@ def run_cli(*args, cwd=None):
         [str(SRC)] + ([inherited] if inherited else [])
     )
     return subprocess.run(
-        [sys.executable, "-m", "limid.cli", *[str(a) for a in args]],
+        [sys.executable, *[str(a) for a in args]],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
         timeout=120,
     )
+
+
+def run_cli(*args, cwd=None):
+    """Run ``python -m limid.cli <args>`` (see ``run_python``)."""
+    return run_python("-m", "limid.cli", *args, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +72,26 @@ def workdir(tmp_path_factory):
         )
     )
     (path / "broken.json").write_text("{not json")
+    (path / "unknown_solver.py").write_text('print("status unknown")\n')
     return path
+
+
+# Malformed diagram and strategy files, each with the message naming the
+# part that is wrong.
+MALFORMED_DIAGRAMS = {
+    "empty_object": ({}, "a diagram is a JSON object with a 'nodes' list"),
+    "node_without_kind": (
+        {"nodes": [{"name": "A", "states": ["x"]}]}, "node 0 lacks 'kind'"),
+    "list": ([1, 2], "a diagram is a JSON object with a 'nodes' list"),
+    "utilities_list": (
+        {"nodes": [], "utilities": []},
+        "a diagram's 'utilities' must map node names to lists"),
+}
+MALFORMED_STRATEGIES = {
+    "list": ([1], "a strategy is a JSON object mapping decisions to lists"),
+    "number_rule": (
+        {"D1": 5}, "strategy for 'D1' must be a list of state labels"),
+}
 
 
 class TestValidate:
@@ -99,6 +123,23 @@ class TestValidate:
         proc = run_cli("validate", "broken.json", cwd=workdir)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_DIAGRAMS))
+    def test_malformed_diagram_is_an_error(self, workdir, shape):
+        data, message = MALFORMED_DIAGRAMS[shape]
+        (workdir / f"bad_{shape}.json").write_text(json.dumps(data))
+        proc = run_cli("validate", f"bad_{shape}.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_STRATEGIES))
+    def test_malformed_strategy_is_an_error(self, workdir, shape):
+        data, message = MALFORMED_STRATEGIES[shape]
+        (workdir / f"bad_strategy_{shape}.json").write_text(json.dumps(data))
+        proc = run_cli("validate", "pig2.json", "--strategy",
+                       f"bad_strategy_{shape}.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestRjt:
@@ -138,6 +179,23 @@ class TestRjt:
         )
         assert proc.returncode == 0, proc.stderr
         assert "  C[B]: {B C} <- C" in proc.stdout.splitlines()
+
+    @pytest.mark.parametrize("order", [
+        "H1,T1,D1,V1,H2,T2,D2,V2,H3,V3",
+        "H1,T1,D1,H2,T2,D2,H3,V3,V2,V1",
+    ])
+    def test_order_sets_the_cluster_order(self, workdir, order):
+        proc = run_cli("rjt", "pig2.json", "--order", order, cwd=workdir)
+        assert proc.returncode == 0, proc.stderr
+        listed = [ln.split("]")[0].split("[")[1]
+                  for ln in proc.stdout.splitlines()[1:]]
+        assert listed == order.split(",")
+
+    def test_order_must_be_topological(self, workdir):
+        proc = run_cli("rjt", "pig2.json", "--order",
+                       "T1,H1,D1,V1,H2,T2,D2,V2,H3,V3", cwd=workdir)
+        assert proc.returncode == 1
+        assert "order puts 'H1' after its child 'T1'" in proc.stderr
 
     def test_dot_export_writes_file(self, workdir):
         proc = run_cli("rjt", "pig2.json", "--dot", "tree.dot", cwd=workdir)
@@ -379,6 +437,16 @@ class TestCompare:
         assert "infeasible" in proc.stdout
         assert "mismatch" not in proc.stdout
         assert "agree" not in proc.stdout
+
+    def test_unknown_status_disagrees_with_infeasible_oracle(self, workdir):
+        proc = run_cli(
+            "compare", "pig2.json", "--chance", "P(H1=ill) <= 0.05",
+            "--external", "--solver-cmd",
+            f"{sys.executable} unknown_solver.py {{lp}}", cwd=workdir,
+        )
+        assert proc.returncode == 1
+        assert "mismatch: oracle feasible=False but external status=unknown" \
+            in proc.stdout
 
 
 class TestBench:

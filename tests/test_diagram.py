@@ -56,12 +56,6 @@ class TestConfigIndexer:
         assert indexer.total == 1
         assert indexer.states_of(0) == ()
 
-    def test_position_lookup(self):
-        indexer = ConfigIndexer(("A", "B"), (2, 2))
-        assert indexer.position("B") == 1
-        with pytest.raises(KeyError):
-            indexer.position("missing")
-
 
 class TestValidation:
     def test_valid_diagram_is_clean(self):
@@ -257,11 +251,6 @@ class TestStrategy:
             "strategy for 'D' has 5 entries, expected 6",
             "strategy for 'E' has 2 entries, expected 1",
         ]
-
-    def test_strategy_key_is_stable(self):
-        s1 = Strategy(rules={"D": (0, 1), "E": (1,)})
-        s2 = Strategy(rules={"E": (1,), "D": (0, 1)})
-        assert s1.key() == s2.key()
 
 
 class TestCapError:

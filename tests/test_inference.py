@@ -5,6 +5,7 @@ pure-Python re-computations and hand-worked numbers."""
 import numpy as np
 import pytest
 
+from limid import inference
 from limid._tensor import place_table
 from limid.diagram import (
     CapExceededError, Cpt, InfluenceDiagram, Node, NodeKind, Strategy,
@@ -208,11 +209,12 @@ class TestEvaluateStrategy:
         with pytest.raises(ValueError):
             evaluate_strategy(d, Strategy(rules={"D1": (0,)}))
 
-    def test_joint_cap_enforced(self):
+    def test_joint_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(inference, "CONTRACTION_CAP", 4)
         rng = np.random.default_rng(3)
         d = small_random_diagram(rng, min_nodes=6, max_nodes=6)
         with pytest.raises(CapExceededError):
-            evaluate_strategy(d, next(slow_strategies(d)), cap=4)
+            evaluate_strategy(d, next(slow_strategies(d)))
 
     def test_more_nodes_than_einsum_labels_refused(self):
         # np.einsum has 52 subscript labels; past them the evaluator names
@@ -278,10 +280,11 @@ class TestEnumeration:
         assert strategies[1].rules == {"D1": (0, 0), "D2": (0, 1)}
         assert strategies[-1].rules == {"D1": (1, 1), "D2": (1, 1)}
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         d = gen_pigfarm(PigFarmSpec(n_periods=3))
+        monkeypatch.setattr(inference, "STRATEGY_CAP", 10)
         with pytest.raises(CapExceededError):
-            list(enumerate_strategies(d, cap=10))
+            list(enumerate_strategies(d))
 
 
 class TestOracleOptimize:
@@ -366,6 +369,28 @@ class TestOracleOptimize:
         assert res.best == first
         assert res.objective_value == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("objective", [CvarObjective(alpha=0.15),
+                                           MeuObjective()], ids=["cvar", "meu"])
+    def test_value_table_contracted_once_per_strategy(self, monkeypatch,
+                                                      objective):
+        merged, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=3)))
+        # Every CVaR is at least the smallest utility, so all strategies pass.
+        lowest = float(merged.utilities["V_merged"].values.min())
+        floor = CvarConstraint(alpha=0.15, bound=lowest)
+        free = oracle_optimize(merged, objective)
+        calls = []
+        contract = Evaluator._contract
+
+        def counted(self, strategy, scope):
+            calls.append(tuple(scope))
+            return contract(self, strategy, scope)
+
+        monkeypatch.setattr(Evaluator, "_contract", counted)
+        res = oracle_optimize(merged, objective, [floor])
+        assert res.n_feasible == res.n_strategies == 64
+        assert len(calls) == res.n_strategies
+        assert (res.best, res.objective_value) == (free.best, free.objective_value)
+
 
 class TestEvaluatorReuse:
     def test_cached_evaluator_agrees_with_one_shot_calls(self):
@@ -418,7 +443,7 @@ def _dense_answers(diagram, reference, strategy: Strategy, scopes):
 def _answer(ev: Evaluator, s: Strategy, kind: str, scopes) -> list:
     """One query's answer as arrays, for comparison and for their bytes."""
     if kind == "expected":
-        return [np.array(ev.expected(s))]
+        return [np.array(ev.expected_of(ev.value_table(s)))]
     if kind == "distribution":
         dist = ev.distribution(s)
         return [dist.utilities, dist.probabilities]

@@ -13,6 +13,7 @@ from limid.diagram import (
     NodeKind,
     UtilityMap,
 )
+from limid import mip
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -32,11 +33,9 @@ from limid.mip import (
 )
 from limid.risk import (
     BudgetConstraint,
-    ChanceConstraint,
     CvarConstraint,
     CvarObjective,
     parse_chance_text,
-    parse_event,
     parse_logical_text,
 )
 from limid.rjt import build_rjt, modify_rjt, tree_from_members
@@ -225,9 +224,6 @@ class TestVarStore:
         assert model.variables.names() == ["x", "y_1", "z"]
         assert [KINDS[k] for k in model.variables.kinds] == [
             VAR_UNIT, VAR_BINARY, VAR_FREE]
-        assert model.var_name(1) == "y_1"
-        with pytest.raises(IndexError):
-            model.var_name(3)
         assert model_stats(model)["variables"] == {
             "total": 3, "x": 1, "unit": 1, "y": 1, "binary": 1, "z": 1,
             "free": 1,
@@ -317,18 +313,20 @@ class TestBaseModel:
             model.mu_var("H1", 2)
         with pytest.raises(IndexError):
             model.delta_var("D1", 2, 0)
-        assert model.var_name(model.mu_var("H1", 0)) == "mu_H1_0"
-        assert model.var_name(model.delta_var("D1", 1, 1)) == "delta_D1_1_1"
+        names = model.variables.names()
+        assert names[model.mu_var("H1", 0)] == "mu_H1_0"
+        assert names[model.delta_var("D1", 1, 1)] == "delta_D1_1_1"
 
     def test_merged_terminal_cluster_size(self):
         d, tree, model, ctx = pig_model(3, merged=True)
         # cluster over three binary decisions, final health, merged value
         assert model.mu_total["V_merged"] == 2 * 2 * 2 * 2 * 16 == 256
 
-    def test_cluster_cap_enforced(self):
+    def test_cluster_cap_enforced(self, monkeypatch):
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
+        monkeypatch.setattr(mip, "CLUSTER_STATES_CAP", 4)
         with pytest.raises(CapExceededError):
-            build_base_model(build_rjt(d), d, cluster_cap=4)
+            build_base_model(build_rjt(d), d)
 
     def test_non_gradual_tree_rejected(self):
         # A and B parentless, C depends on B; C's cluster smuggles A in
@@ -392,31 +390,6 @@ class TestRiskRows:
         )
         assert hit_vars == want
         assert all(co == 1.0 for co, _ in row.terms)
-
-    def test_requested_cluster_root_is_honoured(self):
-        d, tree, model, ctx = pig_model(2)
-        spec = ChanceConstraint(
-            event=parse_event("H2=ill"), sense=">=", p=0.1, cluster_root="H3"
-        )
-        add_risk(model, spec, ctx)
-        assert model.constraints[-1].tag == "chance[H3]"
-
-    def test_requested_cluster_must_cover_scope(self):
-        d, tree, model, ctx = pig_model(2)
-        spec = ChanceConstraint(
-            event=parse_event("H2=ill"), sense="<=", p=0.4, cluster_root="V1"
-        )
-        with pytest.raises(ValueError, match="lacks"):
-            add_risk(model, spec, ctx)
-        with pytest.raises(ValueError, match="no cluster rooted"):
-            add_risk(
-                model,
-                ChanceConstraint(
-                    event=parse_event("H2=ill"), sense="<=", p=0.4,
-                    cluster_root="Z9",
-                ),
-                ctx,
-            )
 
     def test_uncovered_scope_suggests_tree_modification(self):
         d, tree, model, ctx = pig_model(2)
@@ -493,7 +466,8 @@ class TestCvarBlock:
         assert len(model.constraints) == base_rows + 9 * 6 + 1
         # objective becomes the scaled tail shares
         assert len(model.objective) == 6
-        coeffs = {model.var_name(v): c for c, v in model.objective}
+        names = model.variables.names()
+        coeffs = {names[v]: c for c, v in model.objective}
         assert coeffs["rhobar_5"] == pytest.approx(1000.0 / 0.2)
 
     def test_constraint_mode_adds_floor_row(self):

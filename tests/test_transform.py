@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from limid.diagram import CapExceededError, NodeKind, validate_diagram
+from limid import transform
+from limid.diagram import (
+    CapExceededError,
+    Cpt,
+    InfluenceDiagram,
+    Node,
+    NodeKind,
+    UtilityMap,
+    validate_diagram,
+)
 from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.inference import Evaluator
-from limid.transform import DEFAULT_MERGED_NAME, merge_value_nodes
+from limid.transform import MERGED_NAME, merge_value_nodes
 
 from helpers import random_diagram, slow_distribution, slow_strategies
 
@@ -15,16 +24,16 @@ def test_merged_diagram_is_valid_and_single_valued():
     d = gen_pigfarm(PigFarmSpec(n_periods=3))
     merged, mapping = merge_value_nodes(d)
     assert validate_diagram(merged) == []
-    assert merged.value_nodes == [DEFAULT_MERGED_NAME]
+    assert merged.value_nodes == [MERGED_NAME]
     assert mapping.components == ("V1", "V2", "V3", "V4")
     # merged parents: union of component parents, topologically ordered
-    assert merged.parents(DEFAULT_MERGED_NAME) == ("D1", "D2", "D3", "H4")
+    assert merged.parents(MERGED_NAME) == ("D1", "D2", "D3", "H4")
 
 
 def test_merged_states_enumerate_component_combinations():
     d = gen_pigfarm(PigFarmSpec(n_periods=1))
     merged, mapping = merge_value_nodes(d)
-    states = merged.states(DEFAULT_MERGED_NAME)
+    states = merged.states(MERGED_NAME)
     assert len(states) == 4  # (skip/inject) x (sell_healthy/sell_ill)
     assert states[0].count("|") == 1
     idx = mapping.merged_index((1, 0))
@@ -34,7 +43,7 @@ def test_merged_states_enumerate_component_combinations():
 def test_merged_utilities_are_componentwise_sums():
     d = gen_pigfarm(PigFarmSpec(n_periods=1))
     merged, mapping = merge_value_nodes(d)
-    values = merged.utilities[DEFAULT_MERGED_NAME].values
+    values = merged.utilities[MERGED_NAME].values
     for idx in range(values.size):
         s1, s2 = mapping.component_states(idx)
         expect = d.utilities["V1"].values[s1] + d.utilities["V2"].values[s2]
@@ -77,16 +86,21 @@ def test_merge_agrees_with_slow_enumeration():
 
 
 def test_custom_name_and_collision():
-    d = gen_pigfarm(PigFarmSpec(n_periods=1))
-    merged, _ = merge_value_nodes(d, merged_name="TOTAL")
-    assert "TOTAL" in [n.name for n in merged.nodes]
-    with pytest.raises(ValueError, match="H1"):
-        merge_value_nodes(d, merged_name="H1")
+    nodes = [
+        Node(MERGED_NAME, NodeKind.CHANCE, ("x", "y")),
+        Node("U", NodeKind.VALUE, ("a", "b"), (MERGED_NAME,)),
+    ]
+    d = InfluenceDiagram(
+        nodes=nodes,
+        cpts={MERGED_NAME: Cpt(MERGED_NAME, np.array([[0.5, 0.5]])),
+              "U": Cpt("U", np.eye(2))},
+        utilities={"U": UtilityMap("U", np.array([0.0, 1.0]))},
+    )
+    with pytest.raises(ValueError, match=MERGED_NAME):
+        merge_value_nodes(d)
 
 
 def test_no_value_nodes_rejected():
-    from limid.diagram import Cpt, InfluenceDiagram, Node
-
     nodes = (Node("A", NodeKind.CHANCE, ("x", "y"), ()),)
     d = InfluenceDiagram(
         nodes=nodes, cpts={"A": Cpt("A", np.array([[0.5, 0.5]]))}, utilities={}
@@ -95,7 +109,8 @@ def test_no_value_nodes_rejected():
         merge_value_nodes(d)
 
 
-def test_state_cap_enforced():
+def test_state_cap_enforced(monkeypatch):
     d = gen_pigfarm(PigFarmSpec(n_periods=3))
+    monkeypatch.setattr(transform, "MERGED_STATES_CAP", 8)
     with pytest.raises(CapExceededError):
-        merge_value_nodes(d, cap=8)
+        merge_value_nodes(d)

@@ -66,22 +66,30 @@ def diagram_from_dict(data: Dict[str, Any]) -> InfluenceDiagram:
         node = by_name.get(name)
         if node is None:
             raise ValueError(f"CPT given for unknown node {name!r}")
-        if not isinstance(flat, list):
-            raise ValueError(f"CPT for {name!r} must be a list of numbers")
+        flat = _numbers(flat, f"CPT for {name!r}")
         n_states = len(node.states)
-        if n_states == 0 or len(flat) % n_states != 0:
+        if n_states == 0 or flat.size % n_states != 0:
             raise ValueError(
-                f"CPT for {name!r} has {len(flat)} entries, "
+                f"CPT for {name!r} has {flat.size} entries, "
                 f"not a multiple of {n_states} states"
             )
-        rows = np.asarray(flat, dtype=float).reshape(-1, n_states)
-        cpts[name] = Cpt(owner=name, rows=rows)
-    utilities = {}
-    for name, vals in data.get("utilities", {}).items():
-        if not isinstance(vals, list):
-            raise ValueError(f"utilities for {name!r} must be a list of numbers")
-        utilities[name] = UtilityMap(owner=name, values=np.asarray(vals, dtype=float))
+        cpts[name] = Cpt(owner=name, rows=flat.reshape(-1, n_states))
+    utilities = {
+        name: UtilityMap(owner=name, values=_numbers(vals, f"utilities for {name!r}"))
+        for name, vals in data.get("utilities", {}).items()
+    }
     return InfluenceDiagram(nodes=nodes, cpts=cpts, utilities=utilities)
+
+
+def _numbers(values: Any, what: str) -> np.ndarray:
+    """``values`` as a 1-d float array, else ValueError naming ``what``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise ValueError(f"{what} must be a list of numbers")
+    return arr
 
 
 def _node_from_dict(i: int, nd: Any) -> Node:
@@ -97,6 +105,11 @@ def _node_from_dict(i: int, nd: Any) -> Node:
         labels += nd.get(key, [])
     if not all(isinstance(x, str) for x in labels):
         raise ValueError(f"node {i}'s name, states and parents must be strings")
+    if nd["kind"] not in {k.value for k in NodeKind}:
+        raise ValueError(
+            f"node {nd['name']!r} has unknown kind {nd['kind']!r}; "
+            "expected chance, decision or value"
+        )
     return Node(
         name=nd["name"],
         kind=NodeKind(nd["kind"]),

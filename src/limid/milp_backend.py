@@ -1,5 +1,5 @@
-"""Command-line MILP backend: read an LP file, solve it with scipy's HiGHS
-interface, print a name/value listing.
+"""Command-line MILP backend: read an LP file, solve it with the HiGHS
+extension that ships inside scipy, print a name/value listing.
 
 Understands the LP dialect written by :func:`limid.solve.export_lp` (and
 plain single-objective LP files generally): ``\\`` comments, Maximize /
@@ -8,11 +8,18 @@ Minimize, Subject To, Bounds, Binaries, General, End.  Output is one
 one ``<name> <number>`` line per variable, which is exactly the layout the
 external-solver bridge parses.  Exit code 0 means a definitive answer
 (optimal or infeasible); 2 means a parse or solver failure.
+
+HiGHS is loaded from its extension file, ``scipy/optimize/_highspy/_core``,
+without importing ``scipy.optimize``: that package import is most of a
+solver child's start-up, while the extension alone loads in milliseconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.machinery
+import importlib.util
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -20,7 +27,6 @@ from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SECTION_WORDS = {
@@ -315,44 +321,110 @@ def solve_lp_text(text: str):
         [1 if prob.integer.get(m) else 0 for m in names]
     )
 
-    m = len(prob.rows)
-    constraints = []
-    if m:
-        row_coeffs = [coeffs for coeffs, _, _ in prob.rows]
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum([len(coeffs) for coeffs in row_coeffs], out=indptr[1:])
-        data = np.fromiter(
-            chain.from_iterable(coeffs.values() for coeffs in row_coeffs),
-            dtype=float, count=indptr[-1],
-        )
-        cols = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(row_coeffs)),
-            dtype=np.int64, count=indptr[-1],
-        )
-        rel = np.array([rel for _, rel, _ in prob.rows])
-        rhs = np.array([rhs for _, _, rhs in prob.rows], dtype=float)
-        lb = np.where(rel == "<=", -_INF, rhs)
-        ub = np.where(rel == ">=", _INF, rhs)
-        matrix = sparse.csr_matrix((data, cols, indptr), shape=(m, n)).tocsc()
-        constraints.append(optimize.LinearConstraint(matrix, lb, ub))
-
-    result = optimize.milp(
-        c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=optimize.Bounds(lo, hi),
-        options={"mip_rel_gap": 0.0},
+    rows = [coeffs for coeffs, _, _ in prob.rows]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    nnz = int(lengths.sum())
+    data = np.fromiter(
+        chain.from_iterable(coeffs.values() for coeffs in rows),
+        dtype=float, count=nnz,
     )
-    if result.status == 0:
-        sign = -1.0 if prob.sense == "max" else 1.0
-        objective = sign * float(result.fun) + prob.constant
-        assignment = {name: float(result.x[j]) for j, name in enumerate(names)}
-        return "optimal", objective, assignment
-    if result.status == 2:
-        return "infeasible", None, {}
-    if result.status == 3:
-        return "unbounded", None, {}
-    return "unknown", None, {}
+    cols = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(rows)),
+        dtype=np.int64, count=nnz,
+    )
+    # Row-major terms to CSC: a stable sort by column keeps each column's
+    # rows in order, as a CSR-to-CSC conversion does.
+    order = np.argsort(cols, kind="stable")
+    indices = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)[order]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    rel = np.array([rel for _, rel, _ in prob.rows], dtype=str)
+    rhs = np.array([rhs for _, _, rhs in prob.rows], dtype=float)
+    row_lower = np.where(rel == "<=", -_INF, rhs)
+    row_upper = np.where(rel == ">=", _INF, rhs)
+
+    status, fun, x = run_highs(c, data[order], indices, indptr, row_lower,
+                               row_upper, lo, hi, integrality)
+    if status != "optimal":
+        return status, None, {}
+    sign = -1.0 if prob.sense == "max" else 1.0
+    assignment = {name: float(x[j]) for j, name in enumerate(names)}
+    return status, sign * fun + prob.constant, assignment
+
+
+_CORE = "scipy.optimize._highspy._core"
+# The options scipy's ``milp`` sets; HiGHS's answers move with its options.
+HIGHS_OPTIONS = {"log_to_console": False, "mip_rel_gap": 0.0}
+
+
+def highs_core():
+    """scipy's HiGHS extension module, loaded from its file.
+
+    The module is registered under its own name, so a later
+    ``import scipy.optimize`` reuses it.  Without the file (another scipy
+    layout) it is imported the normal way, which runs ``scipy.optimize``.
+    """
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(_CORE, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_CORE] = module
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(_CORE)
+
+
+def run_highs(c, data, indices, indptr, row_lower, row_upper, col_lower,
+              col_upper, integrality):
+    """Minimise ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
+    ``col_lower <= x <= col_upper``, with ``x[j]`` integer where
+    ``integrality[j]`` is 1 and ``A`` given as CSC arrays.
+
+    Returns ``(status word, objective, x)``; objective and x are None unless
+    the status is ``optimal``.  Raises ValueError for an objective with no
+    or non-finite coefficients and for a model HiGHS refuses to load.
+    """
+    if c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError("`c` must be a one-dimensional array of finite "
+                         "numbers with at least one element.")
+    core = highs_core()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+    lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
+
+    highs = core._Highs()
+    options = core.HighsOptions()
+    for key, value in HIGHS_OPTIONS.items():
+        setattr(options, key, value)
+    highs.passOptions(options)
+    statuses = core.HighsModelStatus
+    loaded = highs.passModel(lp) != core.HighsStatus.kError
+    if loaded:
+        highs.run()
+    status = highs.getModelStatus()
+    if not loaded or status == statuses.kModelError:
+        raise ValueError("HiGHS rejected the model: a coefficient or bound "
+                         "is infinite, NaN or too large")
+    if status != statuses.kOptimal:
+        word = {statuses.kInfeasible: "infeasible",
+                statuses.kUnbounded: "unbounded"}.get(status, "unknown")
+        return word, None, None
+    x = highs.getSolution().col_value
+    return "optimal", highs.getInfo().objective_function_value, x
 
 
 def main(argv: Optional[List[str]] = None) -> int:

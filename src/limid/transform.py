@@ -19,7 +19,6 @@ import numpy as np
 from ._tensor import place_table
 from .diagram import (
     CapExceededError,
-    ConfigIndexer,
     Cpt,
     InfluenceDiagram,
     Node,
@@ -34,20 +33,11 @@ MERGED_NAME = "V_merged"
 
 @dataclass(frozen=True)
 class MergedValueMap:
-    """Bijection between original value-node states and merged-node states.
-
-    Identity on chance/decision coordinates; on value coordinates it is the
-    mixed-radix index over the components in declaration order.
+    """The value nodes a merge combined, in declaration order; merged state
+    k is their mixed-radix joint state k, first component most significant.
     """
 
     components: Tuple[str, ...]
-    indexer: ConfigIndexer
-
-    def merged_index(self, component_states) -> int:
-        return self.indexer.index_of(component_states)
-
-    def component_states(self, merged_index: int) -> Tuple[int, ...]:
-        return self.indexer.states_of(merged_index)
 
 
 def merge_value_nodes(diagram: InfluenceDiagram) -> Tuple[InfluenceDiagram, MergedValueMap]:
@@ -64,10 +54,7 @@ def merge_value_nodes(diagram: InfluenceDiagram) -> Tuple[InfluenceDiagram, Merg
         if total > MERGED_STATES_CAP:
             raise CapExceededError("merged value node state space", total,
                                    MERGED_STATES_CAP)
-    vmap = MergedValueMap(
-        components=components,
-        indexer=ConfigIndexer(components, radices),
-    )
+    vmap = MergedValueMap(components=components)
 
     # Merged parents: union of component parents, deduplicated, ordered by
     # the diagram's deterministic topological order.

@@ -16,6 +16,7 @@ import numpy as np
 
 from limid._tensor import place_table
 from limid.diagram import (
+    ConfigIndexer,
     Cpt,
     InfluenceDiagram,
     Node,
@@ -109,6 +110,13 @@ def small_random_diagram(
                     break
         if total <= limit:
             return d
+
+
+def merged_indexer(diagram: InfluenceDiagram, mapping) -> ConfigIndexer:
+    """Index of a merged value node's states over the original value nodes
+    of ``diagram`` that ``mapping`` (a ``MergedValueMap``) names."""
+    components = mapping.components
+    return ConfigIndexer(components, [diagram.n_states(v) for v in components])
 
 
 def slow_strategies(diagram: InfluenceDiagram):

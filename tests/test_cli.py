@@ -86,6 +86,13 @@ MALFORMED_DIAGRAMS = {
     "utilities_list": (
         {"nodes": [], "utilities": []},
         "a diagram's 'utilities' must map node names to lists"),
+    "cpt_of_strings": (
+        {"nodes": [{"name": "A", "kind": "chance", "states": ["a", "b"]}],
+         "cpts": {"A": ["a", "b"]}},
+        "CPT for 'A' must be a list of numbers"),
+    "unknown_kind": (
+        {"nodes": [{"name": "A", "kind": "bogus", "states": ["x"]}]},
+        "node 'A' has unknown kind 'bogus'; expected chance, decision or value"),
 }
 MALFORMED_STRATEGIES = {
     "list": ([1], "a strategy is a JSON object mapping decisions to lists"),

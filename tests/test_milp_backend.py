@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize
 
+from limid import milp_backend
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -148,6 +148,15 @@ class TestSolver:
         )
         assert status == "unbounded"
 
+    def test_model_without_rows(self):
+        # An empty constraint matrix still has one indptr entry per column.
+        status, objective, assignment = solve_lp_text(
+            "Maximize\n obj: x + y\nBounds\n x <= 3\n y <= 1.5\nGeneral\n y\nEnd"
+        )
+        assert status == "optimal"
+        assert objective == pytest.approx(4.0)
+        assert assignment == {"x": pytest.approx(3.0), "y": pytest.approx(1.0)}
+
     def test_integrality_changes_the_answer(self):
         base = "Maximize\n obj: x\nSubject To\n c: 2 x <= 3\n{}End"
         relaxed = solve_lp_text(base.format(""))
@@ -173,21 +182,25 @@ class TestSolver:
             model, ctx = build_base_model(build_rjt(d), d)
             add_risk(model, CvarObjective(alpha=0.15), ctx)
         sha = hashlib.sha256()
-        real_milp = optimize.milp
+        real_run = milp_backend.run_highs
 
-        def milp(c, *, constraints, integrality, bounds, options):
-            (rows,) = constraints
-            matrix = rows.A
-            for part in (c, matrix.data, matrix.indices, matrix.indptr,
-                         rows.lb, rows.ub, bounds.lb, bounds.ub, integrality):
+        def run_highs(*parts):
+            # c, then the CSC matrix (data, indices, indptr), the row
+            # bounds, the column bounds and integrality.
+            c, _, _, _, row_lower, *_ = parts
+            for part in parts:
                 part = np.ascontiguousarray(part)
                 sha.update(f"{part.dtype.str}{part.shape}".encode())
                 sha.update(part.tobytes())
-            sha.update(f"{matrix.format}{matrix.shape}{sorted(options.items())}".encode())
-            return real_milp(c, constraints=constraints, integrality=integrality,
-                             bounds=bounds, options=options)
+            # Console logging is the one option that cannot move an answer.
+            options = {key: value for key, value
+                       in milp_backend.HIGHS_OPTIONS.items()
+                       if key != "log_to_console"}
+            shape = (row_lower.size, c.size)
+            sha.update(f"csc{shape}{sorted(options.items())}".encode())
+            return real_run(*parts)
 
-        monkeypatch.setattr(optimize, "milp", milp)
+        monkeypatch.setattr(milp_backend, "run_highs", run_highs)
         status, _, _ = solve_lp_text(export_lp(model))
         assert status == "optimal"
         assert sha.hexdigest() == digest
@@ -232,6 +245,30 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "status infeasible"
 
+    def test_model_highs_rejects_exits_2(self, tmp_path):
+        # HiGHS refuses an infinite matrix coefficient; that is no answer,
+        # and in particular not "infeasible" (the optimum here is x = 1).
+        lp = tmp_path / "inf_coef.lp"
+        lp.write_text("Maximize\n obj: x\nSubject To\n c: x + 1e999 y <= 1\nEnd\n")
+        proc = self.run_cli(str(lp))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error HiGHS rejected the model")
+
+    @pytest.mark.parametrize("text", [
+        "Maximize\n obj: 0\nEnd\n",  # no columns
+        "Maximize\n obj: 1e999 x\nSubject To\n c: x <= 1\nEnd\n",
+    ])
+    def test_objective_refusals_exit_2(self, tmp_path, text):
+        lp = tmp_path / "obj.lp"
+        lp.write_text(text)
+        proc = self.run_cli(str(lp))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error `c` must be a one-dimensional array of finite numbers "
+            "with at least one element.\n"
+        )
+
     def test_main_callable_in_process(self, tmp_path, capsys):
         lp = tmp_path / "m.lp"
         lp.write_text("Minimize\n obj: x\nSubject To\n c: x >= 1\nEnd\n")
@@ -254,13 +291,53 @@ class TestLazyPackage:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    def test_solver_child_imports_only_its_module(self):
-        loaded = self.run_python(
-            "import json, sys; import limid.milp_backend; "
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith('limid'))))"
+    def run_child(self, before=""):
+        """Run ``main`` on pigfarm1.lp in a fresh interpreter after the
+        statements ``before``; returns its listing and what it loaded."""
+        return self.run_python(
+            "import contextlib, io, json, sys\n"
+            f"{before}\n"
+            "from limid.milp_backend import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = main([{str(DATA / 'pigfarm1.lp')!r}])\n"
+            "print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules "
+            "if m.startswith(('limid', 'scipy.optimize', 'scipy.sparse')))]))"
         )
-        assert loaded == ["limid", "limid.milp_backend"]
+
+    def test_solver_child_imports_only_its_module(self):
+        code, listing, loaded = self.run_child()
+        assert code == 0 and listing.startswith("status optimal\n")
+        assert [m for m in loaded if m.startswith("limid")] == [
+            "limid", "limid.milp_backend"]
+        assert "scipy.optimize._highspy._core" in loaded
+        assert "scipy.optimize" not in loaded
+        assert "scipy.sparse" not in loaded
+
+    def test_loaded_core_is_the_one_scipy_optimize_uses(self):
+        same, status, fun = self.run_python(
+            "import json\n"
+            "from limid.milp_backend import highs_core\n"
+            "core = highs_core()\n"
+            "from scipy import optimize\n"
+            "from scipy.optimize._highspy import _highs_wrapper\n"
+            "res = optimize.milp([-1.0, -2.0], integrality=[1, 0],\n"
+            "                    bounds=optimize.Bounds(0, [1.5, 0.5]))\n"
+            "print(json.dumps([_highs_wrapper._h is core, int(res.status), res.fun]))"
+        )
+        assert same
+        assert (status, fun) == (0, -2.0)
+
+    def test_fallback_import_gives_the_same_listing(self):
+        code, listing, _ = self.run_child()
+        # With no extension suffix to try, the file is not found and HiGHS
+        # comes through the normal import of scipy.optimize.
+        fallback = self.run_child(
+            "import importlib.machinery\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = []"
+        )
+        assert fallback[:2] == [code, listing]
+        assert "scipy.optimize" in fallback[2]
 
     def test_every_exported_name_resolves(self):
         missing = self.run_python(

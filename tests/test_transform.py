@@ -17,7 +17,12 @@ from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.inference import Evaluator
 from limid.transform import MERGED_NAME, merge_value_nodes
 
-from helpers import random_diagram, slow_distribution, slow_strategies
+from helpers import (
+    merged_indexer,
+    random_diagram,
+    slow_distribution,
+    slow_strategies,
+)
 
 
 def test_merged_diagram_is_valid_and_single_valued():
@@ -36,16 +41,17 @@ def test_merged_states_enumerate_component_combinations():
     states = merged.states(MERGED_NAME)
     assert len(states) == 4  # (skip/inject) x (sell_healthy/sell_ill)
     assert states[0].count("|") == 1
-    idx = mapping.merged_index((1, 0))
-    assert mapping.component_states(idx) == (1, 0)
+    idx = merged_indexer(d, mapping).index_of((1, 0))
+    assert states[idx] == f"{d.states('V1')[1]}|{d.states('V2')[0]}"
 
 
 def test_merged_utilities_are_componentwise_sums():
     d = gen_pigfarm(PigFarmSpec(n_periods=1))
     merged, mapping = merge_value_nodes(d)
     values = merged.utilities[MERGED_NAME].values
+    indexer = merged_indexer(d, mapping)
     for idx in range(values.size):
-        s1, s2 = mapping.component_states(idx)
+        s1, s2 = indexer.states_of(idx)
         expect = d.utilities["V1"].values[s1] + d.utilities["V2"].values[s2]
         assert values[idx] == expect
 

@@ -577,7 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, ExternalSolverError) as exc:
+    except (OSError, ValueError, ExternalSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

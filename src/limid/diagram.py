@@ -108,16 +108,6 @@ class ConfigIndexer:
         self.strides = tuple(reversed(strides))
         self.total = acc
 
-    def index_of(self, states: Sequence[int]) -> int:
-        if len(states) != len(self.radices):
-            raise ValueError("state tuple length does not match scope")
-        idx = 0
-        for s, r, st in zip(states, self.radices, self.strides):
-            if not 0 <= s < r:
-                raise ValueError(f"state {s} out of range for radix {r}")
-            idx += s * st
-        return idx
-
     def coordinates(self) -> Dict[str, np.ndarray]:
         """The state of each scope node in every configuration, ascending."""
         configs = np.arange(self.total)
@@ -125,8 +115,8 @@ class ConfigIndexer:
                 in zip(self.scope, self.strides, self.radices)}
 
     def index_array(self, coords: Dict[str, np.ndarray], size: int) -> np.ndarray:
-        """``index_of`` over arrays: row k holds state ``coords[n][k]`` of
-        each scope node n."""
+        """Config index of each row k, whose state of scope node n is
+        ``coords[n][k]``."""
         index = np.zeros(size, dtype=np.int64)
         for n, stride in zip(self.scope, self.strides):
             index += coords[n] * stride

@@ -122,20 +122,16 @@ def cvar_of_distribution(dist: UtilityDistribution, alpha: float) -> TailRisk:
     return TailRisk(var=var, cvar=(below + boundary_mass * var) / alpha)
 
 
-def tail_witness(
-    dist: UtilityDistribution, alpha: float, eta: Optional[float] = None
-) -> Dict[str, np.ndarray]:
+def tail_witness(dist: UtilityDistribution, alpha: float) -> Dict[str, np.ndarray]:
     """Per-atom tail bookkeeping for a distribution at level alpha.
 
-    Returns arrays over the atoms: ``below`` marks utilities under eta,
-    ``at_or_below`` marks utilities not above eta, ``tail_share`` is the
-    probability each atom contributes to the worst alpha-tail (full mass
-    under eta, the remaining share at eta, zero above), and ``eta`` itself.
-    With the default eta (the alpha-quantile) the shares sum to alpha and
-    average to CVaR.
+    Returns arrays over the atoms, with eta the alpha-quantile: ``below``
+    marks utilities under eta, ``at_or_below`` marks utilities not above
+    eta, ``tail_share`` is the probability each atom contributes to the
+    worst alpha-tail (full mass under eta, the remaining share at eta, zero
+    above), and ``eta`` itself.  The shares sum to alpha and average to CVaR.
     """
-    if eta is None:
-        eta = cvar_of_distribution(dist, alpha).var
+    eta = cvar_of_distribution(dist, alpha).var
     u = dist.utilities
     p = dist.probabilities
     below = u < eta
@@ -251,30 +247,11 @@ class Evaluator:
         """
         return float(np.dot(self._utils, table))
 
-    def distribution(self, strategy: Strategy) -> UtilityDistribution:
-        return self.distribution_of(self.value_table(strategy))
-
     def marginal(self, strategy: Strategy, scope: Sequence[str]) -> np.ndarray:
         """Flat probability table over ``scope`` in the given node order."""
         if len(set(scope)) != len(scope):
             raise ValueError("marginal scope repeats a node")
         return self._contract(strategy, scope).ravel()
-
-
-def evaluate_strategy(
-    diagram: InfluenceDiagram, strategy: Strategy
-) -> UtilityDistribution:
-    """Distribution of total utility under a fixed deterministic strategy."""
-    return Evaluator(diagram).distribution(strategy)
-
-
-def joint_marginal(
-    diagram: InfluenceDiagram,
-    strategy: Strategy,
-    scope: Sequence[str],
-) -> np.ndarray:
-    """Marginal probability table over ``scope`` (flat, scope order given)."""
-    return Evaluator(diagram).marginal(strategy, scope)
 
 
 def strategy_count(diagram: InfluenceDiagram) -> int:

@@ -436,11 +436,6 @@ class MipModel:
         self.rows.append([len(coefs)], [var for _, var in row.terms], coefs,
                          SENSES.index(row.sense), row.rhs, (tag,), indexed=False)
 
-    def mu_var(self, root: str, cfg: int) -> int:
-        if not 0 <= cfg < self.mu_total[root]:
-            raise IndexError(f"config {cfg} out of range for cluster {root!r}")
-        return self.mu_start[root] + cfg
-
     def delta_var(self, decision: str, pcfg: int, state: int) -> int:
         n_pcfg, n_states = self.delta_shape[decision]
         if not (0 <= pcfg < n_pcfg and 0 <= state < n_states):

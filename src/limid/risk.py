@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class EventSpec:
             if n not in seen:
                 seen.append(n)
         return tuple(seen)
-
-    def matches(self, assignment: Mapping[str, str]) -> bool:
-        hits = (assignment[n] == s for n, s in self.terms)
-        return any(hits) if self.mode == "any" else all(hits)
 
 
 @dataclass(frozen=True)
@@ -100,14 +96,6 @@ class BudgetConstraint:
     @property
     def scope(self) -> Tuple[str, ...]:
         return tuple(self.costs.keys())
-
-    def cost_of(self, assignment: Mapping[str, str]) -> float:
-        return sum(
-            self.costs[n].get(assignment[n], 0.0) for n in self.costs
-        )
-
-    def violated(self, assignment: Mapping[str, str]) -> bool:
-        return self.cost_of(assignment) > self.limit
 
 
 def trigger_mask(

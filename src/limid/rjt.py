@@ -228,16 +228,6 @@ def reachable_roots(tree: RootedJunctionTree, j: str) -> FrozenSet[str]:
     return frozenset(tree.preorder(j))
 
 
-def directed_path_clusters(
-    tree: RootedJunctionTree, start: str, end: str
-) -> Tuple[str, ...]:
-    """Roots of the clusters on the directed path C_start -> C_end.
-
-    Inclusive of both ends; empty when no such path exists.
-    """
-    return tuple(_path(tree.parent, start, end))
-
-
 def modify_rjt(
     tree: RootedJunctionTree,
     targets: Iterable[str],

@@ -414,7 +414,6 @@ def solve_external(
     model: MipModel,
     command: Union[str, Sequence[str]],
     tol: float = 1e-6,
-    timeout: Optional[float] = None,
 ) -> Solution:
     """Run an external MILP solver over the exported LP text.
 
@@ -443,16 +442,14 @@ def solve_external(
         write_lp(model, lp_path)
         argv = _command_argv(command, lp_path)
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout
-            )
+            proc = subprocess.run(argv, capture_output=True, text=True)
         except FileNotFoundError as exc:
             raise ExternalSolverError(
                 f"solver executable not found: {argv[0]!r}"
             ) from exc
-        except subprocess.TimeoutExpired as exc:
+        except OSError as exc:
             raise ExternalSolverError(
-                f"solver timed out after {timeout}s"
+                f"cannot run solver {argv[0]!r}: {exc.strerror}"
             ) from exc
     if proc.returncode != 0:
         tail = (proc.stderr or proc.stdout or "").strip()[-500:]

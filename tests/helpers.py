@@ -25,6 +25,7 @@ from limid.diagram import (
     UtilityMap,
     topological_order,
 )
+from limid.rjt import RootedJunctionTree
 
 
 def random_diagram(
@@ -117,6 +118,15 @@ def merged_indexer(diagram: InfluenceDiagram, mapping) -> ConfigIndexer:
     of ``diagram`` that ``mapping`` (a ``MergedValueMap``) names."""
     components = mapping.components
     return ConfigIndexer(components, [diagram.n_states(v) for v in components])
+
+
+def tree_path(tree: RootedJunctionTree, start: str, end: str) -> Tuple[str, ...]:
+    """Roots on the directed path C_start -> C_end, both ends included, up
+    ``tree.parent``; empty when C_start is not an ancestor of C_end."""
+    chain = [end]
+    while chain[-1] != start and tree.parent[chain[-1]] is not None:
+        chain.append(tree.parent[chain[-1]])
+    return tuple(reversed(chain)) if chain[-1] == start else ()
 
 
 def slow_strategies(diagram: InfluenceDiagram):

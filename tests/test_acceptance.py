@@ -36,10 +36,9 @@ import pytest
 from limid.diagram import NodeKind, Strategy
 from limid.generators import NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm
 from limid.inference import (
+    Evaluator,
     cvar_of_distribution,
     enumerate_strategies,
-    evaluate_strategy,
-    joint_marginal,
     oracle_optimize,
     tail_witness,
 )
@@ -189,8 +188,9 @@ def test_05_cvar_optimum_and_tail_share_semantics():
         add_risk(model, CvarObjective(alpha=alpha), ctx)
 
         # independent target: best CVaR over all 64 enumerated strategies
+        ev = Evaluator(d)
         best = max(
-            cvar_of_distribution(evaluate_strategy(d, s), alpha).cvar
+            cvar_of_distribution(ev.distribution_of(ev.value_table(s)), alpha).cvar
             for s in enumerate_strategies(d)
         )
         assert best == pytest.approx(PIGFARM3_CVAR015_OPT, abs=1e-9)
@@ -237,7 +237,7 @@ def test_06_chance_constrained_optimum_matches_oracle():
         )
 
         dec = decode(ref, model, ctx)
-        m = joint_marginal(d, dec.strategy, ("H1", "H2", "H3", "H4"))
+        m = Evaluator(d).marginal(dec.strategy, ("H1", "H2", "H3", "H4"))
         p_any_ill = float(m.sum() - m[0])  # config 0 is all-healthy
         assert p_any_ill <= 0.4 + 1e-9
 
@@ -258,9 +258,10 @@ def test_07_merging_value_nodes_preserves_utility_distributions():
                     int(rng.integers(len(node.states))) for _ in range(pcount)
                 )
             strategy = Strategy(rules=rules)
-            before = evaluate_strategy(d, strategy)
             merged, _ = merge_value_nodes(d)
-            after = evaluate_strategy(merged, strategy)
+            ev, ev_merged = Evaluator(d), Evaluator(merged)
+            before = ev.distribution_of(ev.value_table(strategy))
+            after = ev_merged.distribution_of(ev_merged.value_table(strategy))
             np.testing.assert_allclose(
                 before.utilities, after.utilities, atol=1e-12
             )
@@ -273,6 +274,7 @@ def test_08_propagated_masses_match_marginals_and_rows():
     with Clock(30.0):
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
         model, ctx = build_base_model(build_rjt(d), d)
+        ev = Evaluator(d)
         count = 0
         for strategy in enumerate_strategies(d):
             count += 1
@@ -280,7 +282,7 @@ def test_08_propagated_masses_match_marginals_and_rows():
             assignment = {}
             for root in ctx.tree.order:
                 lay = ctx.layouts[root]
-                want = joint_marginal(d, strategy, lay.members)
+                want = ev.marginal(strategy, lay.members)
                 np.testing.assert_allclose(mu[root], want, atol=1e-9)
                 for cfg, val in enumerate(mu[root]):
                     assignment[f"mu_{root}_{cfg}"] = float(val)

@@ -592,6 +592,24 @@ class TestArgumentErrors:
         assert "--backend" in proc.stderr
 
 
+# Each command given a directory where it reads or writes a file.
+DIRECTORY_ARGS = [
+    ("validate", "adir"),
+    ("build", "pig2.json", "--out", "adir"),
+    ("rjt", "pig2.json", "--dot", "adir"),
+    ("solve", "pig2.json", "--report", "adir"),
+    ("solve", "pig2.json", "--out-strategy", "adir"),
+]
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_ARGS, ids=" ".join)
+def test_directory_for_a_file_is_an_error(workdir, argv):
+    (workdir / "adir").mkdir(exist_ok=True)
+    proc = run_cli(*argv, cwd=workdir)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 21] Is a directory: 'adir'\n"
+
+
 # The external backend under each subcommand that can run it.
 EXTERNAL_RUNS = [
     ("solve", "pig2.json", "--backend", "external"),

@@ -38,12 +38,11 @@ class TestConfigIndexer:
     def test_round_trip_every_config(self):
         indexer = ConfigIndexer(("A", "B", "C"), (2, 3, 2))
         assert indexer.total == 12
-        seen = set()
-        for idx in range(indexer.total):
-            states = indexer.states_of(idx)
-            assert indexer.index_of(states) == idx
-            seen.add(states)
-        assert len(seen) == 12
+        states = [indexer.states_of(idx) for idx in range(indexer.total)]
+        assert len(set(states)) == 12
+        coords = {n: np.array([s[i] for s in states])
+                  for i, n in enumerate(indexer.scope)}
+        assert indexer.index_array(coords, 12).tolist() == list(range(12))
 
     def test_first_node_most_significant(self):
         indexer = ConfigIndexer(("A", "B"), (2, 3))

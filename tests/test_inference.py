@@ -20,8 +20,6 @@ from limid.inference import (
     UtilityDistribution,
     cvar_of_distribution,
     enumerate_strategies,
-    evaluate_strategy,
-    joint_marginal,
     oracle_optimize,
     round_to_sig,
     strategy_count,
@@ -143,16 +141,6 @@ class TestTailWitness:
         cvar = float(np.dot(w["tail_share"], dist.utilities)) / 0.15
         assert cvar == pytest.approx(cvar_of_distribution(dist, 0.15).cvar)
 
-    def test_explicit_eta_is_respected(self):
-        dist = UtilityDistribution(
-            utilities=np.array([0.0, 10.0]),
-            probabilities=np.array([0.5, 0.5]),
-        )
-        w = tail_witness(dist, alpha=0.6, eta=5.0)
-        assert w["eta"] == 5.0
-        assert w["below"].tolist() == [True, False]
-        assert w["at_or_below"].tolist() == [True, False]
-
     def test_shares_sum_to_alpha_across_random_cases(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
@@ -172,8 +160,9 @@ class TestEvaluateStrategy:
         rng = np.random.default_rng(11)
         for _ in range(25):
             d = small_random_diagram(rng, max_nodes=7, require_value=True)
+            ev = Evaluator(d)
             for strategy in slow_strategies(d):
-                dist = evaluate_strategy(d, strategy)
+                dist = ev.distribution_of(ev.value_table(strategy))
                 match_atoms(dist, slow_distribution(d, strategy))
                 break  # one strategy per diagram keeps this loop quick
 
@@ -182,8 +171,9 @@ class TestEvaluateStrategy:
         d = small_random_diagram(
             rng, limit=64, min_nodes=5, max_nodes=6, require_value=True
         )
+        ev = Evaluator(d)
         for strategy in slow_strategies(d):
-            got = evaluate_strategy(d, strategy).expected()
+            got = ev.distribution_of(ev.value_table(strategy)).expected()
             assert got == pytest.approx(slow_expected(d, strategy), abs=1e-9)
 
     def test_never_treating_pig_farm_matches_markov_chain(self):
@@ -200,21 +190,21 @@ class TestEvaluateStrategy:
         never = Strategy(
             rules={"D1": (0, 0), "D2": (0, 0), "D3": (0, 0)}
         )
-        assert evaluate_strategy(d, never).expected() == pytest.approx(
-            want, abs=1e-9
-        )
+        ev = Evaluator(d)
+        got = ev.distribution_of(ev.value_table(never)).expected()
+        assert got == pytest.approx(want, abs=1e-9)
 
     def test_rejects_inconsistent_strategy(self):
         d = gen_pigfarm(PigFarmSpec(n_periods=1))
         with pytest.raises(ValueError):
-            evaluate_strategy(d, Strategy(rules={"D1": (0,)}))
+            Evaluator(d).value_table(Strategy(rules={"D1": (0,)}))
 
     def test_joint_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(inference, "CONTRACTION_CAP", 4)
         rng = np.random.default_rng(3)
         d = small_random_diagram(rng, min_nodes=6, max_nodes=6)
         with pytest.raises(CapExceededError):
-            evaluate_strategy(d, next(slow_strategies(d)))
+            Evaluator(d).value_table(next(slow_strategies(d)))
 
     def test_more_nodes_than_einsum_labels_refused(self):
         # np.einsum has 52 subscript labels; past them the evaluator names
@@ -238,7 +228,7 @@ class TestJointMarginal:
             names = [n.name for n in d.nodes]
             k = int(rng.integers(1, min(3, len(names)) + 1))
             scope = [str(s) for s in rng.choice(names, size=k, replace=False)]
-            table = joint_marginal(d, strategy, scope)
+            table = Evaluator(d).marginal(strategy, scope)
             indexer = d.indexer(scope)
             slow = slow_marginal(d, strategy, scope)
             assert table.size == indexer.total
@@ -252,14 +242,15 @@ class TestJointMarginal:
     def test_scope_order_is_respected(self):
         d = gen_pigfarm(PigFarmSpec(n_periods=1))
         strategy = Strategy(rules={"D1": (0, 1)})
-        ab = joint_marginal(d, strategy, ["H1", "T1"]).reshape(2, 2)
-        ba = joint_marginal(d, strategy, ["T1", "H1"]).reshape(2, 2)
+        ev = Evaluator(d)
+        ab = ev.marginal(strategy, ["H1", "T1"]).reshape(2, 2)
+        ba = ev.marginal(strategy, ["T1", "H1"]).reshape(2, 2)
         np.testing.assert_allclose(ab, ba.T, atol=1e-15)
 
     def test_repeated_scope_rejected(self):
         d = gen_pigfarm(PigFarmSpec(n_periods=1))
         with pytest.raises(ValueError, match="repeat"):
-            joint_marginal(d, Strategy(rules={"D1": (0, 1)}), ["H1", "H1"])
+            Evaluator(d).marginal(Strategy(rules={"D1": (0, 1)}), ["H1", "H1"])
 
 
 class TestEnumeration:
@@ -295,9 +286,9 @@ class TestOracleOptimize:
             res = oracle_optimize(d)
             assert res.feasible
             assert res.objective_value == pytest.approx(want, abs=1e-9)
-            assert evaluate_strategy(d, res.best).expected() == pytest.approx(
-                res.objective_value, abs=1e-12
-            )
+            ev = Evaluator(d)
+            dist = ev.distribution_of(ev.value_table(res.best))
+            assert dist.expected() == pytest.approx(res.objective_value, abs=1e-12)
 
     def test_matches_slow_meu_on_random_diagrams(self):
         rng = np.random.default_rng(17)
@@ -357,7 +348,8 @@ class TestOracleOptimize:
         con = CvarConstraint(alpha=0.2, bound=250.0)
         res = oracle_optimize(d, constraints=[con])
         assert res.feasible
-        dist = evaluate_strategy(d, res.best)
+        ev = Evaluator(d)
+        dist = ev.distribution_of(ev.value_table(res.best))
         assert cvar_of_distribution(dist, 0.2).cvar >= 250.0 - 1e-9
 
     def test_tie_break_is_lexicographically_first(self):
@@ -397,9 +389,10 @@ class TestEvaluatorReuse:
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
         ev = Evaluator(d)
         for s in enumerate_strategies(d):
-            assert ev.distribution(s).expected() == pytest.approx(
-                evaluate_strategy(d, s).expected(), abs=1e-12
-            )
+            fresh = Evaluator(d)
+            got = ev.distribution_of(ev.value_table(s)).expected()
+            want = fresh.distribution_of(fresh.value_table(s)).expected()
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def _dense_marginal(diagram, joint: np.ndarray, scope) -> np.ndarray:
@@ -445,7 +438,7 @@ def _answer(ev: Evaluator, s: Strategy, kind: str, scopes) -> list:
     if kind == "expected":
         return [np.array(ev.expected_of(ev.value_table(s)))]
     if kind == "distribution":
-        dist = ev.distribution(s)
+        dist = ev.distribution_of(ev.value_table(s))
         return [dist.utilities, dist.probabilities]
     return [ev.marginal(s, sc) for sc in scopes]
 

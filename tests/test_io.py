@@ -17,7 +17,7 @@ from limid.diagram_io import (
     strategy_to_dict,
 )
 from limid.generators import PigFarmSpec, gen_pigfarm
-from limid.inference import evaluate_strategy
+from limid.inference import Evaluator
 
 from helpers import random_diagram, slow_strategies
 
@@ -66,8 +66,9 @@ def test_strategy_round_trip_by_labels(tmp_path):
     save_strategy(d, s, path)
     s3 = load_strategy(d, path)
     assert s3.rules == s.rules
-    assert evaluate_strategy(d, s3).expected() == pytest.approx(
-        evaluate_strategy(d, s).expected()
+    ev = Evaluator(d)
+    assert ev.expected_of(ev.value_table(s3)) == pytest.approx(
+        ev.expected_of(ev.value_table(s))
     )
 
 

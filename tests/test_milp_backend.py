@@ -338,11 +338,3 @@ class TestLazyPackage:
         )
         assert fallback[:2] == [code, listing]
         assert "scipy.optimize" in fallback[2]
-
-    def test_every_exported_name_resolves(self):
-        missing = self.run_python(
-            "import json, limid; "
-            "print(json.dumps([n for n in limid.__all__ "
-            "if getattr(limid, n, None) is None]))"
-        )
-        assert missing == []

@@ -85,7 +85,7 @@ def loop_rows(model, ctx):
         return out
 
     for root in tree.order:
-        terms = [(1.0, model.mu_var(root, c))
+        terms = [(1.0, model.mu_start[root] + c)
                  for c in range(ctx.layouts[root].total)]
         rows.append(make_constraint(terms, "==", 1.0, f"normalize[{root}]"))
     for child in tree.order:
@@ -96,8 +96,8 @@ def loop_rows(model, ctx):
         from_parent = members(lay.parent_groups, lay.n_groups)
         from_child = members(lay.group_of, lay.n_groups)
         for g in range(lay.n_groups):
-            terms = [(1.0, model.mu_var(parent, p)) for p in from_parent[g]]
-            terms += [(-1.0, model.mu_var(child, c)) for c in from_child[g]]
+            terms = [(1.0, model.mu_start[parent] + p) for p in from_parent[g]]
+            terms += [(-1.0, model.mu_start[child] + c) for c in from_child[g]]
             rows.append(make_constraint(
                 terms, "==", 0.0, f"consistency[{parent}->{child}][g={g}]"))
     for root in tree.order:
@@ -107,8 +107,8 @@ def loop_rows(model, ctx):
         group = members(lay.group_of, lay.n_groups)
         for cfg in range(lay.total):
             p = float(d.cpts[root].rows[lay.table_row[cfg], lay.root_state[cfg]])
-            terms = [(1.0, model.mu_var(root, cfg))]
-            terms += [(-p, model.mu_var(root, c))
+            terms = [(1.0, model.mu_start[root] + cfg)]
+            terms += [(-p, model.mu_start[root] + c)
                       for c in group[lay.group_of[cfg]]]
             rows.append(make_constraint(
                 terms, "==", 0.0, f"cpt_link[{root}][c={cfg}]"))
@@ -118,14 +118,14 @@ def loop_rows(model, ctx):
         lay = ctx.layouts[root]
         group = members(lay.group_of, lay.n_groups)
         for cfg in range(lay.total):
-            own = model.mu_var(root, cfg)
+            own = model.mu_start[root] + cfg
             bit = model.delta_var(
                 root, int(lay.table_row[cfg]), int(lay.root_state[cfg]))
             rows.append(make_constraint(
                 [(1.0, own), (-1.0, bit)], "<=", 0.0,
                 f"policy_ub[{root}][c={cfg}]"))
             terms = [(1.0, own)]
-            terms += [(-1.0, model.mu_var(root, c))
+            terms += [(-1.0, model.mu_start[root] + c)
                       for c in group[lay.group_of[cfg]]]
             terms.append((-1.0, bit))
             rows.append(make_constraint(
@@ -251,7 +251,7 @@ class TestBaseModel:
         for i, (c, p) in enumerate(zip(link, (0.3, 0.7))):
             assert c.sense == "==" and c.rhs == 0.0
             coeffs = {v: co for co, v in c.terms}
-            own = coeffs.pop(model.mu_var("A", i))
+            own = coeffs.pop(model.mu_start["A"] + i)
             assert own == pytest.approx(1.0 - p)
             assert all(co == pytest.approx(-p) for co in coeffs.values())
 
@@ -287,7 +287,7 @@ class TestBaseModel:
                 s_v = states[lay.members.index(v)]
                 u = float(d.utilities[v].values[s_v])
                 if u != 0.0:
-                    want.append((u, model.mu_var(v, cfg)))
+                    want.append((u, model.mu_start[v] + cfg))
         assert sorted(model.objective) == sorted(want)
         assert len(model.objective) == 6
 
@@ -310,11 +310,9 @@ class TestBaseModel:
     def test_mu_and_delta_accessors_validate_coordinates(self):
         d, tree, model, ctx = pig_model(1)
         with pytest.raises(IndexError):
-            model.mu_var("H1", 2)
-        with pytest.raises(IndexError):
             model.delta_var("D1", 2, 0)
         names = model.variables.names()
-        assert names[model.mu_var("H1", 0)] == "mu_H1_0"
+        assert names[model.mu_start["H1"]] == "mu_H1_0"
         assert names[model.delta_var("D1", 1, 1)] == "delta_D1_1_1"
 
     def test_merged_terminal_cluster_size(self):
@@ -382,7 +380,7 @@ class TestRiskRows:
         indexer = ConfigIndexer(lay.members, lay.radices)
         hit_vars = sorted(v for _, v in row.terms)
         want = sorted(
-            model.mu_var("T2", cfg)
+            model.mu_start["T2"] + cfg
             for cfg in range(lay.total)
             if d.states("H2")[
                 indexer.states_of(cfg)[lay.members.index("H2")]

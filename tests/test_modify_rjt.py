@@ -24,13 +24,12 @@ import pytest
 from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind, UtilityMap
 from limid.rjt import (
     build_rjt,
-    directed_path_clusters,
     modify_rjt,
     reachable_roots,
     validate_rjt,
 )
 
-from helpers import random_diagram
+from helpers import random_diagram, tree_path
 
 GOLDEN = Path(__file__).parent / "data" / "modify_rjt_golden.json"
 SEED = 2024
@@ -106,7 +105,7 @@ def check_walks(tree):
             path = sorted(
                 (c for c in up[b] if a in up[c]), key=lambda c: len(up[c])
             )
-            assert directed_path_clusters(tree, a, b) == tuple(path)
+            assert tree_path(tree, a, b) == tuple(path)
 
 
 def check_covered(tree, diagram, targets):

@@ -22,18 +22,22 @@ from limid.risk import (
 
 from helpers import random_diagram
 
+# Pig farm, two periods: every H node is healthy/ill, every D node pass/treat.
+PIG2 = gen_pigfarm(PigFarmSpec(n_periods=2))
+
 
 class TestEventSpec:
     def test_any_mode_matches_if_one_literal_holds(self):
         ev = EventSpec(terms=(("H1", "ill"), ("H2", "ill")), mode="any")
-        assert ev.matches({"H1": "ill", "H2": "healthy"})
-        assert ev.matches({"H1": "healthy", "H2": "ill"})
-        assert not ev.matches({"H1": "healthy", "H2": "healthy"})
+        mask = trigger_mask(PIG2, ("H1", "H2"), LogicalConstraint(ev))
+        # (H1, H2): healthy-healthy, healthy-ill, ill-healthy, ill-ill
+        assert mask.tolist() == [False, True, True, True]
 
     def test_all_mode_requires_every_literal(self):
         ev = EventSpec(terms=(("D1", "treat"), ("D2", "treat")), mode="all")
-        assert ev.matches({"D1": "treat", "D2": "treat"})
-        assert not ev.matches({"D1": "treat", "D2": "pass"})
+        mask = trigger_mask(PIG2, ("D1", "D2"), LogicalConstraint(ev))
+        # (D1, D2): pass-pass, pass-treat, treat-pass, treat-treat
+        assert mask.tolist() == [False, False, False, True]
 
     def test_scope_deduplicates_and_keeps_order(self):
         ev = EventSpec(
@@ -107,9 +111,10 @@ class TestParsing:
             }
         )
         assert b.limit == 150.0
-        assert b.cost_of({"D1": "treat", "D2": "pass"}) == 100.0
-        assert not b.violated({"D1": "treat", "D2": "pass"})
-        assert b.violated({"D1": "treat", "D2": "treat"})
+        assert b.costs == {"D1": {"treat": 100.0}, "D2": {"treat": 100.0}}
+        # (D1, D2) costs 0, 100, 100, 200: only treating twice breaks it
+        mask = trigger_mask(PIG2, ("D1", "D2"), b)
+        assert mask.tolist() == [False, False, False, True]
 
     def test_budget_from_dict_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="costs"):
@@ -190,9 +195,12 @@ def loop_mask(diagram, scope, spec):
         states = indexer.states_of(idx)
         assignment = {n: diagram.states(n)[s] for n, s in zip(scope, states)}
         if isinstance(spec, BudgetConstraint):
-            hits.append(spec.violated(assignment))
+            cost = sum(table.get(assignment[n], 0.0)
+                       for n, table in spec.costs.items())
+            hits.append(cost > spec.limit)
         else:
-            hits.append(spec.event.matches(assignment))
+            matched = (assignment[n] == s for n, s in spec.event.terms)
+            hits.append(any(matched) if spec.event.mode == "any" else all(matched))
     return hits
 
 

@@ -10,7 +10,6 @@ from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind, topological_ord
 from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.rjt import (
     build_rjt,
-    directed_path_clusters,
     modify_rjt,
     reachable_roots,
     to_dot,
@@ -19,7 +18,7 @@ from limid.rjt import (
 )
 from limid.transform import merge_value_nodes
 
-from helpers import random_diagram
+from helpers import random_diagram, tree_path
 
 # Pig farm, three periods: the expected tree as {root: (members, parent)}.
 PIG3_TREE = {
@@ -191,10 +190,9 @@ class TestModificationWalkthrough:
 
     def test_path_queries(self):
         tree = example_tree()
-        path = directed_path_clusters(tree, "A", "F")
-        assert path == ("A", "B", "D", "F")
-        assert directed_path_clusters(tree, "E", "F") == ()
-        assert directed_path_clusters(tree, "E", "E") == ("E",)
+        assert tree_path(tree, "A", "F") == ("A", "B", "D", "F")
+        assert tree_path(tree, "E", "F") == ()
+        assert tree_path(tree, "E", "E") == ("E",)
         assert reachable_roots(tree, "B") == {"B", "C", "D", "E", "F"}
         assert reachable_roots(tree, "A") == set("ABCDEF")
 

@@ -15,7 +15,7 @@ from limid.generators import (
     gen_nmonitoring,
     gen_pigfarm,
 )
-from limid.inference import joint_marginal, oracle_optimize
+from limid.inference import Evaluator, oracle_optimize
 from limid.mip import (
     BINARY,
     UNIT,
@@ -157,7 +157,7 @@ class TestRowChecking:
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
         bad = sol.x.copy()
-        bad[model.mu_var("H1", 0)] += 0.01
+        bad[model.mu_start["H1"]] += 0.01
         msgs = check_solution(model, bad, tol=1e-6)
         assert msgs
         assert any("normalize[H1]" in m and "residual" in m for m in msgs)
@@ -176,7 +176,7 @@ class TestRowChecking:
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
         bad = sol.x.copy()
-        bad[model.mu_var("H1", 0)] = 1.5
+        bad[model.mu_start["H1"]] = 1.5
         msgs = check_solution(model, bad, tol=1e-6)
         assert any("outside [0, 1]" in m for m in msgs)
 
@@ -208,12 +208,13 @@ class TestRowChecking:
 class TestPropagation:
     def test_matches_joint_marginals_for_sample_strategies(self):
         d, model, ctx = pig_setup(2)
+        ev = Evaluator(d)
         for strategy in list(slow_strategies(d))[::5]:
             mu = propagate_cluster_marginals(ctx, strategy)
             for root in ctx.tree.order:
                 lay = ctx.layouts[root]
                 assert mu[root].sum() == pytest.approx(1.0, abs=1e-12)
-                want = joint_marginal(d, strategy, lay.members)
+                want = ev.marginal(strategy, lay.members)
                 np.testing.assert_allclose(mu[root], want, atol=1e-12)
 
     def test_masses_satisfy_every_model_row(self):
@@ -225,7 +226,7 @@ class TestPropagation:
         x = sol_ref.x.copy()
         for root in ctx.tree.order:
             for cfg, val in enumerate(mu[root]):
-                x[model.mu_var(root, cfg)] = float(val)
+                x[model.mu_start[root] + cfg] = float(val)
         for dn, rule in strategy.rules.items():
             n_pcfg, n_states = model.delta_shape[dn]
             for pcfg in range(n_pcfg):
@@ -381,7 +382,7 @@ class TestExternalBridge:
         d, model, ctx = pig_setup(2)
         ref = solve_reference(model, ctx)
         strategy = decode(ref, model, ctx).strategy
-        p_ill = float(joint_marginal(d, strategy, ["H2"])[1])
+        p_ill = float(Evaluator(d).marginal(strategy, ["H2"])[1])
         con = parse_chance_text(f"P(H2=ill) <= {p_ill - 5e-7!r}")
         _, cmodel, _ = pig_setup(2, risk=con)
         names = cmodel.variables.names()
@@ -447,11 +448,21 @@ class TestExternalBridge:
         with pytest.raises(ExternalSolverError, match="misses"):
             solve_external(model, cmd)
 
-    def test_timeout_enforced(self):
+    @pytest.mark.parametrize("kind, reason", [
+        ("directory", "Permission denied"),
+        ("binary", "Exec format error"),
+    ])
+    def test_unrunnable_executable(self, tmp_path, kind, reason):
         _, model, _ = pig_setup(1)
-        cmd = [sys.executable, "-c", "import time; time.sleep(30)", "{lp}"]
-        with pytest.raises(ExternalSolverError, match="timed out"):
-            solve_external(model, cmd, timeout=0.5)
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\x00not a program\n")
+            path.chmod(0o755)
+        with pytest.raises(ExternalSolverError) as err:
+            solve_external(model, [str(path)])
+        assert str(err.value) == f"cannot run solver {str(path)!r}: {reason}"
 
     def test_command_string_template(self):
         d, model, ctx = pig_setup(1)

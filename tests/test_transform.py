@@ -41,7 +41,8 @@ def test_merged_states_enumerate_component_combinations():
     states = merged.states(MERGED_NAME)
     assert len(states) == 4  # (skip/inject) x (sell_healthy/sell_ill)
     assert states[0].count("|") == 1
-    idx = merged_indexer(d, mapping).index_of((1, 0))
+    coords = {"V1": np.array([1]), "V2": np.array([0])}
+    (idx,) = merged_indexer(d, mapping).index_array(coords, 1)
     assert states[idx] == f"{d.states('V1')[1]}|{d.states('V2')[0]}"
 
 
@@ -68,7 +69,8 @@ def test_merge_preserves_utility_distribution_exactly():
         assert validate_diagram(merged) == []
         ev0, ev1 = Evaluator(d), Evaluator(merged)
         for s in slow_strategies(d):
-            d0, d1 = ev0.distribution(s), ev1.distribution(s)
+            d0 = ev0.distribution_of(ev0.value_table(s))
+            d1 = ev1.distribution_of(ev1.value_table(s))
             np.testing.assert_array_equal(d0.utilities, d1.utilities)
             np.testing.assert_allclose(
                 d0.probabilities, d1.probabilities, atol=1e-12
@@ -84,7 +86,7 @@ def test_merge_agrees_with_slow_enumeration():
     ev = Evaluator(merged)
     for s in slow_strategies(d):
         slow = slow_distribution(d, s, round_digits=6)
-        fast = ev.distribution(s)
+        fast = ev.distribution_of(ev.value_table(s))
         fast_dict = {round(u, 6): p for u, p in fast.atoms}
         assert set(fast_dict) == set(slow)
         for u, p in slow.items():

@@ -5,7 +5,7 @@ format for driving an external mixed-integer solver as a subprocess.  The
 bundled ``limid-milp`` executable (scipy's HiGHS under the hood) is such a
 solver, so the whole bridge can be demonstrated without installing
 anything: export, solve, parse the listing back, re-check every row, and
-decode the strategy.
+read the strategy off the policy bits.
 
 Run:  python3 demos/lp_roundtrip.py
 """
@@ -14,7 +14,6 @@ from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.mip import build_base_model
 from limid.rjt import build_rjt
 from limid.solve import (
-    decode,
     export_lp,
     reference_backend_command,
     solve_external,
@@ -35,18 +34,15 @@ def main():
 
     command = reference_backend_command()
     print(f"\nexternal solver command: {' '.join(command[2:])}")
-    ext = solve_external(model, command)
+    ext = solve_external(model, ctx, command)
     print(f"status {ext.status}, objective {ext.objective_value}")
 
     ref = solve_reference(model, ctx)
     gap = abs(ext.objective_value - ref.objective_value)
     print(f"reference enumeration gives {ref.objective_value} (gap {gap:.2e})")
 
-    dec_ext = decode(ext, model, ctx)
-    dec_ref = decode(ref, model, ctx)
-    same = dec_ext.strategy == dec_ref.strategy
-    print(f"decoded strategies identical: {same}")
-    for name, rule in sorted(dec_ext.strategy.rules.items()):
+    print(f"strategies identical: {ext.strategy == ref.strategy}")
+    for name, rule in sorted(ext.strategy.rules.items()):
         print(f"  {name}: {rule}")
 
 

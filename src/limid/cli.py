@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -180,13 +181,18 @@ def _emit_record(args, record: Dict[str, object]) -> None:
             fh.write(line + "\n")
 
 
-def _solver_command(args):
-    """``--solver-cmd``, else ``LIMID_SOLVER_CMD``, else the bundled backend."""
-    return (
-        args.solver_cmd
-        or os.environ.get("LIMID_SOLVER_CMD")
-        or reference_backend_command()
-    )
+def _solver_command(args) -> List[str]:
+    """``--solver-cmd``, else ``LIMID_SOLVER_CMD``, else the bundled backend,
+    as an argv list."""
+    sources = (("--solver-cmd", args.solver_cmd),
+               ("LIMID_SOLVER_CMD", os.environ.get("LIMID_SOLVER_CMD")))
+    for source, text in sources:
+        if text:
+            try:
+                return shlex.split(text)
+            except ValueError as exc:
+                raise ValueError(f"bad {source} value {text!r}: {exc}") from None
+    return reference_backend_command()
 
 
 def _timed_solve(args, model, ctx, backend: str) -> Tuple[Solution, float]:
@@ -195,7 +201,7 @@ def _timed_solve(args, model, ctx, backend: str) -> Tuple[Solution, float]:
     if backend == "reference":
         solution = solve_reference(model, ctx)
     else:
-        solution = solve_external(model, _solver_command(args), tol=args.tol)
+        solution = solve_external(model, ctx, _solver_command(args), tol=args.tol)
     return solution, time.perf_counter() - t0
 
 
@@ -291,7 +297,7 @@ def cmd_solve(args) -> int:
         ),
         "drift": solution.info.get("drift", 0.0),
     }
-    decoded = decode(solution, model, ctx, tol=args.tol)
+    decoded = decode(solution, model, ctx)
     record["strategy"] = {
         d: list(rule) for d, rule in decoded.strategy.rules.items()
     }

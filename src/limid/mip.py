@@ -313,7 +313,6 @@ class ClusterLayout:
 
     root: str
     members: Tuple[str, ...]
-    radices: Tuple[int, ...]
     total: int
     n_groups: int
     group_of: np.ndarray
@@ -374,7 +373,6 @@ class CompileContext:
         return ClusterLayout(
             root=root,
             members=members,
-            radices=indexer.radices,
             total=total,
             n_groups=total // d.n_states(root),
             group_of=group_of,
@@ -400,7 +398,6 @@ class CvarBlock:
     rho: np.ndarray
     rhobar: np.ndarray
     mode: str  # "objective" or "constraint"
-    bound: Optional[float] = None
 
 
 @dataclass
@@ -416,11 +413,6 @@ class MipModel:
     delta_start: Dict[str, int] = field(default_factory=dict)
     delta_shape: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     cvar: Optional[CvarBlock] = None
-    # Set by build_base_model; lets a solver bridge rebuild the exact
-    # assignment of a strategy.  Hand-built models leave it None.
-    context: Optional[CompileContext] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def constraints(self) -> RowStore:
@@ -456,7 +448,7 @@ def build_base_model(
     Each family is emitted one cluster at a time as a block of arrays.
     """
     ctx = CompileContext(diagram, tree)
-    model = MipModel(context=ctx)
+    model = MipModel()
     rows = model.rows
 
     for root in tree.order:
@@ -667,11 +659,9 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
     )
     if isinstance(spec, CvarObjective):
         mode = "objective"
-        bound = None
         model.objective = tail_terms
     else:
         mode = "constraint"
-        bound = spec.bound
         model.add_row(list(tail_terms), ">=", spec.bound, "cvar_floor")
     model.cvar = CvarBlock(
         value_root=v,
@@ -686,7 +676,6 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
         rho=rho,
         rhobar=rhobar,
         mode=mode,
-        bound=bound,
     )
 
 

@@ -17,6 +17,7 @@ constraint next to expected utility.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 

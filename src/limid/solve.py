@@ -59,13 +59,15 @@ class ExternalSolverError(RuntimeError):
 
 @dataclass
 class Solution:
-    """A solver's answer; ``x[j]`` is the value of variable ``j``, and
-    ``x`` is None when there is no answer."""
+    """A solver's answer: the strategy it scored and ``x``, the assignment
+    that strategy implies (``x[j]`` is the value of variable ``j``).  Both
+    are None when there is no answer, and the strategy also when the
+    solver's own assignment fails its rows."""
 
     status: str
     objective_value: Optional[float]
     x: Optional[np.ndarray]
-    source: str
+    strategy: Optional[Strategy] = None
     violations: List[str] = field(default_factory=list)
     info: Dict[str, object] = field(default_factory=dict)
 
@@ -73,10 +75,8 @@ class Solution:
 @dataclass
 class DecodedSolution:
     strategy: Strategy
-    objective_value: float
     expected_utility: Optional[float]
     distribution: Optional[UtilityDistribution]
-    cluster_marginals: Dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +243,6 @@ def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarr
     return np.array([float(assignment[name]) for name in names])
 
 
-def check_solution(
-    model: MipModel,
-    assignment: Union[Dict[str, float], np.ndarray],
-    tol: float = 1e-6,
-) -> List[str]:
-    """All row, bound, and integrality violations beyond tol (empty if none)."""
-    if isinstance(assignment, dict):
-        x = assignment_vector(model, assignment)
-    else:
-        x = np.asarray(assignment, dtype=float)
-    return RowSystem(model).violations(x, tol)
-
-
 # ---------------------------------------------------------------------------
 # Reference solver
 
@@ -347,6 +334,7 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     system = RowSystem(model)
     best_x: Optional[np.ndarray] = None
     best_val: Optional[float] = None
+    best: Optional[Strategy] = None
     n_total = 0
     n_feasible = 0
     for strategy in enumerate_strategies(ctx.diagram):
@@ -356,12 +344,12 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
             continue
         n_feasible += 1
         if best_val is None or val > best_val:
-            best_val, best_x = val, x
+            best_val, best_x, best = val, x, strategy
     return Solution(
         status=STATUS_INFEASIBLE if best_x is None else STATUS_OPTIMAL,
         objective_value=best_val,
         x=best_x,
-        source="reference",
+        strategy=best,
         info={"strategies": n_total, "feasible": n_feasible},
     )
 
@@ -410,8 +398,31 @@ def _command_argv(command: Union[str, Sequence[str]], lp_path: str) -> List[str]
     return argv + [lp_path]
 
 
+def _strategy_from_bits(model: MipModel, x: np.ndarray) -> Strategy:
+    """The strategy whose policy bits ``x`` sets, each bit rounded.
+
+    The bits have passed the integrality re-check, so only a tolerance of
+    0.5 or more lets a parent configuration round to other than one state.
+    """
+    rules: Dict[str, Tuple[int, ...]] = {}
+    for dnode, (n_pcfg, n_states) in model.delta_shape.items():
+        start = model.delta_start[dnode]
+        bits = x[start:start + n_pcfg * n_states].reshape(n_pcfg, n_states)
+        near = np.round(bits)
+        picks = (near == 1).sum(axis=1)
+        if (picks != 1).any():
+            pcfg = int(np.argmax(picks != 1))  # the first parent config at fault
+            raise ValueError(
+                f"decision {dnode!r} parent config {pcfg} picks "
+                f"{picks[pcfg]} states instead of one"
+            )
+        rules[dnode] = tuple(np.argmax(near == 1, axis=1).tolist())
+    return Strategy(rules=rules)
+
+
 def solve_external(
     model: MipModel,
+    ctx: CompileContext,
     command: Union[str, Sequence[str]],
     tol: float = 1e-6,
 ) -> Solution:
@@ -424,18 +435,17 @@ def solve_external(
     at ``tol``; a failing re-check downgrades the status to "unknown" and
     records the violations.
 
-    A solution that passes is then polished, provided the model carries the
-    ``CompileContext`` it was compiled from (``build_base_model`` sets it):
-    the strategy is read from the policy bits, the full assignment that
-    strategy implies is rebuilt exactly, and that assignment is re-checked at
-    ``EXACT_TOL`` (1e-9), the reference solver's tolerance.  The polished
-    assignment and its exact objective are returned; the objective of the
-    solver's own assignment, whose masses may sit anywhere inside the
-    solver's feasibility slack, is kept as ``info["solver_objective"]`` and
-    the difference as ``info["drift"]`` (solver minus exact).  A polished
+    A solution that passes is then polished: the strategy is read from the
+    policy bits, the full assignment that strategy implies is rebuilt
+    exactly from ``ctx``, the ``CompileContext`` the model was compiled
+    from, and that assignment is re-checked at ``EXACT_TOL`` (1e-9), the
+    reference solver's tolerance.  The strategy, the polished assignment and
+    its exact objective are returned; the objective of the solver's own
+    assignment, whose masses may sit anywhere inside the solver's
+    feasibility slack, is kept as ``info["solver_objective"]`` and the
+    difference as ``info["drift"]`` (solver minus exact).  A polished
     assignment that violates a row is returned with status "unknown", its
-    violations and no objective (and so no drift).  Models without a context
-    are returned unpolished.
+    violations and no objective (and so no drift).
     """
     with tempfile.TemporaryDirectory(prefix="limid_lp_") as tmp:
         lp_path = str(Path(tmp) / "model.lp")
@@ -468,15 +478,14 @@ def solve_external(
     if parsed.get("objective") is not None:
         info["reported_objective"] = parsed["objective"]
     if status != STATUS_OPTIMAL:
-        return Solution(status=status, objective_value=None, x=None,
-                        source="external", info=info)
+        return Solution(status=status, objective_value=None, x=None, info=info)
     x = assignment_vector(model, parsed["assignment"])  # raises when short
     system = RowSystem(model)
     violations = system.violations(x, tol)
     objective = system.objective_value(x)
-    ctx = model.context
-    if not violations and ctx is not None:
-        strategy = _strategy_from_bits(model, x, tol)
+    strategy = None
+    if not violations:
+        strategy = _strategy_from_bits(model, x)
         x, violations, exact = _score(system, ctx, strategy)
         info["solver_objective"] = objective
         if exact is not None:
@@ -486,7 +495,7 @@ def solve_external(
         status=STATUS_UNKNOWN if violations else STATUS_OPTIMAL,
         objective_value=objective,
         x=x,
-        source="external",
+        strategy=strategy,
         violations=violations,
         info=info,
     )
@@ -501,84 +510,27 @@ def reference_backend_command() -> List[str]:
 # Decoding
 
 
-def _strategy_from_bits(model: MipModel, x: np.ndarray, tol: float) -> Strategy:
-    """The strategy whose policy bits ``x`` sets.
-
-    Each bit must sit within tol of 0 or 1, and each parent configuration
-    must pick exactly one state.
-    """
-    rules: Dict[str, Tuple[int, ...]] = {}
-    for dnode, (n_pcfg, n_states) in model.delta_shape.items():
-        start = model.delta_start[dnode]
-        bits = x[start:start + n_pcfg * n_states].reshape(n_pcfg, n_states)
-        near = np.round(bits)
-        off = np.abs(bits - near) > tol
-        picks = (near == 1).sum(axis=1)
-        bad = off.any(axis=1) | (picks != 1)
-        if bad.any():
-            pcfg = int(np.argmax(bad))  # the first parent config at fault
-            if off[pcfg].any():
-                s = int(np.argmax(off[pcfg]))
-                raise ValueError(
-                    f"policy variable delta_{dnode}_{pcfg}_{s} = "
-                    f"{bits[pcfg, s]!r} is not within {tol} of 0 or 1"
-                )
-            raise ValueError(
-                f"decision {dnode!r} parent config {pcfg} picks "
-                f"{picks[pcfg]} states instead of one"
-            )
-        rules[dnode] = tuple(np.argmax(near == 1, axis=1).tolist())
-    return Strategy(rules=rules)
-
-
 def decode(
-    solution: Solution,
-    model: MipModel,
-    ctx: CompileContext,
-    tol: float = 1e-6,
+    solution: Solution, model: MipModel, ctx: CompileContext
 ) -> DecodedSolution:
-    """Read the strategy, cluster masses, and (single value node only) the
-    utility distribution out of a solved model.
-
-    Policy bits must sit within tol of 0 or 1 and pick exactly one state per
-    parent configuration; masses may carry solver noise up to tol, which is
-    clipped and renormalized before building the distribution.
-    """
+    """The strategy of an optimal answer and, for a single value node, the
+    utility distribution of the value cluster's masses in its exact
+    assignment."""
     if solution.status != STATUS_OPTIMAL:
         raise ValueError(f"cannot decode a solution with status {solution.status!r}")
-    x = solution.x
     d = ctx.diagram
-    strategy = _strategy_from_bits(model, x, tol)
-
-    marginals: Dict[str, np.ndarray] = {}
-    for root in ctx.tree.order:
-        start = model.mu_start[root]
-        marginals[root] = x[start:start + model.mu_total[root]].copy()
-
     distribution = None
     expected = None
     if len(d.value_nodes) == 1:
         v = d.value_nodes[0]
-        lay = ctx.layouts[v]
-        mass = marginals[v]
-        if float(mass.min()) < -tol:
-            raise ValueError(
-                f"value cluster mass {mass.min()!r} is negative beyond {tol}"
-            )
-        mass = np.maximum(mass, 0.0)
-        total = float(mass.sum())
-        if abs(total - 1.0) > max(10 * tol, 1e-9):
-            raise ValueError(
-                f"value cluster mass sums to {total!r}, expected 1"
-            )
-        per_cfg = d.utilities[v].values[lay.root_state]
-        distribution = UtilityDistribution.from_values(per_cfg, mass / total)
+        start = model.mu_start[v]
+        per_cfg = d.utilities[v].values[ctx.layouts[v].root_state]
+        distribution = UtilityDistribution.from_values(
+            per_cfg, solution.x[start:start + model.mu_total[v]]
+        )
         expected = distribution.expected()
-
     return DecodedSolution(
-        strategy=strategy,
-        objective_value=float(solution.objective_value),
+        strategy=solution.strategy,
         expected_utility=expected,
         distribution=distribution,
-        cluster_marginals=marginals,
     )

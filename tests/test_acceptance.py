@@ -46,7 +46,8 @@ from limid.mip import add_risk, build_base_model, model_stats
 from limid.risk import CvarObjective, parse_chance_text
 from limid.rjt import build_rjt, modify_rjt, validate_rjt
 from limid.solve import (
-    check_solution,
+    RowSystem,
+    assignment_vector,
     decode,
     propagate_cluster_marginals,
     reference_backend_command,
@@ -169,7 +170,7 @@ def test_04_meu_reference_and_external_match_oracle():
             assert ref.objective_value == pytest.approx(
                 oracle.objective_value, abs=1e-9
             ), (family, n)
-            ext = solve_external(model, reference_backend_command())
+            ext = solve_external(model, ctx, reference_backend_command())
             assert ext.status == "optimal", (family, n)
             assert ext.objective_value == pytest.approx(
                 oracle.objective_value, abs=1e-6
@@ -199,7 +200,7 @@ def test_05_cvar_optimum_and_tail_share_semantics():
         assert ref.status == "optimal"
         assert ref.objective_value == pytest.approx(best, abs=1e-6)
 
-        ext = solve_external(model, reference_backend_command())
+        ext = solve_external(model, ctx, reference_backend_command())
         assert ext.status == "optimal"
         assert ext.objective_value == pytest.approx(best, abs=1e-6)
 
@@ -293,7 +294,8 @@ def test_08_propagated_masses_match_marginals_and_rows():
                         assignment[f"delta_{dn}_{pcfg}_{s}"] = float(
                             rule[pcfg] == s
                         )
-            assert check_solution(model, assignment, tol=1e-9) == []
+            x = assignment_vector(model, assignment)
+            assert RowSystem(model).violations(x, 1e-9) == []
         assert count == 16
 
 

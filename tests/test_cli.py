@@ -640,3 +640,22 @@ class TestSolverCommand:
         assert proc.stderr == (
             "error: solver executable not found: 'bogus_flag'\n"
         )
+
+    def test_malformed_flag_value_names_the_flag(self, workdir, monkeypatch):
+        monkeypatch.setenv("LIMID_SOLVER_CMD", "bogus_env")
+        proc = run_cli(*EXTERNAL_RUNS[0], "--solver-cmd", "'unclosed", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: bad --solver-cmd value \"'unclosed\": No closing quotation\n"
+        )
+
+    def test_malformed_environment_value_names_the_variable(
+        self, workdir, monkeypatch
+    ):
+        monkeypatch.setenv("LIMID_SOLVER_CMD", "'unclosed")
+        proc = run_cli(*EXTERNAL_RUNS[0], cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: bad LIMID_SOLVER_CMD value \"'unclosed\": "
+            "No closing quotation\n"
+        )

@@ -15,11 +15,10 @@ from limid.generators import (
     gen_nmonitoring,
     gen_pigfarm,
 )
-from limid.inference import Evaluator, oracle_optimize
+from limid.inference import Evaluator, UtilityDistribution, oracle_optimize
 from limid.mip import (
     BINARY,
     UNIT,
-    VAR_BINARY,
     VAR_UNIT,
     MipModel,
     add_risk,
@@ -29,8 +28,8 @@ from limid.risk import CvarObjective, parse_chance_text, parse_logical_text
 from limid.rjt import build_rjt, modify_rjt
 from limid.solve import (
     ExternalSolverError,
+    RowSystem,
     assignment_vector,
-    check_solution,
     decode,
     export_lp,
     parse_name_value_listing,
@@ -151,14 +150,14 @@ class TestRowChecking:
     def test_reference_solution_is_clean(self):
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
-        assert check_solution(model, sol.x, tol=1e-9) == []
+        assert RowSystem(model).violations(sol.x, 1e-9) == []
 
     def test_perturbed_mass_reports_row_and_residual(self):
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
         bad = sol.x.copy()
         bad[model.mu_start["H1"]] += 0.01
-        msgs = check_solution(model, bad, tol=1e-6)
+        msgs = RowSystem(model).violations(bad, 1e-6)
         assert msgs
         assert any("normalize[H1]" in m and "residual" in m for m in msgs)
 
@@ -169,7 +168,7 @@ class TestRowChecking:
         name = "delta_D1_0_0"
         bad[model.delta_var("D1", 0, 0)] = 0.5
         bad[model.delta_var("D1", 0, 1)] = 0.5
-        msgs = check_solution(model, bad, tol=1e-6)
+        msgs = RowSystem(model).violations(bad, 1e-6)
         assert any("not integral" in m and name in m for m in msgs)
 
     def test_out_of_bounds_variable_reported(self):
@@ -177,7 +176,7 @@ class TestRowChecking:
         sol = solve_reference(model, ctx)
         bad = sol.x.copy()
         bad[model.mu_start["H1"]] = 1.5
-        msgs = check_solution(model, bad, tol=1e-6)
+        msgs = RowSystem(model).violations(bad, 1e-6)
         assert any("outside [0, 1]" in m for m in msgs)
 
     def test_messages_match_a_loop_over_rows_and_variables(self):
@@ -196,7 +195,7 @@ class TestRowChecking:
             if kind == BINARY and abs(val - round(val)) > 1e-6:
                 want.append(f"variable {name} = {val!r} is not integral")
         got = [m.split(" residual")[0]
-               for m in check_solution(model, x, tol=1e-6)]
+               for m in RowSystem(model).violations(x, 1e-6)]
         assert got == want
 
     def test_missing_variables_rejected(self):
@@ -232,7 +231,7 @@ class TestPropagation:
             for pcfg in range(n_pcfg):
                 for s in range(n_states):
                     x[model.delta_var(dn, pcfg, s)] = float(rule[pcfg] == s)
-        assert check_solution(model, x, tol=1e-9) == []
+        assert RowSystem(model).violations(x, 1e-9) == []
 
 
 class TestSolveReference:
@@ -240,12 +239,16 @@ class TestSolveReference:
         d, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
         assert sol.status == "optimal"
-        assert sol.source == "reference"
         assert sol.objective_value == pytest.approx(821.8, abs=1e-9)
         assert sol.info == {"strategies": 4, "feasible": 4}
-        dec = decode(sol, model, ctx)
         # treat only on a positive test
-        assert dec.strategy.rules["D1"] == (0, 1)
+        assert sol.strategy.rules == {"D1": (0, 1)}
+        # the assignment is the one the returned strategy implies
+        mu = propagate_cluster_marginals(ctx, sol.strategy)
+        for root in ctx.tree.order:
+            start = model.mu_start[root]
+            np.testing.assert_array_equal(
+                sol.x[start:start + mu[root].size], mu[root])
 
     def test_matches_oracle_on_random_diagrams(self):
         rng = np.random.default_rng(77)
@@ -278,6 +281,7 @@ class TestSolveReference:
         assert sol.status == "infeasible"
         assert sol.objective_value is None
         assert sol.x is None
+        assert sol.strategy is None
         with pytest.raises(ValueError, match="status"):
             decode(sol, model, ctx)
 
@@ -336,17 +340,25 @@ class TestParseListing:
         assert parsed == {"status": None, "objective": None, "assignment": {}}
 
 
+def listing_command(path, names, x):
+    """A solver command that prints ``x`` as an optimal name/value listing."""
+    path.write_text("status optimal\n" + "".join(
+        f"{name} {value!r}\n" for name, value in zip(names, x.tolist())
+    ))
+    return [sys.executable, "-c",
+            "import sys; print(open(sys.argv[1]).read())", str(path), "{lp}"]
+
+
 class TestExternalBridge:
     def test_bundled_backend_matches_reference(self):
         d, model, ctx = pig_setup(2)
         ref = solve_reference(model, ctx)
-        ext = solve_external(model, reference_backend_command(), tol=1e-6)
+        ext = solve_external(model, ctx, reference_backend_command(), tol=1e-6)
         assert ext.status == "optimal"
-        assert ext.source == "external"
         assert ext.objective_value == pytest.approx(
             ref.objective_value, abs=1e-6
         )
-        assert decode(ext, model, ctx).strategy == decode(ref, model, ctx).strategy
+        assert ext.strategy == ref.strategy
         # the objective is recomputed from the assignment, report kept aside
         assert ext.info["reported_objective"] == pytest.approx(
             ext.objective_value, abs=1e-6
@@ -355,7 +367,7 @@ class TestExternalBridge:
     def test_polished_answer_equals_the_reference_vector(self):
         _, model, ctx = pig_setup(3)
         ref = solve_reference(model, ctx)
-        ext = solve_external(model, reference_backend_command())
+        ext = solve_external(model, ctx, reference_backend_command())
         assert ext.status == "optimal"
         np.testing.assert_array_equal(ext.x, ref.x)
 
@@ -364,16 +376,17 @@ class TestExternalBridge:
         # slack, and their objective is off by ~5e-6 at utilities of ~1e3.
         d = gen_nmonitoring(NMonitoringSpec(n_monitors=2))
         model, ctx = build_base_model(build_rjt(d), d)
-        ext = solve_external(model, reference_backend_command())
+        ext = solve_external(model, ctx, reference_backend_command())
         assert ext.status == "optimal"
-        assert check_solution(model, ext.x, tol=1e-9) == []
+        assert RowSystem(model).violations(ext.x, 1e-9) == []
         assert ext.info["drift"] == (
             ext.info["solver_objective"] - ext.objective_value
         )
-        dec = decode(ext, model, ctx)
-        mu = propagate_cluster_marginals(ctx, dec.strategy)
+        mu = propagate_cluster_marginals(ctx, ext.strategy)
         for root in ctx.tree.order:
-            np.testing.assert_array_equal(dec.cluster_marginals[root], mu[root])
+            start = model.mu_start[root]
+            np.testing.assert_array_equal(
+                ext.x[start:start + mu[root].size], mu[root])
 
     def test_polish_failing_the_exact_recheck_leaves_no_objective(self, tmp_path):
         # A chance bound 5e-7 below the exact P(H2=ill) of the MEU strategy:
@@ -381,79 +394,71 @@ class TestExternalBridge:
         # solver's answer and fails the 1e-9 re-check of the polish.
         d, model, ctx = pig_setup(2)
         ref = solve_reference(model, ctx)
-        strategy = decode(ref, model, ctx).strategy
-        p_ill = float(Evaluator(d).marginal(strategy, ["H2"])[1])
+        p_ill = float(Evaluator(d).marginal(ref.strategy, ["H2"])[1])
         con = parse_chance_text(f"P(H2=ill) <= {p_ill - 5e-7!r}")
-        _, cmodel, _ = pig_setup(2, risk=con)
+        _, cmodel, cctx = pig_setup(2, risk=con)
         names = cmodel.variables.names()
         assert names == model.variables.names()
-        listing = tmp_path / "answer.txt"
-        listing.write_text("status optimal\n" + "".join(
-            f"{name} {value!r}\n" for name, value in zip(names, ref.x.tolist())
-        ))
-        cmd = [sys.executable, "-c",
-               "import sys; print(open(sys.argv[1]).read())", str(listing), "{lp}"]
-        ext = solve_external(cmodel, cmd)
+        cmd = listing_command(tmp_path / "answer.txt", names, ref.x)
+        ext = solve_external(cmodel, cctx, cmd)
         assert ext.status == "unknown"
         assert ext.objective_value is None
         assert len(ext.violations) == 1 and "chance" in ext.violations[0]
         assert ext.info["solver_objective"] == ref.objective_value
         assert "drift" not in ext.info
+        assert ext.strategy == ref.strategy
         np.testing.assert_array_equal(ext.x, ref.x)
 
-    def test_model_without_context_left_unpolished(self):
-        model = MipModel()
-        model.add_var("x", VAR_UNIT)
-        model.add_var("y", VAR_BINARY)
-        model.add_row([(1.0, 0), (1.0, 1)], "<=", 1.5, "cap")
-        model.objective = ((2.0, 0), (1.5, 1))
-        assert model.context is None
-        ext = solve_external(model, reference_backend_command())
-        assert ext.status == "optimal"
-        assert ext.objective_value == pytest.approx(2.5, abs=1e-6)
-        assert "solver_objective" not in ext.info
-        assert "drift" not in ext.info
+    def test_policy_bits_picking_no_state_rejected(self, tmp_path):
+        # Halved bits pass a re-check at tol 0.6 but round to no state.
+        _, model, ctx = pig_setup(1)
+        x = solve_reference(model, ctx).x.copy()
+        x[model.delta_var("D1", 0, 0)] = 0.5
+        x[model.delta_var("D1", 0, 1)] = 0.5
+        cmd = listing_command(tmp_path / "answer.txt", model.variables.names(), x)
+        with pytest.raises(ValueError, match="parent config 0 picks 0 states"):
+            solve_external(model, ctx, cmd, tol=0.6)
 
     def test_infeasible_model_reported(self):
         con = parse_chance_text("P(H1=ill) <= 0.05")
         d, model, ctx = pig_setup(1, risk=con)
-        ext = solve_external(model, reference_backend_command())
+        ext = solve_external(model, ctx, reference_backend_command())
         assert ext.status == "infeasible"
         assert ext.objective_value is None
 
     def test_missing_executable(self):
-        _, model, _ = pig_setup(1)
+        _, model, ctx = pig_setup(1)
         with pytest.raises(ExternalSolverError, match="not found"):
-            solve_external(model, ["definitely_not_a_solver_48151623"])
+            solve_external(model, ctx, ["definitely_not_a_solver_48151623"])
 
     def test_nonzero_exit_code(self):
-        _, model, _ = pig_setup(1)
+        _, model, ctx = pig_setup(1)
         cmd = [sys.executable, "-c", "import sys; sys.exit(3)", "{lp}"]
         with pytest.raises(ExternalSolverError, match="code 3"):
-            solve_external(model, cmd)
+            solve_external(model, ctx, cmd)
 
     def test_unrecognized_status_goes_unknown(self):
-        _, model, _ = pig_setup(1)
+        _, model, ctx = pig_setup(1)
         cmd = [sys.executable, "-c", "print('status gibberish')", "{lp}"]
-        sol = solve_external(model, cmd)
+        sol = solve_external(model, ctx, cmd)
         assert sol.status == "unknown"
         assert sol.objective_value is None
 
     def test_optimal_claim_without_variables_rejected(self):
-        _, model, _ = pig_setup(1)
+        _, model, ctx = pig_setup(1)
         cmd = [
             sys.executable, "-c",
             "print('status optimal'); print('objective 5.0')", "{lp}",
         ]
         with pytest.raises(ExternalSolverError, match="misses"):
-            solve_external(model, cmd)
+            solve_external(model, ctx, cmd)
 
     @pytest.mark.parametrize("kind, reason", [
         ("directory", "Permission denied"),
         ("binary", "Exec format error"),
     ])
     def test_unrunnable_executable(self, tmp_path, kind, reason):
-        _, model, _ = pig_setup(1)
+        _, model, ctx = pig_setup(1)
         path = tmp_path / kind
         if kind == "directory":
             path.mkdir()
@@ -461,30 +466,40 @@ class TestExternalBridge:
             path.write_bytes(b"\x00not a program\n")
             path.chmod(0o755)
         with pytest.raises(ExternalSolverError) as err:
-            solve_external(model, [str(path)])
+            solve_external(model, ctx, [str(path)])
         assert str(err.value) == f"cannot run solver {str(path)!r}: {reason}"
 
     def test_command_string_template(self):
         d, model, ctx = pig_setup(1)
         cmd = f"{sys.executable} -m limid.milp_backend {{lp}}"
-        sol = solve_external(model, cmd)
+        sol = solve_external(model, ctx, cmd)
         assert sol.objective_value == pytest.approx(821.8, abs=1e-6)
 
 
 class TestDecode:
     def test_decoded_masses_match_strategy_propagation(self):
+        d, model, ctx = pig_setup(2, merged=True)
+        sol = solve_reference(model, ctx)
+        dec = decode(sol, model, ctx)
+        assert dec.strategy == sol.strategy
+        v, = d.value_nodes
+        want = UtilityDistribution.from_values(
+            d.utilities[v].values[ctx.layouts[v].root_state],
+            propagate_cluster_marginals(ctx, dec.strategy)[v],
+        )
+        np.testing.assert_array_equal(dec.distribution.utilities, want.utilities)
+        np.testing.assert_array_equal(
+            dec.distribution.probabilities, want.probabilities)
+
+    def test_multi_value_diagram_has_no_distribution(self):
         d, model, ctx = pig_setup(2)
         sol = solve_reference(model, ctx)
         dec = decode(sol, model, ctx)
-        mu = propagate_cluster_marginals(ctx, dec.strategy)
-        for root in ctx.tree.order:
-            np.testing.assert_allclose(
-                dec.cluster_marginals[root], mu[root], atol=1e-9
-            )
-        # multi-value diagram: no single total-utility distribution
+        assert dec.strategy == sol.strategy
+        # no single total-utility distribution
         assert dec.distribution is None
         assert dec.expected_utility is None
-        assert dec.objective_value == pytest.approx(767.06, abs=1e-9)
+        assert sol.objective_value == pytest.approx(767.06, abs=1e-9)
 
     def test_merged_model_decodes_distribution(self):
         d, model, ctx = pig_setup(2, merged=True)
@@ -494,13 +509,5 @@ class TestDecode:
         assert dec.distribution.probabilities.sum() == pytest.approx(1.0)
         assert dec.expected_utility == pytest.approx(767.06, abs=1e-9)
         assert dec.expected_utility == pytest.approx(
-            dec.objective_value, abs=1e-9
+            sol.objective_value, abs=1e-9
         )
-
-    def test_fractional_policy_rejected(self):
-        d, model, ctx = pig_setup(1)
-        sol = solve_reference(model, ctx)
-        sol.x[model.delta_var("D1", 0, 0)] = 0.4
-        sol.x[model.delta_var("D1", 0, 1)] = 0.6
-        with pytest.raises(ValueError, match="not within"):
-            decode(sol, model, ctx, tol=1e-6)

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -428,9 +428,12 @@ class MipModel:
         self.rows.append([len(coefs)], [var for _, var in row.terms], coefs,
                          SENSES.index(row.sense), row.rhs, (tag,), indexed=False)
 
-    def delta_var(self, decision: str, pcfg: int, state: int) -> int:
+    def delta_var(self, decision: str, pcfg: Union[int, np.ndarray],
+                  state: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
+        """Index of the policy bit of ``decision`` that picks ``state`` at
+        parent configuration ``pcfg``; integer arrays broadcast."""
         n_pcfg, n_states = self.delta_shape[decision]
-        if not (0 <= pcfg < n_pcfg and 0 <= state < n_states):
+        if np.any((pcfg < 0) | (pcfg >= n_pcfg) | (state < 0) | (state >= n_states)):
             raise IndexError(f"bad policy coordinates for {decision!r}")
         return self.delta_start[decision] + pcfg * n_states + state
 

@@ -1,16 +1,16 @@
 """Solve compiled models: LP text export, feasibility checking, an exact
 reference solver, an external-solver bridge, and solution decoding.
 
-The reference solver enumerates deterministic strategies, propagates the
-implied cluster masses down the tree, synthesizes any tail-bookkeeping
-variables from the resulting utility distribution, and keeps the best
-assignment that satisfies every row.  It is exact (no LP relaxation) and
-meant for small diagrams and for cross-checking external solvers.
+The reference solver enumerates deterministic strategies a block at a
+time, propagates the implied cluster masses down the tree with one column
+per strategy, synthesizes any tail-bookkeeping variables from the resulting
+utility distributions, and keeps the best assignment that satisfies every
+row.  It is exact (no LP relaxation) and meant for small diagrams and for
+cross-checking external solvers.
 """
 
 from __future__ import annotations
 
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -23,9 +23,12 @@ from scipy import sparse
 
 from .diagram import NodeKind, Strategy
 from .inference import (
+    BLOCK_FLOATS,
+    NEAR_TIE,
+    StrategyBlock,
     UtilityDistribution,
-    enumerate_strategies,
-    tail_witness,
+    near_best,
+    strategy_blocks,
 )
 from .mip import (
     BINARY,
@@ -181,6 +184,14 @@ def write_lp(model: MipModel, path: Union[str, Path]) -> None:
 # Row checking
 
 
+def _any_per_column(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=0)``, which numpy computes slowly for a tall mask
+    of few columns, one short row at a time."""
+    hit = np.zeros(mask.shape[1], dtype=bool)
+    hit[np.flatnonzero(mask) % mask.shape[1]] = True
+    return hit
+
+
 class RowSystem:
     """Sparse row matrix of a model for fast repeated feasibility checks."""
 
@@ -205,6 +216,24 @@ class RowSystem:
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_vector @ x)
+
+    def passing(self, xs: np.ndarray, tol: float) -> np.ndarray:
+        """Which columns of ``xs`` (one assignment each) satisfy every row,
+        bound and integrality requirement at ``tol``: ``violations`` for
+        many assignments at once, without the messages."""
+        res = self.matrix @ xs
+        shifted = np.flatnonzero(self.rhs)  # subtracting zero changes nothing
+        res[shifted] -= self.rhs[shifted, None]
+        over = res > tol
+        over[np.flatnonzero(self.senses == GE)] = False
+        under = res < -tol
+        under[np.flatnonzero(self.senses == LE)] = False
+        outside = (xs < -tol) | (xs > 1.0 + tol)
+        outside[np.flatnonzero(~self.bounded)] = False
+        bits = xs[np.flatnonzero(self.binary)]
+        fractional = np.abs(bits - np.round(bits)) > tol
+        return ~(_any_per_column(over | under) | _any_per_column(outside)
+                 | _any_per_column(fractional))
 
     def violations(self, x: np.ndarray, tol: float) -> List[str]:
         problems: List[str] = []
@@ -247,40 +276,124 @@ def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarr
 # Reference solver
 
 
-def propagate_cluster_marginals(
-    ctx: CompileContext, strategy: Strategy
+def _one_hot_rows(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
+    """The 0/1 matrix with a one at ``(groups[i], i)``.  Its product adds
+    each group's entries in ascending i, the order ``np.bincount`` adds
+    them in, so the sums are the same to the bit."""
+    order = np.argsort(groups, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(groups, minlength=n_groups))])
+    return sparse.csr_matrix((np.ones(groups.size), order, indptr),
+                             shape=(n_groups, groups.size))
+
+
+# Per cluster: sums onto the groups it inherits, spread onto its configurations.
+_Products = Dict[str, Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]]
+
+
+def _propagation(ctx: CompileContext) -> _Products:
+    """Per cluster, the sparse products ``_block_masses`` applies: the sums
+    of the tree parent's masses onto the groups of the members they share
+    (None at the top), and for a chance or value root the spread of each
+    group's mass onto its configurations, times their CPT entries (None for
+    a decision, whose factor depends on the strategy)."""
+    d = ctx.diagram
+    out = {}
+    for root, lay in ctx.layouts.items():
+        sums = spread = None
+        if lay.parent_groups is not None:
+            sums = _one_hot_rows(lay.parent_groups, lay.n_groups)
+        if d.kind(root) != NodeKind.DECISION:
+            # one entry a row: the product is the entry times the mass
+            spread = sparse.csr_matrix(
+                (d.cpts[root].rows[lay.table_row, lay.root_state], lay.group_of,
+                 np.arange(lay.total + 1)), shape=(lay.total, lay.n_groups))
+        out[root] = sums, spread
+    return out
+
+
+def _block_masses(
+    ctx: CompileContext, products: _Products, block: StrategyBlock
 ) -> Dict[str, np.ndarray]:
-    """Exact cluster-configuration masses implied by a strategy.
+    """Exact cluster-configuration masses implied by each strategy of a
+    block, one column per strategy; ``products`` is ``_propagation(ctx)``.
 
     Walks the tree from its root: each cluster's mass over the inherited
     members is the parent's marginal, multiplied by the root node's CPT row
     (or by the strategy's indicator for decisions).
     """
-    d = ctx.diagram
     mu: Dict[str, np.ndarray] = {}
     for root in ctx.tree_order:
         lay = ctx.layouts[root]
-        if lay.parent_groups is None:
+        sums, spread = products[root]
+        if sums is None:
             if lay.n_groups != 1:
                 raise ValueError(
                     f"top cluster {root!r} has extra members; the tree is "
                     f"not a valid rooted junction tree"
                 )
-            inherited = np.ones(1)
+            inherited = np.ones((1, block.size))
         else:
-            parent_root = ctx.tree.parent[root]
-            inherited = np.bincount(
-                lay.parent_groups, weights=mu[parent_root],
-                minlength=lay.n_groups,
-            )
-        if d.kind(root) == NodeKind.DECISION:
-            rule = np.asarray(strategy.rules[root], dtype=np.int64)
-            factor = (rule[lay.table_row] == lay.root_state).astype(float)
+            inherited = sums @ mu[ctx.tree.parent[root]]
+        if spread is not None:
+            mu[root] = spread @ inherited
         else:
-            rows = d.cpts[root].rows
-            factor = rows[lay.table_row, lay.root_state]
-        mu[root] = inherited[lay.group_of] * factor
+            picks = block.rules[root][:, lay.table_row] == lay.root_state
+            mu[root] = inherited[lay.group_of] * picks.T
     return mu
+
+
+def _block_vectors(
+    model: MipModel, ctx: CompileContext, products: _Products, block: StrategyBlock
+) -> np.ndarray:
+    """Full variable assignments implied by a block of strategies, one
+    column each (masses, policy bits, and canonical tail bookkeeping when
+    the model carries a CVaR block)."""
+    x = np.zeros((len(model.variables), block.size))
+    mu = _block_masses(ctx, products, block)
+    for root, arr in mu.items():
+        start = model.mu_start[root]
+        x[start:start + len(arr)] = arr
+    columns = np.arange(block.size)[:, None]
+    for dnode, rules in block.rules.items():
+        pcfgs = np.arange(model.delta_shape[dnode][0])
+        x[model.delta_var(dnode, pcfgs, rules), columns] = 1.0
+    cv = model.cvar
+    if cv is not None:
+        # One row per strategy: a row's sum then adds its levels as a lone
+        # distribution's sum would, and the cumulative sums run left to right.
+        probs = np.ascontiguousarray(
+            (_one_hot_rows(cv.level, cv.utilities.size) @ mu[cv.value_root]).T)
+        u = cv.utilities
+        # eta is the alpha-quantile: the first level whose cumulative
+        # probability reaches alpha (else the top one).
+        idx = np.minimum((np.cumsum(probs, axis=1) < cv.alpha - 1e-15).sum(axis=1),
+                         u.size - 1)
+        eta = u[idx]
+        below = u < eta[:, None]
+        tail = np.where(below, probs, 0.0)
+        # the tail shares: full mass under eta, what alpha leaves at eta
+        shares = np.where(u == eta[:, None],
+                          (cv.alpha - tail.sum(axis=1))[:, None], tail)
+        x[cv.eta] = eta
+        x[cv.lam] = below.T
+        x[cv.lambar] = (u <= eta[:, None]).T
+        x[cv.rho] = tail.T
+        x[cv.rhobar] = shares.T
+    return x
+
+
+def _single(strategy: Strategy) -> StrategyBlock:
+    return StrategyBlock(size=1, rules={
+        d: np.asarray([rule], dtype=np.int64) for d, rule in strategy.rules.items()})
+
+
+def propagate_cluster_marginals(
+    ctx: CompileContext, strategy: Strategy
+) -> Dict[str, np.ndarray]:
+    """Exact cluster-configuration masses implied by a strategy (see
+    ``_block_masses``), one flat array per cluster."""
+    masses = _block_masses(ctx, _propagation(ctx), _single(strategy))
+    return {root: arr[:, 0] for root, arr in masses.items()}
 
 
 def _strategy_vector(
@@ -288,29 +401,7 @@ def _strategy_vector(
 ) -> np.ndarray:
     """Full variable assignment implied by a strategy (masses, policy bits,
     and canonical tail bookkeeping when the model carries a CVaR block)."""
-    x = np.zeros(len(model.variables))
-    mu = propagate_cluster_marginals(ctx, strategy)
-    for root, arr in mu.items():
-        start = model.mu_start[root]
-        x[start:start + arr.size] = arr
-    for dnode, rule in strategy.rules.items():
-        for pcfg, s in enumerate(rule):
-            x[model.delta_var(dnode, pcfg, s)] = 1.0
-    block = model.cvar
-    if block is not None:
-        # bincount adds each level's masses in ascending config order
-        probs = np.bincount(block.level, weights=mu[block.value_root],
-                            minlength=block.utilities.size)
-        dist = UtilityDistribution(
-            utilities=block.utilities, probabilities=probs
-        )
-        wit = tail_witness(dist, block.alpha)
-        x[block.eta] = wit["eta"]
-        x[block.lam] = wit["below"]
-        x[block.lambar] = wit["at_or_below"]
-        x[block.rho] = np.where(wit["below"], probs, 0.0)
-        x[block.rhobar] = wit["tail_share"]
-    return x
+    return _block_vectors(model, ctx, _propagation(ctx), _single(strategy))[:, 0]
 
 
 def _score(
@@ -327,24 +418,41 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     """Exact optimum by strategy enumeration with full row checking.
 
     Every deterministic strategy is converted to a complete variable
-    assignment; assignments violating any row are discarded; ties break
-    toward the lexicographically smallest strategy (the incumbent changes
-    only on strict improvement).
+    assignment, a block of strategies at a time; assignments violating any
+    row are discarded.  The strategies whose block objective comes within
+    ``NEAR_TIE`` of the best are checked and scored again alone, as
+    ``_score`` does, and ties of that score break toward the
+    lexicographically smallest strategy (the incumbent changes only on
+    strict improvement).
     """
     system = RowSystem(model)
-    best_x: Optional[np.ndarray] = None
-    best_val: Optional[float] = None
+    products = _propagation(ctx)
+    # A block's assignments and row residuals take BLOCK_FLOATS floats each.
+    size = max(1, BLOCK_FLOATS // max(len(model.variables), len(model.rows)))
+    weights = np.abs(system.objective_vector)
     best: Optional[Strategy] = None
+    best_val: Optional[float] = None
+    best_x: Optional[np.ndarray] = None
     n_total = 0
     n_feasible = 0
-    for strategy in enumerate_strategies(ctx.diagram):
-        n_total += 1
-        x, _, val = _score(system, ctx, strategy)
-        if val is None:
+    for block in strategy_blocks(ctx.diagram, size):
+        n_total += block.size
+        xs = _block_vectors(model, ctx, products, block)
+        ok = system.passing(xs, EXACT_TOL)
+        n_feasible += int(ok.sum())
+        if not ok.any():
             continue
-        n_feasible += 1
-        if best_val is None or val > best_val:
-            best_val, best_x, best = val, x, strategy
+        vals = system.objective_vector @ xs
+        # Each candidate is checked and scored alone, from its column: the
+        # assignment _strategy_vector builds, to the bit.
+        slack = NEAR_TIE * float((weights @ np.abs(xs)).max())
+        for i in near_best(vals, ok, best_val, slack):
+            x = np.ascontiguousarray(xs[:, i])
+            if system.violations(x, EXACT_TOL):
+                continue
+            val = system.objective_value(x)
+            if best_val is None or val > best_val:
+                best, best_val, best_x = block.strategy(i), val, x
     return Solution(
         status=STATUS_INFEASIBLE if best_x is None else STATUS_OPTIMAL,
         objective_value=best_val,
@@ -391,11 +499,10 @@ def parse_name_value_listing(text: str) -> Dict[str, object]:
     return {"status": status, "objective": objective, "assignment": assignment}
 
 
-def _command_argv(command: Union[str, Sequence[str]], lp_path: str) -> List[str]:
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    if any("{lp}" in a for a in argv):
-        return [a.replace("{lp}", lp_path) for a in argv]
-    return argv + [lp_path]
+def _command_argv(command: Sequence[str], lp_path: str) -> List[str]:
+    if any("{lp}" in a for a in command):
+        return [a.replace("{lp}", lp_path) for a in command]
+    return [*command, lp_path]
 
 
 def _strategy_from_bits(model: MipModel, x: np.ndarray) -> Strategy:
@@ -423,13 +530,13 @@ def _strategy_from_bits(model: MipModel, x: np.ndarray) -> Strategy:
 def solve_external(
     model: MipModel,
     ctx: CompileContext,
-    command: Union[str, Sequence[str]],
+    command: Sequence[str],
     tol: float = 1e-6,
 ) -> Solution:
     """Run an external MILP solver over the exported LP text.
 
-    The command is a template (string or argv list); ``{lp}`` is replaced by
-    the LP file path, or the path is appended when no placeholder appears.
+    The command is an argv template; ``{lp}`` is replaced by the LP file
+    path, or the path is appended when no placeholder appears.
     The solver must print a ``status`` line and whitespace-separated
     name/value pairs.  Reported solutions are re-checked against every row
     at ``tol``; a failing re-check downgrades the status to "unknown" and

@@ -25,7 +25,19 @@ from limid.diagram import (
     UtilityMap,
     topological_order,
 )
-from limid.rjt import RootedJunctionTree
+from limid.generators import NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm
+from limid.inference import UtilityDistribution, cvar_of_distribution, strategy_count
+from limid.mip import CompileContext, MipModel, add_risk, build_base_model
+from limid.risk import (
+    BudgetConstraint,
+    CvarConstraint,
+    CvarObjective,
+    MeuObjective,
+    parse_chance_text,
+    parse_logical_text,
+)
+from limid.rjt import RootedJunctionTree, build_rjt, modify_rjt
+from limid.transform import merge_value_nodes
 
 
 def random_diagram(
@@ -129,8 +141,14 @@ def tree_path(tree: RootedJunctionTree, start: str, end: str) -> Tuple[str, ...]
     return tuple(reversed(chain)) if chain[-1] == start else ()
 
 
-def slow_strategies(diagram: InfluenceDiagram):
-    """All deterministic strategies via plain itertools, package-free math."""
+def enumerate_strategies(diagram: InfluenceDiagram):
+    """All deterministic strategies, lexicographic, each exactly once, via
+    plain itertools: the order the enumerators' blocks must reproduce.
+
+    Order: decisions in declaration order, each rule read as a tuple of
+    chosen state indices per ascending parent configuration; earlier
+    decisions are more significant.
+    """
     decisions = [n.name for n in diagram.nodes if n.kind == NodeKind.DECISION]
     spaces = []
     for d in decisions:
@@ -189,7 +207,7 @@ def slow_expected(diagram: InfluenceDiagram, strategy: Strategy) -> float:
 
 def slow_meu(diagram: InfluenceDiagram) -> Tuple[float, Optional[Strategy]]:
     best, best_s = None, None
-    for strategy in slow_strategies(diagram):
+    for strategy in enumerate_strategies(diagram):
         eu = slow_expected(diagram, strategy)
         if best is None or eu > best:
             best, best_s = eu, strategy
@@ -274,3 +292,145 @@ def dense_joint(
         )
         grid = grid * place_table(sizes, [pos[p] for p in ps] + [pos[name]], shaped)
     return grid
+
+
+def compile_case(name, diagram, objective=MeuObjective(), constraints=(), modify=()):
+    """``(name, diagram, model, ctx, objective, constraints)``: the model
+    of the diagram's tree, widened over ``modify``, with every spec added."""
+    tree = build_rjt(diagram)
+    if modify:
+        tree = modify_rjt(tree, list(modify))
+    model, ctx = build_base_model(tree, diagram)
+    for spec in (*constraints, objective):
+        if not isinstance(spec, MeuObjective):
+            add_risk(model, spec, ctx)
+    return name, diagram, model, ctx, objective, list(constraints)
+
+
+ENUMERATOR_GROUPS = ("verify", "pigfarm-cvar", "constrained", "random")
+
+
+def enumerator_cases(group: str):
+    """``(name, diagram, model, ctx, objective, constraints)`` of the
+    instances of one group whose oracle and reference answers are frozen
+    in ``data/enumerator_answers.json``: the ``verify`` and ``pigfarm-cvar``
+    ops of perfbench at seeds 1-3, constrained pig farms, and the 150
+    random diagrams (MEU, and merged under CVaR) of the oracle fuzz."""
+    if group == "verify":
+        for seed in (1, 2, 3):
+            for n in (3, 4):
+                d = gen_pigfarm(PigFarmSpec(n_periods=n, seed=seed))
+                yield compile_case(f"verify:pigfarm-{n}:seed{seed}", d)
+                yield compile_case(f"verify:pigfarm-{n}:merged:cvar0.15:seed{seed}",
+                            merge_value_nodes(d)[0], CvarObjective(alpha=0.15))
+            for n in (3, 4, 5):
+                d = gen_nmonitoring(NMonitoringSpec(n_monitors=n, seed=seed))
+                yield compile_case(f"verify:nmonitoring-{n}:seed{seed}", d)
+    elif group == "pigfarm-cvar":
+        for seed in (1, 2, 3):
+            for n in (3, 4, 5):
+                merged = merge_value_nodes(
+                    gen_pigfarm(PigFarmSpec(n_periods=n, seed=seed)))[0]
+                for alpha in (0.05, 0.5):
+                    yield compile_case(
+                        f"pigfarm-cvar:pigfarm-{n}:cvar{alpha}:seed{seed}",
+                        merged, CvarObjective(alpha=alpha))
+    elif group == "constrained":
+        pig3 = gen_pigfarm(PigFarmSpec(n_periods=3, seed=1))
+        all_treat = parse_logical_text("P(D1=treat&D2=treat&D3=treat)")
+        yield compile_case("chance+logical:pigfarm-3:seed1", pig3, constraints=[
+            parse_chance_text("P(H2=ill)<=0.37"),
+            parse_chance_text("P(H3=ill)>=0.35"), all_treat],
+            modify=("D1", "D2", "D3"))
+        budget = BudgetConstraint(
+            costs={d: {"treat": 1.0} for d in ("D1", "D2", "D3")}, limit=1.0)
+        yield compile_case("logical+budget:pigfarm-3:seed1", pig3,
+                    constraints=[all_treat, budget], modify=("D1", "D2", "D3"))
+        for n in (3, 4, 5):
+            d = gen_pigfarm(PigFarmSpec(n_periods=n, seed=1))
+            yield compile_case(f"chance:pigfarm-{n}:seed1", d,
+                        constraints=[parse_chance_text("P(H2=ill|H3=ill)<=0.5")],
+                        modify=("H1", "H2", "H3"))
+        yield compile_case("cvar-floor:pigfarm-3:merged:seed1", merge_value_nodes(pig3)[0],
+                    constraints=[CvarConstraint(alpha=0.15, bound=100.0)])
+    elif group == "random":
+        rng = np.random.default_rng(2024)
+        alphas = (0.05, 0.15, 0.5)
+        for k in range(150):
+            while True:
+                d = random_diagram(rng, min_nodes=6, max_nodes=8,
+                                   require_value=True)
+                if strategy_count(d) <= 300:
+                    break
+            yield compile_case(f"random:{k}", d)
+            yield compile_case(f"random:{k}:merged:cvar{alphas[k % 3]}",
+                        merge_value_nodes(d)[0], CvarObjective(alpha=alphas[k % 3]))
+    else:
+        raise ValueError(f"unknown group {group!r}")
+
+
+def tail_witness(dist: UtilityDistribution, alpha: float) -> Dict[str, np.ndarray]:
+    """Per-atom tail bookkeeping for a distribution at level alpha.
+
+    Returns arrays over the atoms, with eta the alpha-quantile: ``below``
+    marks utilities under eta, ``at_or_below`` marks utilities not above
+    eta, ``tail_share`` is the probability each atom contributes to the
+    worst alpha-tail (full mass under eta, the remaining share at eta, zero
+    above), and ``eta`` itself.  The shares sum to alpha and average to CVaR.
+    """
+    eta = cvar_of_distribution(dist, alpha).var
+    u = dist.utilities
+    p = dist.probabilities
+    below = u < eta
+    at_or_below = u <= eta
+    tail = np.where(below, p, 0.0)
+    remaining = alpha - tail.sum()
+    shares = tail.copy()
+    shares[u == eta] = remaining
+    return {
+        "eta": float(eta),
+        "below": below,
+        "at_or_below": at_or_below,
+        "tail_share": shares,
+    }
+
+
+def strategy_vector(model: MipModel, ctx: CompileContext,
+                    strategy: Strategy) -> np.ndarray:
+    """The assignment a strategy implies, one strategy at a time: masses by
+    ``np.bincount`` down the tree, policy bits and ``tail_witness``.  The
+    enumerators' blocks must give these bits exactly."""
+    d = ctx.diagram
+    mu: Dict[str, np.ndarray] = {}
+    for root in ctx.tree_order:
+        lay = ctx.layouts[root]
+        if lay.parent_groups is None:
+            inherited = np.ones(1)
+        else:
+            inherited = np.bincount(lay.parent_groups,
+                                    weights=mu[ctx.tree.parent[root]],
+                                    minlength=lay.n_groups)
+        if d.kind(root) == NodeKind.DECISION:
+            rule = np.asarray(strategy.rules[root], dtype=np.int64)
+            factor = (rule[lay.table_row] == lay.root_state).astype(float)
+        else:
+            factor = d.cpts[root].rows[lay.table_row, lay.root_state]
+        mu[root] = inherited[lay.group_of] * factor
+    x = np.zeros(len(model.variables))
+    for root, arr in mu.items():
+        x[model.mu_start[root]:model.mu_start[root] + arr.size] = arr
+    for dnode, rule in strategy.rules.items():
+        for pcfg, s in enumerate(rule):
+            x[model.delta_var(dnode, pcfg, s)] = 1.0
+    block = model.cvar
+    if block is not None:
+        probs = np.bincount(block.level, weights=mu[block.value_root],
+                            minlength=block.utilities.size)
+        wit = tail_witness(UtilityDistribution(block.utilities, probs),
+                           block.alpha)
+        x[block.eta] = wit["eta"]
+        x[block.lam] = wit["below"]
+        x[block.lambar] = wit["at_or_below"]
+        x[block.rho] = np.where(wit["below"], probs, 0.0)
+        x[block.rhobar] = wit["tail_share"]
+    return x

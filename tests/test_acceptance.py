@@ -35,13 +35,7 @@ import pytest
 
 from limid.diagram import NodeKind, Strategy
 from limid.generators import NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm
-from limid.inference import (
-    Evaluator,
-    cvar_of_distribution,
-    enumerate_strategies,
-    oracle_optimize,
-    tail_witness,
-)
+from limid.inference import Evaluator, cvar_of_distribution, oracle_optimize
 from limid.mip import add_risk, build_base_model, model_stats
 from limid.risk import CvarObjective, parse_chance_text
 from limid.rjt import build_rjt, modify_rjt, validate_rjt
@@ -56,7 +50,7 @@ from limid.solve import (
 )
 from limid.transform import merge_value_nodes
 
-from helpers import random_diagram
+from helpers import enumerate_strategies, random_diagram, tail_witness
 from test_rjt import (
     PIG3_HEALTH_TREE,
     PIG3_MERGED_TREE,

@@ -19,12 +19,12 @@ from limid.inference import (
     Evaluator,
     UtilityDistribution,
     cvar_of_distribution,
-    enumerate_strategies,
     oracle_optimize,
     round_to_sig,
+    strategy_blocks,
     strategy_count,
-    tail_witness,
 )
+from limid.mip import build_base_model
 from limid.risk import (
     ChanceConstraint,
     CvarConstraint,
@@ -35,10 +35,13 @@ from limid.risk import (
     parse_logical_text,
     trigger_mask,
 )
+from limid.rjt import build_rjt
+from limid.solve import solve_reference
 from limid.transform import merge_value_nodes
 
 from helpers import (
     dense_joint,
+    enumerate_strategies,
     random_diagram,
     slow_cvar,
     small_random_diagram,
@@ -46,7 +49,7 @@ from helpers import (
     slow_expected,
     slow_marginal,
     slow_meu,
-    slow_strategies,
+    tail_witness,
 )
 
 
@@ -161,7 +164,7 @@ class TestEvaluateStrategy:
         for _ in range(25):
             d = small_random_diagram(rng, max_nodes=7, require_value=True)
             ev = Evaluator(d)
-            for strategy in slow_strategies(d):
+            for strategy in enumerate_strategies(d):
                 dist = ev.distribution_of(ev.value_table(strategy))
                 match_atoms(dist, slow_distribution(d, strategy))
                 break  # one strategy per diagram keeps this loop quick
@@ -172,7 +175,7 @@ class TestEvaluateStrategy:
             rng, limit=64, min_nodes=5, max_nodes=6, require_value=True
         )
         ev = Evaluator(d)
-        for strategy in slow_strategies(d):
+        for strategy in enumerate_strategies(d):
             got = ev.distribution_of(ev.value_table(strategy)).expected()
             assert got == pytest.approx(slow_expected(d, strategy), abs=1e-9)
 
@@ -204,7 +207,7 @@ class TestEvaluateStrategy:
         rng = np.random.default_rng(3)
         d = small_random_diagram(rng, min_nodes=6, max_nodes=6)
         with pytest.raises(CapExceededError):
-            Evaluator(d).value_table(next(slow_strategies(d)))
+            Evaluator(d).value_table(next(enumerate_strategies(d)))
 
     def test_more_nodes_than_einsum_labels_refused(self):
         # np.einsum has 52 subscript labels; past them the evaluator names
@@ -224,7 +227,7 @@ class TestJointMarginal:
         rng = np.random.default_rng(31)
         for _ in range(15):
             d = small_random_diagram(rng, max_nodes=6)
-            strategy = next(slow_strategies(d))
+            strategy = next(enumerate_strategies(d))
             names = [n.name for n in d.nodes]
             k = int(rng.integers(1, min(3, len(names)) + 1))
             scope = [str(s) for s in rng.choice(names, size=k, replace=False)]
@@ -253,29 +256,47 @@ class TestJointMarginal:
             Evaluator(d).marginal(Strategy(rules={"D1": (0, 1)}), ["H1", "H1"])
 
 
+def _blocked(diagram, size):
+    """The strategies of ``strategy_blocks`` one by one."""
+    return [block.strategy(i) for block in strategy_blocks(diagram, size)
+            for i in range(block.size)]
+
+
 class TestEnumeration:
     def test_count_and_uniqueness_on_pig_farm(self):
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
         assert strategy_count(d) == 16
-        seen = [
-            tuple(sorted((k, v) for k, v in s.rules.items()))
-            for s in enumerate_strategies(d)
-        ]
+        seen = [tuple(sorted(s.rules.items())) for s in _blocked(d, 5)]
         assert len(seen) == 16
         assert len(set(seen)) == 16
 
     def test_lexicographic_order(self):
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
-        strategies = list(enumerate_strategies(d))
+        strategies = _blocked(d, 3)
         assert strategies[0].rules == {"D1": (0, 0), "D2": (0, 0)}
         assert strategies[1].rules == {"D1": (0, 0), "D2": (0, 1)}
         assert strategies[-1].rules == {"D1": (1, 1), "D2": (1, 1)}
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            d = small_random_diagram(rng, max_nodes=6)
+            want = list(enumerate_strategies(d))
+            for size in (1, 4, len(want)):
+                assert _blocked(d, size) == want
 
     def test_cap_enforced(self, monkeypatch):
+        # Both enumerators refuse before they build a block of strategies.
         d = gen_pigfarm(PigFarmSpec(n_periods=3))
+        model, ctx = build_base_model(build_rjt(d), d)
         monkeypatch.setattr(inference, "STRATEGY_CAP", 10)
+
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(inference, "rule_digits", no_block)
         with pytest.raises(CapExceededError):
-            list(enumerate_strategies(d))
+            oracle_optimize(d)
+        with pytest.raises(CapExceededError):
+            solve_reference(model, ctx)
 
 
 class TestOracleOptimize:
@@ -306,7 +327,7 @@ class TestOracleOptimize:
         # check against explicit enumeration with the slow tail formula
         best = max(
             slow_cvar(slow_distribution(d, s), 0.15)
-            for s in slow_strategies(d)
+            for s in enumerate_strategies(d)
         )
         assert res.objective_value == pytest.approx(best, abs=1e-9)
 
@@ -328,7 +349,7 @@ class TestOracleOptimize:
         got = slow_marginal(d, res.best, ["H2"])[(1,)]
         assert got <= 0.15 + 1e-9
         # and that it beats every other feasible strategy
-        for s in slow_strategies(d):
+        for s in enumerate_strategies(d):
             if slow_marginal(d, s, ["H2"]).get((1,), 0.0) <= 0.15 + 1e-9:
                 assert slow_expected(d, s) <= res.objective_value + 1e-9
 
@@ -363,24 +384,32 @@ class TestOracleOptimize:
 
     @pytest.mark.parametrize("objective", [CvarObjective(alpha=0.15),
                                            MeuObjective()], ids=["cvar", "meu"])
-    def test_value_table_contracted_once_per_strategy(self, monkeypatch,
-                                                      objective):
+    def test_value_table_contracted_once_per_block(self, monkeypatch,
+                                                   objective):
         merged, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=3)))
         # Every CVaR is at least the smallest utility, so all strategies pass.
         lowest = float(merged.utilities["V_merged"].values.min())
         floor = CvarConstraint(alpha=0.15, bound=lowest)
-        free = oracle_optimize(merged, objective)
         calls = []
         contract = Evaluator._contract
 
-        def counted(self, strategy, scope):
-            calls.append(tuple(scope))
-            return contract(self, strategy, scope)
+        def counted(self, strategy, scope, m=0):
+            calls.append((tuple(scope), m))
+            return contract(self, strategy, scope, m)
 
         monkeypatch.setattr(Evaluator, "_contract", counted)
+        free = oracle_optimize(merged, objective)
+        free_calls = list(calls)
+        calls.clear()
         res = oracle_optimize(merged, objective, [floor])
         assert res.n_feasible == res.n_strategies == 64
-        assert len(calls) == res.n_strategies
+        # One contraction onto the value node per block, in which the last
+        # m decisions take each of their 4 rules.
+        m = max(k for _, k in calls)
+        assert m > 0
+        assert [c for c in calls if c[1]] == [(("V_merged",), m)] * (64 // 4 ** m)
+        # The floor reads the tables the objective reads: no contraction more.
+        assert calls == free_calls
         assert (res.best, res.objective_value) == (free.best, free.objective_value)
 
 
@@ -512,7 +541,7 @@ def _check_incremental(diagram, objective=MeuObjective(), constraints=(),
     in every order; the oracle must match a test-side enumeration over the
     dense joints."""
     ev = Evaluator(diagram)
-    strategies = list(slow_strategies(diagram))
+    strategies = list(enumerate_strategies(diagram))
     names = topological_order(diagram)
     scopes = [[names[-1], names[0]] if len(names) > 1 else [names[0]]]
     scopes += [c.scope for c in constraints]

@@ -19,7 +19,7 @@ from limid.diagram_io import (
 from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.inference import Evaluator
 
-from helpers import random_diagram, slow_strategies
+from helpers import enumerate_strategies, random_diagram
 
 
 def test_diagram_round_trip_preserves_tables():
@@ -83,6 +83,6 @@ def test_strategy_unknown_names_rejected():
 def test_every_random_strategy_survives_round_trip():
     rng = np.random.default_rng(17)
     d = random_diagram(rng, min_nodes=4, max_nodes=6)
-    for s in slow_strategies(d):
+    for s in enumerate_strategies(d):
         s2 = strategy_from_dict(d, strategy_to_dict(d, s))
         assert s2.rules == s.rules

@@ -41,7 +41,7 @@ from limid.solve import (
 )
 from limid.transform import merge_value_nodes
 
-from helpers import slow_strategies, small_random_diagram
+from helpers import enumerate_strategies, small_random_diagram
 
 DATA = Path(__file__).parent / "data"
 
@@ -208,7 +208,7 @@ class TestPropagation:
     def test_matches_joint_marginals_for_sample_strategies(self):
         d, model, ctx = pig_setup(2)
         ev = Evaluator(d)
-        for strategy in list(slow_strategies(d))[::5]:
+        for strategy in list(enumerate_strategies(d))[::5]:
             mu = propagate_cluster_marginals(ctx, strategy)
             for root in ctx.tree.order:
                 lay = ctx.layouts[root]
@@ -218,7 +218,7 @@ class TestPropagation:
 
     def test_masses_satisfy_every_model_row(self):
         d, model, ctx = pig_setup(2)
-        strategy = next(slow_strategies(d))
+        strategy = next(enumerate_strategies(d))
         sol_ref = solve_reference(model, ctx)
         mu = propagate_cluster_marginals(ctx, strategy)
         # rebuild a full assignment and let the row system judge it
@@ -469,9 +469,10 @@ class TestExternalBridge:
             solve_external(model, ctx, [str(path)])
         assert str(err.value) == f"cannot run solver {str(path)!r}: {reason}"
 
-    def test_command_string_template(self):
+    @pytest.mark.parametrize("tail", [["{lp}"], []], ids=["placeholder", "appended"])
+    def test_command_argv_template(self, tail):
         d, model, ctx = pig_setup(1)
-        cmd = f"{sys.executable} -m limid.milp_backend {{lp}}"
+        cmd = [sys.executable, "-m", "limid.milp_backend", *tail]
         sol = solve_external(model, ctx, cmd)
         assert sol.objective_value == pytest.approx(821.8, abs=1e-6)
 

@@ -18,10 +18,10 @@ from limid.inference import Evaluator
 from limid.transform import MERGED_NAME, merge_value_nodes
 
 from helpers import (
+    enumerate_strategies,
     merged_indexer,
     random_diagram,
     slow_distribution,
-    slow_strategies,
 )
 
 
@@ -68,7 +68,7 @@ def test_merge_preserves_utility_distribution_exactly():
         merged, _ = merge_value_nodes(d)
         assert validate_diagram(merged) == []
         ev0, ev1 = Evaluator(d), Evaluator(merged)
-        for s in slow_strategies(d):
+        for s in enumerate_strategies(d):
             d0 = ev0.distribution_of(ev0.value_table(s))
             d1 = ev1.distribution_of(ev1.value_table(s))
             np.testing.assert_array_equal(d0.utilities, d1.utilities)
@@ -84,7 +84,7 @@ def test_merge_agrees_with_slow_enumeration():
     d = random_diagram(rng, min_nodes=4, max_nodes=6, min_values=2)
     merged, _ = merge_value_nodes(d)
     ev = Evaluator(merged)
-    for s in slow_strategies(d):
+    for s in enumerate_strategies(d):
         slow = slow_distribution(d, s, round_digits=6)
         fast = ev.distribution_of(ev.value_table(s))
         fast_dict = {round(u, 6): p for u, p in fast.atoms}

@@ -230,6 +230,8 @@ def check_strategy(diagram: InfluenceDiagram, strategy: Strategy) -> List[str]:
 def validate_diagram(diagram: InfluenceDiagram) -> List[str]:
     """Structural validation; returns all violations, never raises."""
     problems: List[str] = []
+    if not diagram.nodes:
+        problems.append("diagram has no nodes")
     seen = set()
     for n in diagram.nodes:
         if n.name in seen:

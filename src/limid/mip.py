@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,11 +43,8 @@ from .rjt import RootedJunctionTree
 
 CLUSTER_STATES_CAP = 1 << 20
 
-# Variable kinds, stored in a model as their codes UNIT, BINARY and FREE.
-VAR_UNIT = "unit"
-VAR_BINARY = "binary"
-VAR_FREE = "free"
-KINDS = (VAR_UNIT, VAR_BINARY, VAR_FREE)
+# Variable kinds: a model stores the codes UNIT, BINARY and FREE.
+KINDS = ("unit", "binary", "free")
 UNIT, BINARY, FREE = range(len(KINDS))
 
 
@@ -67,6 +63,10 @@ class VarBlock:
     @property
     def size(self) -> int:
         return math.prod(self.shape)
+
+    @property
+    def span(self) -> slice:
+        return slice(self.start, self.start + self.size)
 
     def names(self) -> List[str]:
         if not self.shape:
@@ -88,12 +88,12 @@ class VarStore:
         self.blocks: List[VarBlock] = []
         self._n = 0
 
-    def add(self, head: str, shape: Tuple[int, ...], kind: str) -> int:
-        """Append a block; returns the index of its first variable."""
-        block = VarBlock(self._n, tuple(shape), head, KINDS.index(kind))
+    def add(self, head: str, shape: Tuple[int, ...], kind: int) -> VarBlock:
+        """Append a block of kind code ``kind`` and return it."""
+        block = VarBlock(self._n, tuple(shape), head, kind)
         self.blocks.append(block)
         self._n += block.size
-        return block.start
+        return block
 
     def __len__(self) -> int:
         return self._n
@@ -116,36 +116,17 @@ EQ, LE, GE = range(len(SENSES))
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """sum(coef * var) sense rhs, with a provenance tag.
-
-    Terms are merged per variable (no duplicates) and zero coefficients are
-    dropped at construction.
-    """
+    """One row read back from a ``RowStore``: sum(coef * var) sense rhs,
+    with its tag."""
 
     terms: Tuple[Tuple[float, int], ...]
     sense: str
     rhs: float
     tag: str
 
-    def __post_init__(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"bad constraint sense {self.sense!r}")
-
     @property
     def family(self) -> str:
         return self.tag.split("[", 1)[0]
-
-
-def make_constraint(terms, sense: str, rhs: float, tag: str) -> LinearConstraint:
-    merged: Dict[int, float] = {}
-    order: List[int] = []
-    for coef, var in terms:
-        if var not in merged:
-            merged[var] = 0.0
-            order.append(var)
-        merged[var] += coef
-    packed = tuple((merged[v], v) for v in order if merged[v] != 0.0)
-    return LinearConstraint(terms=packed, sense=sense, rhs=float(rhs), tag=tag)
 
 
 @dataclass(frozen=True)
@@ -181,15 +162,13 @@ class RowBlock:
             yield head.split("[", 1)[0], len(range(j, n, p))
 
 
-class RowStore(Sequence):
+class RowStore:
     """Every row of a model in compressed sparse row form.
 
     Row ``i`` has the terms ``data[k] * x[indices[k]]`` for ``k`` in
     ``indptr[i]:indptr[i + 1]``, the sense ``SENSES[sense[i]]`` and the
     right-hand side ``rhs[i]``; ``blocks`` give the row families and tags.
     Appended rows are gathered and joined into the arrays on first read.
-    As a sequence the store is a read-only view of ``LinearConstraint``
-    objects, each built on demand.
     """
 
     def __init__(self):
@@ -280,23 +259,6 @@ class RowStore(Sequence):
 
     def __len__(self) -> int:
         return self._n
-
-    def _row(self, i: int, tag: str) -> LinearConstraint:
-        a, b = self.indptr[i], self.indptr[i + 1]
-        terms = tuple(zip(self.data[a:b].tolist(), self.indices[a:b].tolist()))
-        return LinearConstraint(terms=terms, sense=SENSES[self.sense[i]],
-                                rhs=float(self.rhs[i]), tag=tag)
-
-    def __getitem__(self, i: int) -> LinearConstraint:
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError("row index out of range")
-        return self._row(i, self.tag(i))
-
-    def __iter__(self) -> Iterator[LinearConstraint]:
-        for i, tag in enumerate(self.tags()):
-            yield self._row(i, tag)
 
 
 @dataclass(frozen=True)
@@ -408,34 +370,34 @@ class MipModel:
                                 compare=False)
     rows: RowStore = field(default_factory=RowStore, repr=False, compare=False)
     objective: Tuple[Tuple[float, int], ...] = ()  # maximized
-    mu_start: Dict[str, int] = field(default_factory=dict)
-    mu_total: Dict[str, int] = field(default_factory=dict)
-    delta_start: Dict[str, int] = field(default_factory=dict)
-    delta_shape: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    # the mass block of each cluster, of shape (configurations,), and the
+    # policy block of each decision, of shape (parent configs, states)
+    mu: Dict[str, VarBlock] = field(default_factory=dict)
+    delta: Dict[str, VarBlock] = field(default_factory=dict)
     cvar: Optional[CvarBlock] = None
 
     @property
-    def constraints(self) -> RowStore:
-        """The rows as a read-only sequence of ``LinearConstraint``."""
-        return self.rows
-
-    def add_var(self, name: str, kind: str) -> int:
-        return self.variables.add(name, (), kind)
-
-    def add_row(self, terms, sense: str, rhs: float, tag: str) -> None:
-        row = make_constraint(terms, sense, rhs, tag)
-        coefs = [coef for coef, _ in row.terms]
-        self.rows.append([len(coefs)], [var for _, var in row.terms], coefs,
-                         SENSES.index(row.sense), row.rhs, (tag,), indexed=False)
+    def constraints(self) -> List[LinearConstraint]:
+        """The rows as ``LinearConstraint`` objects, built from the arrays
+        on each call."""
+        rows = self.rows
+        indptr, senses = rows.indptr.tolist(), rows.sense.tolist()
+        terms = list(zip(rows.data.tolist(), rows.indices.tolist()))
+        return [
+            LinearConstraint(tuple(terms[indptr[i]:indptr[i + 1]]),
+                             SENSES[senses[i]], rhs, tag)
+            for i, (tag, rhs) in enumerate(zip(rows.tags(), rows.rhs.tolist()))
+        ]
 
     def delta_var(self, decision: str, pcfg: Union[int, np.ndarray],
                   state: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
         """Index of the policy bit of ``decision`` that picks ``state`` at
         parent configuration ``pcfg``; integer arrays broadcast."""
-        n_pcfg, n_states = self.delta_shape[decision]
+        block = self.delta[decision]
+        n_pcfg, n_states = block.shape
         if np.any((pcfg < 0) | (pcfg >= n_pcfg) | (state < 0) | (state >= n_states)):
             raise IndexError(f"bad policy coordinates for {decision!r}")
-        return self.delta_start[decision] + pcfg * n_states + state
+        return block.start + pcfg * n_states + state
 
 
 def build_base_model(
@@ -455,21 +417,16 @@ def build_base_model(
     rows = model.rows
 
     for root in tree.order:
-        total = ctx.layouts[root].total
-        model.mu_start[root] = model.variables.add(
-            f"mu_{root}_", (total,), VAR_UNIT)
-        model.mu_total[root] = total
+        model.mu[root] = model.variables.add(
+            f"mu_{root}_", (ctx.layouts[root].total,), UNIT)
     for d in diagram.decision_nodes:
         shape = (diagram.parent_indexer(d).total, diagram.n_states(d))
-        model.delta_start[d] = model.variables.add(
-            f"delta_{d}_", shape, VAR_BINARY)
-        model.delta_shape[d] = shape
+        model.delta[d] = model.variables.add(f"delta_{d}_", shape, BINARY)
 
-    for root in tree.order:
-        total = ctx.layouts[root].total
-        rows.append([total], model.mu_start[root] + np.arange(total),
-                    np.ones(total), EQ, 1.0,
-                    (f"normalize[{root}]",), indexed=False)
+    for root, block in model.mu.items():
+        rows.append([block.size], block.start + np.arange(block.size),
+                    np.ones(block.size), EQ, 1.0, (f"normalize[{root}]",),
+                    indexed=False)
 
     for child in tree.order:
         parent = tree.parent.get(child)
@@ -481,8 +438,8 @@ def build_base_model(
         rows.append_terms(
             lay.n_groups,
             np.concatenate([lay.parent_groups, lay.group_of]),
-            np.concatenate([model.mu_start[parent] + np.arange(n_parent),
-                            model.mu_start[child] + np.arange(lay.total)]),
+            np.concatenate([model.mu[parent].start + np.arange(n_parent),
+                            model.mu[child].start + np.arange(lay.total)]),
             np.concatenate([np.ones(n_parent), -np.ones(lay.total)]),
             EQ, 0.0, (f"consistency[{parent}->{child}][g=",),
         )
@@ -500,7 +457,7 @@ def build_base_model(
         rows.append_terms(
             lay.total,
             np.concatenate([cfgs, np.repeat(linked, siblings.shape[1])]),
-            model.mu_start[root] + np.concatenate([cfgs, siblings.ravel()]),
+            model.mu[root].start + np.concatenate([cfgs, siblings.ravel()]),
             np.concatenate([1.0 - p, np.repeat(-p[linked], siblings.shape[1])]),
             EQ, 0.0, (f"cpt_link[{root}][c=",),
         )
@@ -509,12 +466,10 @@ def build_base_model(
         if diagram.kind(root) != NodeKind.DECISION:
             continue
         linearize_decision_coupling(model, ctx, root)
-    for d in diagram.decision_nodes:
-        n_pcfg, n_states = model.delta_shape[d]
-        rows.append([n_states] * n_pcfg,
-                    model.delta_start[d] + np.arange(n_pcfg * n_states),
-                    np.ones(n_pcfg * n_states), EQ, 1.0,
-                    (f"policy_pick[{d}][i=",))
+    for d, block in model.delta.items():
+        n_pcfg, n_states = block.shape
+        rows.append([n_states] * n_pcfg, block.start + np.arange(block.size),
+                    np.ones(block.size), EQ, 1.0, (f"policy_pick[{d}][i=",))
 
     coefs: List[float] = []
     variables: List[int] = []
@@ -525,7 +480,7 @@ def build_base_model(
         u = diagram.utilities[root].values[lay.root_state].astype(float)
         hit = np.nonzero(u != 0.0)[0]
         coefs += u[hit].tolist()
-        variables += (model.mu_start[root] + hit).tolist()
+        variables += (model.mu[root].start + hit).tolist()
     model.objective = tuple(zip(coefs, variables))
     return model, ctx
 
@@ -550,11 +505,11 @@ def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str)
     rows of configuration c are rows 2c and 2c + 1 of the block.
     """
     lay = ctx.layouts[root]
-    n_states = model.delta_shape[root][1]
+    start = model.mu[root].start
     cfgs = np.arange(lay.total)
-    mu = model.mu_start[root] + cfgs
-    bit = model.delta_start[root] + lay.table_row * n_states + lay.root_state
-    siblings = model.mu_start[root] + _siblings(lay, cfgs)
+    mu = start + cfgs
+    bit = model.delta_var(root, lay.table_row, lay.root_state)
+    siblings = start + _siblings(lay, cfgs)
     ub, lb = 2 * cfgs, 2 * cfgs + 1
     ones = np.ones(lay.total)
     model.rows.append_terms(
@@ -594,13 +549,14 @@ def add_risk(model: MipModel, spec, ctx: CompileContext) -> MipModel:
         root = _select_cluster(ctx, spec.scope)
         members = ctx.layouts[root].members
         hits = np.flatnonzero(trigger_mask(ctx.diagram, members, spec))
-        terms = [(1.0, model.mu_start[root] + c) for c in hits.tolist()]
         if isinstance(spec, ChanceConstraint):
-            model.add_row(terms, spec.sense, spec.p, f"chance[{root}]")
-        elif isinstance(spec, LogicalConstraint):
-            model.add_row(terms, "<=", 0.0, f"logical[{root}]")
+            family, sense, rhs = "chance", SENSES.index(spec.sense), spec.p
         else:
-            model.add_row(terms, "<=", 0.0, f"budget[{root}]")
+            family = "logical" if isinstance(spec, LogicalConstraint) else "budget"
+            sense, rhs = LE, 0.0
+        model.rows.append([hits.size], model.mu[root].start + hits,
+                          np.ones(hits.size), sense, rhs, (f"{family}[{root}]",),
+                          indexed=False)
         return model
     if isinstance(spec, (CvarObjective, CvarConstraint)):
         _add_cvar_block(model, spec, ctx)
@@ -614,10 +570,9 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
     d = ctx.diagram
     values = d.value_nodes
     if len(values) != 1:
+        hint = "; run merge_value_nodes first" if len(values) > 1 else ""
         raise ValueError(
-            f"CVaR needs a single value node, found {len(values)}; "
-            f"run merge_value_nodes first"
-        )
+            f"CVaR needs a single value node, found {len(values)}{hint}")
     v = values[0]
     lay = ctx.layouts[v]
     per_cfg = round_to_sig(d.utilities[v].values[lay.root_state])
@@ -625,47 +580,53 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
     eps = float(np.min(np.diff(utils))) / 2.0 if utils.size > 1 else 1.0
     big_m = float(utils[-1] - utils[0]) + eps
 
-    eta = model.add_var("eta", VAR_FREE)
+    eta = model.variables.add("eta", (), FREE).start
     lam, lambar, rho, rhobar = (
-        model.variables.add(head, utils.shape, kind) + np.arange(utils.size)
-        for head, kind in (("lam_", VAR_BINARY), ("lambar_", VAR_BINARY),
-                           ("rho_", VAR_UNIT), ("rhobar_", VAR_UNIT))
+        model.variables.add(head, utils.shape, kind).start + np.arange(utils.size)
+        for head, kind in (("lam_", BINARY), ("lambar_", BINARY),
+                           ("rho_", UNIT), ("rhobar_", UNIT))
     )
 
+    # Rows 9k to 9k + 8 are the rows of utility level k, one per head below;
+    # each row keeps its terms in the order they are listed.
+    n = utils.size
+    at, mass_at = 9 * np.arange(n), 9 * level
+    mu = model.mu[v].start + np.arange(lay.total)
+    etas, one, mass_one = np.full(n, eta), np.ones(n), np.ones(lay.total)
+    big, wide = np.full(n, big_m), np.full(n, big_m + eps)
+    row, var, coef = (np.concatenate(part) for part in zip(
+        (at, etas, one), (at, lam, -big),
+        (at + 1, etas, one), (at + 1, lam, -wide),
+        (at + 2, etas, one), (at + 2, lambar, -wide),
+        (at + 3, etas, one), (at + 3, lambar, -big),
+        (at + 4, rhobar, one), (at + 4, lambar, -one),
+        (mass_at + 5, mu, mass_one), (at + 5, lam, one), (at + 5, rho, -one),
+        (at + 6, rho, one), (at + 6, lam, -one),
+        (at + 7, rho, one), (at + 7, rhobar, -one),
+        (at + 8, rhobar, one), (mass_at + 8, mu, -mass_one),
+    ))
+    zero = np.zeros(n)
+    rhs = np.column_stack([utils, utils - big_m, utils - eps, utils - big_m,
+                           zero, one, zero, zero, zero])
+    heads = ("cvar_below_ub", "cvar_below_lb", "cvar_at_ub", "cvar_at_lb",
+             "cvar_share_cap", "cvar_tail_lo", "cvar_tail_hi",
+             "cvar_share_order", "cvar_share_mass")
+    model.rows.append_terms(
+        9 * n, row, var, coef, np.tile([LE, GE, LE, GE, LE, LE, LE, LE, LE], n),
+        rhs.ravel(), tuple(f"{head}[k=" for head in heads))
     alpha = spec.alpha
-    for k, (u, lk, lbk, rk, rbk) in enumerate(zip(
-            utils.tolist(), lam.tolist(), lambar.tolist(), rho.tolist(),
-            rhobar.tolist())):
-        mass = [(1.0, model.mu_start[v] + c)
-                for c in np.flatnonzero(level == k).tolist()]
-        for terms, sense, rhs, head in (
-            ([(1.0, eta), (-big_m, lk)], "<=", u, "cvar_below_ub"),
-            ([(1.0, eta), (-(big_m + eps), lk)], ">=", u - big_m,
-             "cvar_below_lb"),
-            ([(1.0, eta), (-(big_m + eps), lbk)], "<=", u - eps, "cvar_at_ub"),
-            ([(1.0, eta), (-big_m, lbk)], ">=", u - big_m, "cvar_at_lb"),
-            ([(1.0, rbk), (-1.0, lbk)], "<=", 0.0, "cvar_share_cap"),
-            (mass + [(1.0, lk), (-1.0, rk)], "<=", 1.0, "cvar_tail_lo"),
-            ([(1.0, rk), (-1.0, lk)], "<=", 0.0, "cvar_tail_hi"),
-            ([(1.0, rk), (-1.0, rbk)], "<=", 0.0, "cvar_share_order"),
-            ([(1.0, rbk)] + [(-c, j) for c, j in mass], "<=", 0.0,
-             "cvar_share_mass"),
-        ):
-            model.add_row(terms, sense, rhs, f"{head}[k={k}]")
-    model.add_row(
-        [(1.0, r) for r in rhobar.tolist()], "==", alpha, "cvar_share_total"
-    )
+    model.rows.append([n], rhobar, one, EQ, alpha, ("cvar_share_total",),
+                      indexed=False)
 
-    tail_terms = tuple(
-        (u / alpha, r) for u, r in zip(utils.tolist(), rhobar.tolist())
-        if u != 0.0
-    )
+    tail = np.flatnonzero(utils)
+    tail_terms = tuple(zip((utils[tail] / alpha).tolist(), rhobar[tail].tolist()))
     if isinstance(spec, CvarObjective):
         mode = "objective"
         model.objective = tail_terms
     else:
         mode = "constraint"
-        model.add_row(list(tail_terms), ">=", spec.bound, "cvar_floor")
+        model.rows.append([tail.size], rhobar[tail], utils[tail] / alpha, GE,
+                          spec.bound, ("cvar_floor",), indexed=False)
     model.cvar = CvarBlock(
         value_root=v,
         alpha=alpha,

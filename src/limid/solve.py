@@ -351,11 +351,10 @@ def _block_vectors(
     x = np.zeros((len(model.variables), block.size))
     mu = _block_masses(ctx, products, block)
     for root, arr in mu.items():
-        start = model.mu_start[root]
-        x[start:start + len(arr)] = arr
+        x[model.mu[root].span] = arr
     columns = np.arange(block.size)[:, None]
     for dnode, rules in block.rules.items():
-        pcfgs = np.arange(model.delta_shape[dnode][0])
+        pcfgs = np.arange(model.delta[dnode].shape[0])
         x[model.delta_var(dnode, pcfgs, rules), columns] = 1.0
     cv = model.cvar
     if cv is not None:
@@ -512,10 +511,8 @@ def _strategy_from_bits(model: MipModel, x: np.ndarray) -> Strategy:
     0.5 or more lets a parent configuration round to other than one state.
     """
     rules: Dict[str, Tuple[int, ...]] = {}
-    for dnode, (n_pcfg, n_states) in model.delta_shape.items():
-        start = model.delta_start[dnode]
-        bits = x[start:start + n_pcfg * n_states].reshape(n_pcfg, n_states)
-        near = np.round(bits)
+    for dnode, block in model.delta.items():
+        near = np.round(x[block.span].reshape(block.shape))
         picks = (near == 1).sum(axis=1)
         if (picks != 1).any():
             pcfg = int(np.argmax(picks != 1))  # the first parent config at fault
@@ -630,11 +627,9 @@ def decode(
     expected = None
     if len(d.value_nodes) == 1:
         v = d.value_nodes[0]
-        start = model.mu_start[v]
         per_cfg = d.utilities[v].values[ctx.layouts[v].root_state]
         distribution = UtilityDistribution.from_values(
-            per_cfg, solution.x[start:start + model.mu_total[v]]
-        )
+            per_cfg, solution.x[model.mu[v].span])
         expected = distribution.expected()
     return DecodedSolution(
         strategy=solution.strategy,

@@ -27,7 +27,13 @@ from limid.diagram import (
 )
 from limid.generators import NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm
 from limid.inference import UtilityDistribution, cvar_of_distribution, strategy_count
-from limid.mip import CompileContext, MipModel, add_risk, build_base_model
+from limid.mip import (
+    CompileContext,
+    LinearConstraint,
+    MipModel,
+    add_risk,
+    build_base_model,
+)
 from limid.risk import (
     BudgetConstraint,
     CvarConstraint,
@@ -123,6 +129,17 @@ def small_random_diagram(
                     break
         if total <= limit:
             return d
+
+
+def reference_row(terms, sense: str, rhs: float, tag: str) -> LinearConstraint:
+    """One row written term by term: the coefficients of a variable are
+    summed at its first place, and variables whose sum is zero dropped.
+    The compiler's array-built rows must read back as exactly these."""
+    merged: Dict[int, float] = {}
+    for coef, var in terms:
+        merged[int(var)] = merged.get(int(var), 0.0) + coef
+    packed = tuple((coef, var) for var, coef in merged.items() if coef != 0.0)
+    return LinearConstraint(packed, sense, float(rhs), tag)
 
 
 def merged_indexer(diagram: InfluenceDiagram, mapping) -> ConfigIndexer:
@@ -418,7 +435,8 @@ def strategy_vector(model: MipModel, ctx: CompileContext,
         mu[root] = inherited[lay.group_of] * factor
     x = np.zeros(len(model.variables))
     for root, arr in mu.items():
-        x[model.mu_start[root]:model.mu_start[root] + arr.size] = arr
+        start = model.mu[root].start
+        x[start:start + arr.size] = arr
     for dnode, rule in strategy.rules.items():
         for pcfg, s in enumerate(rule):
             x[model.delta_var(dnode, pcfg, s)] = 1.0

@@ -282,7 +282,7 @@ def test_08_propagated_masses_match_marginals_and_rows():
                 for cfg, val in enumerate(mu[root]):
                     assignment[f"mu_{root}_{cfg}"] = float(val)
             for dn, rule in strategy.rules.items():
-                n_pcfg, n_states = model.delta_shape[dn]
+                n_pcfg, n_states = model.delta[dn].shape
                 for pcfg in range(n_pcfg):
                     for s in range(n_states):
                         assignment[f"delta_{dn}_{pcfg}_{s}"] = float(

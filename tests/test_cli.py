@@ -121,6 +121,15 @@ class TestValidate:
         assert proc.returncode == 1
         assert "'D2' has 1 entries, expected 2" in proc.stdout
 
+    def test_empty_diagram_is_a_problem(self, workdir):
+        (workdir / "empty.json").write_text(json.dumps({"nodes": []}))
+        proc = run_cli("validate", "empty.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stdout == "diagram has no nodes\n"
+        proc = run_cli("solve", "empty.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: diagram has no nodes\n"
+
     def test_missing_file_is_an_error(self, workdir):
         proc = run_cli("validate", "nope.json", cwd=workdir)
         assert proc.returncode == 1
@@ -315,6 +324,16 @@ class TestSolve:
         proc = run_cli("solve", "pig2.json", "--objective", "cvar:0.2", cwd=workdir)
         assert proc.returncode == 1
         assert "--merge-values" in proc.stderr
+
+    def test_cvar_objective_without_value_node_has_no_merge_hint(self, workdir):
+        # merging needs value nodes, so naming it would send the user astray
+        (workdir / "no_value.json").write_text(json.dumps({
+            "nodes": [{"name": "A", "kind": "chance", "states": ["x", "y"]}],
+            "cpts": {"A": [0.3, 0.7]}}))
+        proc = run_cli("solve", "no_value.json", "--objective", "cvar:0.5",
+                       cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: CVaR needs a single value node, found 0\n"
 
     def test_cvar_objective_after_merge(self, workdir):
         proc = run_cli(

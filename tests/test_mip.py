@@ -20,27 +20,28 @@ from limid.generators import (
     gen_pigfarm,
 )
 from limid.mip import (
+    BINARY,
+    FREE,
     KINDS,
-    VAR_BINARY,
-    VAR_FREE,
-    VAR_UNIT,
+    UNIT,
     MipModel,
     add_risk,
     build_base_model,
-    make_constraint,
     model_stats,
 )
 from limid.risk import (
     BudgetConstraint,
+    ChanceConstraint,
     CvarConstraint,
     CvarObjective,
+    LogicalConstraint,
     parse_chance_text,
     parse_logical_text,
 )
 from limid.rjt import build_rjt, modify_rjt, tree_from_members
 from limid.transform import merge_value_nodes
 
-from helpers import random_diagram
+from helpers import random_diagram, reference_row
 
 
 def pig_model(n, merged=False, targets=None):
@@ -54,26 +55,9 @@ def pig_model(n, merged=False, targets=None):
     return d, tree, model, ctx
 
 
-class TestMakeConstraint:
-    def test_merges_duplicates_and_drops_zeros(self):
-        c = make_constraint(
-            [(1.0, 3), (2.0, 3), (0.5, 1), (-0.5, 1), (1.0, 2)],
-            "<=",
-            4.0,
-            "demo[x]",
-        )
-        assert {v: co for co, v in c.terms} == {3: 3.0, 2: 1.0}
-        assert c.family == "demo"
-        assert (c.sense, c.rhs) == ("<=", 4.0)
-
-    def test_rejects_bad_sense(self):
-        with pytest.raises(ValueError):
-            make_constraint([(1.0, 0)], "<", 0.0, "demo")
-
-
 def loop_rows(model, ctx):
     """The rows of ``build_base_model``, written one at a time, term by
-    term, with ``make_constraint``: the reference for the array build."""
+    term, with ``reference_row``: the reference for the array build."""
     d, tree = ctx.diagram, ctx.tree
     rows = []
 
@@ -84,9 +68,9 @@ def loop_rows(model, ctx):
         return out
 
     for root in tree.order:
-        terms = [(1.0, model.mu_start[root] + c)
+        terms = [(1.0, model.mu[root].start + c)
                  for c in range(ctx.layouts[root].total)]
-        rows.append(make_constraint(terms, "==", 1.0, f"normalize[{root}]"))
+        rows.append(reference_row(terms, "==", 1.0, f"normalize[{root}]"))
     for child in tree.order:
         parent = tree.parent.get(child)
         if parent is None:
@@ -95,9 +79,9 @@ def loop_rows(model, ctx):
         from_parent = members(lay.parent_groups, lay.n_groups)
         from_child = members(lay.group_of, lay.n_groups)
         for g in range(lay.n_groups):
-            terms = [(1.0, model.mu_start[parent] + p) for p in from_parent[g]]
-            terms += [(-1.0, model.mu_start[child] + c) for c in from_child[g]]
-            rows.append(make_constraint(
+            terms = [(1.0, model.mu[parent].start + p) for p in from_parent[g]]
+            terms += [(-1.0, model.mu[child].start + c) for c in from_child[g]]
+            rows.append(reference_row(
                 terms, "==", 0.0, f"consistency[{parent}->{child}][g={g}]"))
     for root in tree.order:
         if d.kind(root) == NodeKind.DECISION:
@@ -106,10 +90,10 @@ def loop_rows(model, ctx):
         group = members(lay.group_of, lay.n_groups)
         for cfg in range(lay.total):
             p = float(d.cpts[root].rows[lay.table_row[cfg], lay.root_state[cfg]])
-            terms = [(1.0, model.mu_start[root] + cfg)]
-            terms += [(-p, model.mu_start[root] + c)
+            terms = [(1.0, model.mu[root].start + cfg)]
+            terms += [(-p, model.mu[root].start + c)
                       for c in group[lay.group_of[cfg]]]
-            rows.append(make_constraint(
+            rows.append(reference_row(
                 terms, "==", 0.0, f"cpt_link[{root}][c={cfg}]"))
     for root in tree.order:
         if d.kind(root) != NodeKind.DECISION:
@@ -117,49 +101,150 @@ def loop_rows(model, ctx):
         lay = ctx.layouts[root]
         group = members(lay.group_of, lay.n_groups)
         for cfg in range(lay.total):
-            own = model.mu_start[root] + cfg
+            own = model.mu[root].start + cfg
             bit = model.delta_var(
                 root, int(lay.table_row[cfg]), int(lay.root_state[cfg]))
-            rows.append(make_constraint(
+            rows.append(reference_row(
                 [(1.0, own), (-1.0, bit)], "<=", 0.0,
                 f"policy_ub[{root}][c={cfg}]"))
             terms = [(1.0, own)]
-            terms += [(-1.0, model.mu_start[root] + c)
+            terms += [(-1.0, model.mu[root].start + c)
                       for c in group[lay.group_of[cfg]]]
             terms.append((-1.0, bit))
-            rows.append(make_constraint(
+            rows.append(reference_row(
                 terms, ">=", -1.0, f"policy_lb[{root}][c={cfg}]"))
     for dn in d.decision_nodes:
-        n_pcfg, n_states = model.delta_shape[dn]
+        n_pcfg, n_states = model.delta[dn].shape
         for pcfg in range(n_pcfg):
             terms = [(1.0, model.delta_var(dn, pcfg, s))
                      for s in range(n_states)]
-            rows.append(make_constraint(
+            rows.append(reference_row(
                 terms, "==", 1.0, f"policy_pick[{dn}][i={pcfg}]"))
+    return rows
+
+
+def triggers(spec, state) -> bool:
+    """Whether the labelled joint state ``state`` triggers a chance or
+    logical event or breaks a budget."""
+    if isinstance(spec, BudgetConstraint):
+        cost = sum(table.get(state[n], 0.0) for n, table in spec.costs.items())
+        return cost > spec.limit
+    hits = [state[n] == s for n, s in spec.event.terms]
+    return any(hits) if spec.event.mode == "any" else all(hits)
+
+
+def loop_cvar_rows(model, spec):
+    """The rows of a CVaR block, level by level, from its catalog."""
+    cv = model.cvar
+    eta, big_m, eps = cv.eta, cv.big_m, cv.eps
+    rows = []
+    for k, u in enumerate(cv.utilities.tolist()):
+        lk, lbk, rk, rbk = (int(a[k]) for a in (cv.lam, cv.lambar, cv.rho,
+                                                 cv.rhobar))
+        mass = [(1.0, model.mu[cv.value_root].start + c)
+                for c, level in enumerate(cv.level) if level == k]
+        for terms, sense, rhs, head in (
+            ([(1.0, eta), (-big_m, lk)], "<=", u, "cvar_below_ub"),
+            ([(1.0, eta), (-(big_m + eps), lk)], ">=", u - big_m,
+             "cvar_below_lb"),
+            ([(1.0, eta), (-(big_m + eps), lbk)], "<=", u - eps, "cvar_at_ub"),
+            ([(1.0, eta), (-big_m, lbk)], ">=", u - big_m, "cvar_at_lb"),
+            ([(1.0, rbk), (-1.0, lbk)], "<=", 0.0, "cvar_share_cap"),
+            (mass + [(1.0, lk), (-1.0, rk)], "<=", 1.0, "cvar_tail_lo"),
+            ([(1.0, rk), (-1.0, lk)], "<=", 0.0, "cvar_tail_hi"),
+            ([(1.0, rk), (-1.0, rbk)], "<=", 0.0, "cvar_share_order"),
+            ([(1.0, rbk)] + [(-c, j) for c, j in mass], "<=", 0.0,
+             "cvar_share_mass"),
+        ):
+            rows.append(reference_row(terms, sense, rhs, f"{head}[k={k}]"))
+    rows.append(reference_row([(1.0, r) for r in cv.rhobar.tolist()], "==",
+                              cv.alpha, "cvar_share_total"))
+    if isinstance(spec, CvarConstraint):
+        tail = [(u / cv.alpha, r)
+                for u, r in zip(cv.utilities.tolist(), cv.rhobar.tolist())]
+        rows.append(reference_row(tail, ">=", spec.bound, "cvar_floor"))
+    return rows
+
+
+def loop_risk_rows(model, ctx, specs):
+    """The rows ``add_risk`` appends for ``specs``, one at a time, term by
+    term: a chance, logical or budget row sums the masses of the triggering
+    configurations of the smallest covering cluster."""
+    d, tree = ctx.diagram, ctx.tree
+    rows = []
+    for spec in specs:
+        if isinstance(spec, (CvarObjective, CvarConstraint)):
+            rows += loop_cvar_rows(model, spec)
+            continue
+        need = set(spec.scope)
+        root = min((r for r in tree.order if need <= set(tree.members(r))),
+                   key=lambda r: len(tree.members(r)))
+        lay = ctx.layouts[root]
+        indexer = d.indexer(lay.members)
+        terms = []
+        for cfg in range(lay.total):
+            state = {m: d.states(m)[s]
+                     for m, s in zip(lay.members, indexer.states_of(cfg))}
+            if triggers(spec, state):
+                terms.append((1.0, model.mu[root].start + cfg))
+        if isinstance(spec, ChanceConstraint):
+            sense, rhs, family = spec.sense, spec.p, "chance"
+        else:
+            sense, rhs = "<=", 0.0
+            family = "logical" if isinstance(spec, LogicalConstraint) else "budget"
+        rows.append(reference_row(terms, sense, rhs, f"{family}[{root}]"))
     return rows
 
 
 class TestRowStore:
     def test_array_build_matches_row_by_row_reference(self):
-        # zero CPT entries (pig farm, load monitoring), widened trees and
-        # random diagrams of up to three states per node
-        cases = [pig_model(3)[2:], pig_model(2, targets=["D1", "D2"])[2:]]
+        # zero CPT entries (pig farm, load monitoring), widened trees,
+        # random diagrams of up to three states per node, chance rows of
+        # both senses, logical and budget rows, and CVaR blocks in both modes
+        cost = {"treat": 100.0}
+        cases = [
+            (pig_model(3)[2:], ()),
+            (pig_model(2, targets=["D1", "D2"])[2:], ()),
+            (pig_model(4, targets=["H1", "H2", "H3"])[2:], (
+                parse_chance_text("P(H2=ill|H3=ill) <= 0.5"),
+                parse_chance_text("P(H1=ill) >= 0.05"))),
+            (pig_model(4, targets=["D1", "D2", "D3"])[2:], (
+                parse_logical_text("P(D1=treat&D3=treat)"),
+                BudgetConstraint(costs={"D1": cost, "D2": cost, "D3": cost},
+                                 limit=150.0))),
+            (pig_model(3, merged=True)[2:], (CvarObjective(alpha=0.15),)),
+            (pig_model(3, merged=True)[2:], (
+                parse_chance_text("P(H3=ill) <= 0.4"),
+                CvarConstraint(alpha=0.5, bound=300.0))),
+        ]
         d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
-        cases.append(build_base_model(build_rjt(d), d))
+        cases.append((build_base_model(build_rjt(d), d), ()))
         rng = np.random.default_rng(11)
         for _ in range(30):
             d = random_diagram(rng, max_nodes=7, require_value=True)
-            cases.append(build_base_model(build_rjt(d), d))
-        for model, ctx in cases:
-            assert list(model.constraints) == loop_rows(model, ctx)
+            cases.append((build_base_model(build_rjt(d), d), ()))
+        for i in range(10):
+            d, _ = merge_value_nodes(
+                random_diagram(rng, max_nodes=6, require_value=True))
+            spec = (CvarObjective(alpha=0.3) if i % 2 else
+                    CvarConstraint(alpha=0.6, bound=0.0))
+            cases.append((build_base_model(build_rjt(d), d), (spec,)))
+        for (model, ctx), specs in cases:
+            want = loop_rows(model, ctx)
+            for spec in specs:
+                add_risk(model, spec, ctx)
+            want += loop_risk_rows(model, ctx, specs)
+            got = model.constraints
+            assert len(got) == len(want)
+            for row, ref in zip(got, want):
+                assert row == ref
 
-    def test_view_indexes_like_a_list(self):
+    def test_constraints_are_a_list_built_per_call(self):
         d, tree, model, ctx = pig_model(1)
-        rows = list(model.constraints)
-        assert len(model.constraints) == len(rows)
-        assert model.constraints[-1] == rows[-1]
-        with pytest.raises(IndexError):
-            model.constraints[len(rows)]
+        rows = model.constraints
+        assert isinstance(rows, list) and len(rows) == len(model.rows)
+        assert model.constraints == rows and model.constraints is not rows
+        assert sum(len(row.terms) for row in rows) == model.rows.indptr[-1]
 
 
 def loop_names(model):
@@ -172,23 +257,23 @@ def loop_names(model):
         assert names[idx] is None
         names[idx], kinds[idx] = name, kind
 
-    for root, start in model.mu_start.items():
-        for cfg in range(model.mu_total[root]):
-            put(start + cfg, f"mu_{root}_{cfg}", VAR_UNIT)
-    for d, start in model.delta_start.items():
-        n_pcfg, n_states = model.delta_shape[d]
+    for root, block in model.mu.items():
+        for cfg in range(block.shape[0]):
+            put(block.start + cfg, f"mu_{root}_{cfg}", UNIT)
+    for d, block in model.delta.items():
+        n_pcfg, n_states = block.shape
         for pcfg in range(n_pcfg):
             for s in range(n_states):
-                put(start + pcfg * n_states + s, f"delta_{d}_{pcfg}_{s}",
-                    VAR_BINARY)
+                put(block.start + pcfg * n_states + s,
+                    f"delta_{d}_{pcfg}_{s}", BINARY)
     block = model.cvar
     if block is not None:
-        put(block.eta, "eta", VAR_FREE)
+        put(block.eta, "eta", FREE)
         for k in range(block.utilities.size):
-            put(block.lam[k], f"lam_{k}", VAR_BINARY)
-            put(block.lambar[k], f"lambar_{k}", VAR_BINARY)
-            put(block.rho[k], f"rho_{k}", VAR_UNIT)
-            put(block.rhobar[k], f"rhobar_{k}", VAR_UNIT)
+            put(block.lam[k], f"lam_{k}", BINARY)
+            put(block.lambar[k], f"lambar_{k}", BINARY)
+            put(block.rho[k], f"rho_{k}", UNIT)
+            put(block.rhobar[k], f"rhobar_{k}", UNIT)
     assert None not in names
     return names, kinds
 
@@ -196,7 +281,7 @@ def loop_names(model):
 def loop_stats(names, kinds):
     counts = {"total": len(names)}
     for name, kind in zip(names, kinds):
-        for key in (name.split("_", 1)[0], kind):
+        for key in (name.split("_", 1)[0], KINDS[kind]):
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -211,18 +296,17 @@ class TestVarStore:
         for model in models:
             names, kinds = loop_names(model)
             assert model.variables.names() == names
-            assert [KINDS[k] for k in model.variables.kinds] == kinds
+            assert model.variables.kinds.tolist() == kinds
             assert model_stats(model)["variables"] == loop_stats(names, kinds)
 
     def test_hand_built_model(self):
         model = MipModel()
-        assert model.add_var("x", VAR_UNIT) == 0
-        assert model.add_var("y_1", VAR_BINARY) == 1
-        assert model.add_var("z", VAR_FREE) == 2
+        assert model.variables.add("x", (), UNIT).start == 0
+        assert model.variables.add("y_1", (), BINARY).start == 1
+        assert model.variables.add("z", (), FREE).start == 2
         assert len(model.variables) == 3
         assert model.variables.names() == ["x", "y_1", "z"]
-        assert [KINDS[k] for k in model.variables.kinds] == [
-            VAR_UNIT, VAR_BINARY, VAR_FREE]
+        assert model.variables.kinds.tolist() == [UNIT, BINARY, FREE]
         assert model_stats(model)["variables"] == {
             "total": 3, "x": 1, "unit": 1, "y": 1, "binary": 1, "z": 1,
             "free": 1,
@@ -239,7 +323,7 @@ class TestBaseModel:
         model, ctx = build_base_model(build_rjt(d), d)
         stats = model_stats(model)
         assert stats["variables"] == {
-            "total": 2, "mu": 2, VAR_UNIT: 2
+            "total": 2, "mu": 2, "unit": 2
         }
         assert stats["constraints"] == {
             "total": 3, "normalize": 1, "cpt_link": 2
@@ -250,7 +334,7 @@ class TestBaseModel:
         for i, (c, p) in enumerate(zip(link, (0.3, 0.7))):
             assert c.sense == "==" and c.rhs == 0.0
             coeffs = {v: co for co, v in c.terms}
-            own = coeffs.pop(model.mu_start["A"] + i)
+            own = coeffs.pop(model.mu["A"].start + i)
             assert own == pytest.approx(1.0 - p)
             assert all(co == pytest.approx(-p) for co in coeffs.values())
 
@@ -259,7 +343,7 @@ class TestBaseModel:
         stats = model_stats(model)
         assert stats["variables"]["mu"] == 54
         assert stats["variables"]["delta"] == 8
-        assert stats["variables"][VAR_BINARY] == 8
+        assert stats["variables"]["binary"] == 8
         assert stats["constraints"]["normalize"] == len(tree.order) == 10
         assert stats["constraints"]["consistency"] == 26
         assert stats["constraints"]["cpt_link"] == 38
@@ -286,7 +370,7 @@ class TestBaseModel:
                 s_v = states[lay.members.index(v)]
                 u = float(d.utilities[v].values[s_v])
                 if u != 0.0:
-                    want.append((u, model.mu_start[v] + cfg))
+                    want.append((u, model.mu[v].start + cfg))
         assert sorted(model.objective) == sorted(want)
         assert len(model.objective) == 6
 
@@ -311,13 +395,13 @@ class TestBaseModel:
         with pytest.raises(IndexError):
             model.delta_var("D1", 2, 0)
         names = model.variables.names()
-        assert names[model.mu_start["H1"]] == "mu_H1_0"
+        assert names[model.mu["H1"].start] == "mu_H1_0"
         assert names[model.delta_var("D1", 1, 1)] == "delta_D1_1_1"
 
     def test_merged_terminal_cluster_size(self):
         d, tree, model, ctx = pig_model(3, merged=True)
         # cluster over three binary decisions, final health, merged value
-        assert model.mu_total["V_merged"] == 2 * 2 * 2 * 2 * 16 == 256
+        assert model.mu["V_merged"].shape == (2 * 2 * 2 * 2 * 16,) == (256,)
 
     def test_cluster_cap_enforced(self, monkeypatch):
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
@@ -379,7 +463,7 @@ class TestRiskRows:
         indexer = d.indexer(lay.members)
         hit_vars = sorted(v for _, v in row.terms)
         want = sorted(
-            model.mu_start["T2"] + cfg
+            model.mu["T2"].start + cfg
             for cfg in range(lay.total)
             if d.states("H2")[
                 indexer.states_of(cfg)[lay.members.index("H2")]
@@ -416,7 +500,7 @@ class TestRiskRows:
         lay = ctx.layouts[root]
         indexer = d.indexer(lay.members)
         for _, var in row.terms:
-            cfg = var - model.mu_start[root]
+            cfg = var - model.mu[root].start
             states = indexer.states_of(cfg)
             assignment = {
                 m: d.states(m)[s] for m, s in zip(lay.members, states)

@@ -18,13 +18,19 @@ from limid.generators import (
 from limid.inference import Evaluator, UtilityDistribution, oracle_optimize
 from limid.mip import (
     BINARY,
+    EQ,
     UNIT,
-    VAR_UNIT,
     MipModel,
     add_risk,
     build_base_model,
 )
-from limid.risk import CvarObjective, parse_chance_text, parse_logical_text
+from limid.risk import (
+    BudgetConstraint,
+    CvarConstraint,
+    CvarObjective,
+    parse_chance_text,
+    parse_logical_text,
+)
 from limid.rjt import build_rjt, modify_rjt
 from limid.solve import (
     ExternalSolverError,
@@ -72,10 +78,14 @@ class TestLpExport:
          "4aa36531cff9a69b2b52b4297e4890e9428267c00b5fc1785856a0bdfeedcc95"),
         ("pigfarm3_merged_cvar",
          "d8ea69c053544c8f0f883772cbc261f59df65feed73c514d8b0539b0e682ab56"),
+        ("pigfarm4_logical_budget",
+         "677f2a71ee97d37c739b0d6f111b3b2685b83730b7c6ea251f34a9b2cc14ad1e"),
+        ("pigfarm3_merged_cvar_floor",
+         "78c622e12e19a424218ebb53c94e82508bbbb4848dab252828704923b273b51a"),
     ])
     def test_larger_model_text_pinned(self, name, digest):
-        # Decision clusters, zero CPT entries, chance and CVaR rows; the
-        # LP text of each must stay byte-for-byte what it was.
+        # Decision clusters, zero CPT entries, chance, logical, budget and
+        # CVaR rows; the LP text of each must stay byte-for-byte what it was.
         if name == "nmonitoring3":
             d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
             model, _ = build_base_model(build_rjt(d), d)
@@ -84,6 +94,17 @@ class TestLpExport:
             tree = modify_rjt(build_rjt(d), ["H1", "H2", "H3"])
             model, ctx = build_base_model(tree, d)
             add_risk(model, parse_chance_text("P(H2=ill|H3=ill)<=0.5"), ctx)
+        elif name == "pigfarm4_logical_budget":
+            d = gen_pigfarm(PigFarmSpec(n_periods=4))
+            tree = modify_rjt(build_rjt(d), ["D1", "D2", "D3"])
+            model, ctx = build_base_model(tree, d)
+            add_risk(model, parse_logical_text("P(D1=treat&D3=treat)"), ctx)
+            add_risk(model, BudgetConstraint(
+                costs={f"D{i}": {"treat": 100.0} for i in (1, 2, 3)},
+                limit=150.0), ctx)
+        elif name == "pigfarm3_merged_cvar_floor":
+            _, model, _ = pig_setup(3, merged=True,
+                                    risk=CvarConstraint(alpha=0.15, bound=300.0))
         else:
             _, model, _ = pig_setup(3, merged=True,
                                     risk=CvarObjective(alpha=0.15))
@@ -124,18 +145,18 @@ class TestLpExport:
 
     def test_rejects_unsafe_variable_names(self):
         model = MipModel()
-        model.add_var("this has spaces", VAR_UNIT)
+        model.variables.add("this has spaces", (), UNIT)
         with pytest.raises(ValueError, match="LP-safe"):
             export_lp(model)
         model2 = MipModel()
-        model2.add_var("9starts_with_digit", VAR_UNIT)
+        model2.variables.add("9starts_with_digit", (), UNIT)
         with pytest.raises(ValueError, match="LP-safe"):
             export_lp(model2)
 
     def test_empty_objective_uses_zero_coefficient(self):
         model = MipModel()
-        model.add_var("x", VAR_UNIT)
-        model.add_row([(1.0, 0)], "==", 1.0, "pin")
+        model.variables.add("x", (), UNIT)
+        model.rows.append([1], [0], [1.0], EQ, 1.0, ("pin",), indexed=False)
         text = export_lp(model)
         assert " obj: 0.0 x" in text
 
@@ -156,7 +177,7 @@ class TestRowChecking:
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
         bad = sol.x.copy()
-        bad[model.mu_start["H1"]] += 0.01
+        bad[model.mu["H1"].start] += 0.01
         msgs = RowSystem(model).violations(bad, 1e-6)
         assert msgs
         assert any("normalize[H1]" in m and "residual" in m for m in msgs)
@@ -175,7 +196,7 @@ class TestRowChecking:
         _, model, ctx = pig_setup(1)
         sol = solve_reference(model, ctx)
         bad = sol.x.copy()
-        bad[model.mu_start["H1"]] = 1.5
+        bad[model.mu["H1"].start] = 1.5
         msgs = RowSystem(model).violations(bad, 1e-6)
         assert any("outside [0, 1]" in m for m in msgs)
 
@@ -225,9 +246,9 @@ class TestPropagation:
         x = sol_ref.x.copy()
         for root in ctx.tree.order:
             for cfg, val in enumerate(mu[root]):
-                x[model.mu_start[root] + cfg] = float(val)
+                x[model.mu[root].start + cfg] = float(val)
         for dn, rule in strategy.rules.items():
-            n_pcfg, n_states = model.delta_shape[dn]
+            n_pcfg, n_states = model.delta[dn].shape
             for pcfg in range(n_pcfg):
                 for s in range(n_states):
                     x[model.delta_var(dn, pcfg, s)] = float(rule[pcfg] == s)
@@ -246,7 +267,7 @@ class TestSolveReference:
         # the assignment is the one the returned strategy implies
         mu = propagate_cluster_marginals(ctx, sol.strategy)
         for root in ctx.tree.order:
-            start = model.mu_start[root]
+            start = model.mu[root].start
             np.testing.assert_array_equal(
                 sol.x[start:start + mu[root].size], mu[root])
 
@@ -384,7 +405,7 @@ class TestExternalBridge:
         )
         mu = propagate_cluster_marginals(ctx, ext.strategy)
         for root in ctx.tree.order:
-            start = model.mu_start[root]
+            start = model.mu[root].start
             np.testing.assert_array_equal(
                 ext.x[start:start + mu[root].size], mu[root])
 

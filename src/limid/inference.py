@@ -447,6 +447,8 @@ def oracle_optimize(
             raise ValueError(f"unsupported constraint type {type(c).__name__}")
     needs_dist = bool(floors) or isinstance(objective, CvarObjective)
     values = evaluator._values
+    if needs_dist and not values:
+        raise ValueError("CVaR needs a single value node, found 0")
     m, size = evaluator.blocking([values] + [c.scope for c, _ in scoped])
     scale = float(np.abs(evaluator._utils).max(initial=0.0))
     if isinstance(objective, CvarObjective):

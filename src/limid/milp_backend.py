@@ -12,6 +12,9 @@ external-solver bridge parses.  Exit code 0 means a definitive answer
 HiGHS is loaded from its extension file, ``scipy/optimize/_highspy/_core``,
 without importing ``scipy.optimize``: that package import is most of a
 solver child's start-up, while the extension alone loads in milliseconds.
+Nor does the child import numpy, which would be most of what is left: the
+model is built as plain lists, and HiGHS takes the costs through scalar
+calls and every other field of its ``HighsLp`` from lists.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ from __future__ import annotations
 import argparse
 import importlib.machinery
 import importlib.util
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SECTION_WORDS = {
@@ -307,49 +308,40 @@ def solve_lp_text(text: str):
     """Parse and solve; returns (status word, objective or None, assignment)."""
     prob = parse_lp(text)
     names = prob.variables
-    index = {n: j for j, n in enumerate(names)}
-    n = len(names)
-    c = np.zeros(n)
+    index = {name: j for j, name in enumerate(names)}
+    c = [0.0] * len(names)
     for name, coef in prob.objective.items():
         c[index[name]] += coef
     if prob.sense == "max":
-        c = -c
+        c = [-cost for cost in c]
+    # Row-major terms to CSC: walking the rows in order keeps each column's
+    # rows ascending, as a CSR-to-CSC conversion does.
+    col_rows = [[] for _ in names]
+    col_values = [[] for _ in names]
+    for r, (coeffs, _, _) in enumerate(prob.rows):
+        for name, coef in coeffs.items():
+            j = index[name]
+            col_rows[j].append(r)
+            col_values[j].append(coef)
+    indptr = [0]
+    for rows in col_rows:
+        indptr.append(indptr[-1] + len(rows))
 
-    lo = np.array([prob.lower.get(m, 0.0) for m in names])
-    hi = np.array([prob.upper.get(m, _INF) for m in names])
-    integrality = np.array(
-        [1 if prob.integer.get(m) else 0 for m in names]
+    status, fun, x = run_highs(
+        c,
+        [value for values in col_values for value in values],
+        [r for rows in col_rows for r in rows],
+        indptr,
+        [-_INF if rel == "<=" else rhs for _, rel, rhs in prob.rows],
+        [_INF if rel == ">=" else rhs for _, rel, rhs in prob.rows],
+        [prob.lower.get(m, 0.0) for m in names],
+        [prob.upper.get(m, _INF) for m in names],
+        [1 if prob.integer.get(m) else 0 for m in names],
     )
-
-    rows = [coeffs for coeffs, _, _ in prob.rows]
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    nnz = int(lengths.sum())
-    data = np.fromiter(
-        chain.from_iterable(coeffs.values() for coeffs in rows),
-        dtype=float, count=nnz,
-    )
-    cols = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(rows)),
-        dtype=np.int64, count=nnz,
-    )
-    # Row-major terms to CSC: a stable sort by column keeps each column's
-    # rows in order, as a CSR-to-CSC conversion does.
-    order = np.argsort(cols, kind="stable")
-    indices = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)[order]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    rel = np.array([rel for _, rel, _ in prob.rows], dtype=str)
-    rhs = np.array([rhs for _, _, rhs in prob.rows], dtype=float)
-    row_lower = np.where(rel == "<=", -_INF, rhs)
-    row_upper = np.where(rel == ">=", _INF, rhs)
-
-    status, fun, x = run_highs(c, data[order], indices, indptr, row_lower,
-                               row_upper, lo, hi, integrality)
     if status != "optimal":
         return status, None, {}
     sign = -1.0 if prob.sense == "max" else 1.0
-    assignment = {name: float(x[j]) for j, name in enumerate(names)}
-    return status, sign * fun + prob.constant, assignment
+    return status, sign * fun + prob.constant, dict(zip(names, x))
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -382,21 +374,31 @@ def run_highs(c, data, indices, indptr, row_lower, row_upper, col_lower,
               col_upper, integrality):
     """Minimise ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
     ``col_lower <= x <= col_upper``, with ``x[j]`` integer where
-    ``integrality[j]`` is 1 and ``A`` given as CSC arrays.
+    ``integrality[j]`` is 1 and ``A`` given column-wise by ``data``,
+    ``indices`` and ``indptr``.  Every argument is a plain sequence of
+    numbers.
 
     Returns ``(status word, objective, x)``; objective and x are None unless
     the status is ``optimal``.  Raises ValueError for an objective with no
     or non-finite coefficients and for a model HiGHS refuses to load.
     """
-    if c.size == 0 or not np.all(np.isfinite(c)):
+    if len(c) == 0 or not all(map(math.isfinite, c)):
         raise ValueError("`c` must be a one-dimensional array of finite "
                          "numbers with at least one element.")
     core = highs_core()
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.col_cost_ = c
+    highs = core._Highs()
+    options = core.HighsOptions()
+    for key, value in HIGHS_OPTIONS.items():
+        setattr(options, key, value)
+    highs.passOptions(options)
+    # Costs go in one column at a time: the ``col_cost_`` setter of a
+    # ``HighsLp`` imports numpy, and the other fields take lists without it.
+    # Every cost is set, since a max-sense zero is -0.0 and addVar's +0.0.
+    for j, cost in enumerate(c):
+        highs.addVar(0.0, 0.0)
+        highs.changeColCost(j, cost)
+    lp = highs.getLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
     lp.col_lower_ = col_lower
     lp.col_upper_ = col_upper
     lp.row_lower_ = row_lower
@@ -404,13 +406,7 @@ def run_highs(c, data, indices, indptr, row_lower, row_upper, col_lower,
     lp.a_matrix_.start_ = indptr
     lp.a_matrix_.index_ = indices
     lp.a_matrix_.value_ = data
-    lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
-
-    highs = core._Highs()
-    options = core.HighsOptions()
-    for key, value in HIGHS_OPTIONS.items():
-        setattr(options, key, value)
-    highs.passOptions(options)
+    lp.integrality_ = [core.HighsVarType(i) for i in integrality]
     statuses = core.HighsModelStatus
     loaded = highs.passModel(lp) != core.HighsStatus.kError
     if loaded:

@@ -94,6 +94,11 @@ MALFORMED_DIAGRAMS = {
         {"nodes": [{"name": "A", "kind": "bogus", "states": ["x"]}]},
         "node 'A' has unknown kind 'bogus'; expected chance, decision or value"),
 }
+# One chance node and nothing else: a valid diagram with no value node.
+NO_VALUE_DIAGRAM = {
+    "nodes": [{"name": "A", "kind": "chance", "states": ["x", "y"]}],
+    "cpts": {"A": [0.3, 0.7]},
+}
 MALFORMED_STRATEGIES = {
     "list": ([1], "a strategy is a JSON object mapping decisions to lists"),
     "number_rule": (
@@ -327,9 +332,7 @@ class TestSolve:
 
     def test_cvar_objective_without_value_node_has_no_merge_hint(self, workdir):
         # merging needs value nodes, so naming it would send the user astray
-        (workdir / "no_value.json").write_text(json.dumps({
-            "nodes": [{"name": "A", "kind": "chance", "states": ["x", "y"]}],
-            "cpts": {"A": [0.3, 0.7]}}))
+        (workdir / "no_value.json").write_text(json.dumps(NO_VALUE_DIAGRAM))
         proc = run_cli("solve", "no_value.json", "--objective", "cvar:0.5",
                        cwd=workdir)
         assert proc.returncode == 1
@@ -438,6 +441,16 @@ class TestOracle:
         )
         assert proc.returncode == 1
         assert "no feasible strategy" in proc.stdout
+
+    @pytest.mark.parametrize("flag, value", [("--objective", "cvar:0.5"),
+                                             ("--cvar-floor", "0.5:0")])
+    def test_cvar_without_value_node_refused(self, workdir, flag, value):
+        # As ``solve`` refuses it: no value node, no utility distribution.
+        (workdir / "no_value.json").write_text(json.dumps(NO_VALUE_DIAGRAM))
+        proc = run_cli("oracle", "no_value.json", flag, value, cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: CVaR needs a single value node, found 0\n"
 
 
 class TestCompare:

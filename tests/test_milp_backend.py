@@ -110,6 +110,29 @@ class TestParser:
             parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1\nBounds\n 0 <=")
 
 
+# The dtype of each part ``solve_lp_text`` hands ``run_highs`` when it was
+# built with numpy: c, data, indices, indptr, row bounds, column bounds,
+# integrality.
+CHILD_DTYPES = ((np.float64,) * 2 + (np.int32,) * 2 + (np.float64,) * 4
+                + (np.int64,))
+
+
+def _as_arrays(parts):
+    return [np.asarray(part, dtype=dtype)
+            for part, dtype in zip(parts, CHILD_DTYPES, strict=True)]
+
+
+def _pinned_lp(name: str) -> str:
+    if name == "nmonitoring3":
+        d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+        model, _ = build_base_model(build_rjt(d), d)
+    else:
+        d, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=3)))
+        model, ctx = build_base_model(build_rjt(d), d)
+        add_risk(model, CvarObjective(alpha=0.15), ctx)
+    return export_lp(model)
+
+
 class TestSolver:
     def test_small_program_optimum(self):
         status, objective, assignment = solve_lp_text(SMALL_LP)
@@ -174,36 +197,94 @@ class TestSolver:
         # Everything the child hands HiGHS: objective, matrix, row and
         # column bounds, integrality and options.  HiGHS's answers on these
         # models move with such details, column order included.
-        if name == "nmonitoring3":
-            d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
-            model, _ = build_base_model(build_rjt(d), d)
-        else:
-            d, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=3)))
-            model, ctx = build_base_model(build_rjt(d), d)
-            add_risk(model, CvarObjective(alpha=0.15), ctx)
         sha = hashlib.sha256()
         real_run = milp_backend.run_highs
 
         def run_highs(*parts):
             # c, then the CSC matrix (data, indices, indptr), the row
-            # bounds, the column bounds and integrality.
+            # bounds, the column bounds and integrality, each hashed as an
+            # array of the dtype the child once handed HiGHS.
             c, _, _, _, row_lower, *_ = parts
-            for part in parts:
-                part = np.ascontiguousarray(part)
+            for part in _as_arrays(parts):
                 sha.update(f"{part.dtype.str}{part.shape}".encode())
                 sha.update(part.tobytes())
             # Console logging is the one option that cannot move an answer.
             options = {key: value for key, value
                        in milp_backend.HIGHS_OPTIONS.items()
                        if key != "log_to_console"}
-            shape = (row_lower.size, c.size)
+            shape = (len(row_lower), len(c))
             sha.update(f"csc{shape}{sorted(options.items())}".encode())
             return real_run(*parts)
 
         monkeypatch.setattr(milp_backend, "run_highs", run_highs)
-        status, _, _ = solve_lp_text(export_lp(model))
+        status, _, _ = solve_lp_text(_pinned_lp(name))
         assert status == "optimal"
         assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["nmonitoring3", "pigfarm3_merged_cvar"])
+    def test_handover_matches_a_model_passed_from_arrays(self, monkeypatch,
+                                                         name):
+        # The LP HiGHS holds when ``run`` starts must be the one a HighsLp
+        # built from numpy arrays and passed whole gives, bit for bit:
+        # the costs of a max-sense model hold -0.0 for every zero.
+        core = milp_backend.highs_core()
+        real_highs = core._Highs
+        held, passed = [], []
+
+        class Spy:
+            def __init__(self):
+                self._highs = real_highs()
+
+            def __getattr__(self, attr):
+                return getattr(self._highs, attr)
+
+            def run(self):
+                held.append(self._highs.getLp())
+                return self._highs.run()
+
+        real_run = milp_backend.run_highs
+
+        def run_highs(*parts):
+            passed.append(parts)
+            return real_run(*parts)
+
+        monkeypatch.setattr(core, "_Highs", Spy)
+        monkeypatch.setattr(milp_backend, "run_highs", run_highs)
+        status, _, _ = solve_lp_text(_pinned_lp(name))
+        assert status == "optimal"
+
+        c, data, indices, indptr, row_lower, row_upper, col_lower, \
+            col_upper, integrality = _as_arrays(passed[0])
+        lp = core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.col_cost_ = c
+        lp.col_lower_ = col_lower
+        lp.col_upper_ = col_upper
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        lp.a_matrix_.start_ = indptr
+        lp.a_matrix_.index_ = indices
+        lp.a_matrix_.value_ = data
+        lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
+        highs = real_highs()
+        highs.setOptionValue("log_to_console", False)
+        assert highs.passModel(lp) == core.HighsStatus.kOk
+        want, got = highs.getLp(), held[0]
+
+        assert np.signbit(c).sum() > 0  # the -0.0 costs are there to lose
+        assert (got.sense_, got.offset_) == (want.sense_, want.offset_)
+        assert (got.num_col_, got.num_row_) == (want.num_col_, want.num_row_)
+        assert got.a_matrix_.format_ == want.a_matrix_.format_
+        for field in ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                      "row_upper_"):
+            assert (np.asarray(getattr(got, field)).tobytes()
+                    == np.asarray(getattr(want, field)).tobytes()), field
+        for field in ("start_", "index_", "value_"):
+            assert (np.asarray(getattr(got.a_matrix_, field)).tobytes()
+                    == np.asarray(getattr(want.a_matrix_, field)).tobytes()), field
+        assert list(got.integrality_) == list(want.integrality_)
 
 
 class TestCli:
@@ -302,7 +383,7 @@ class TestLazyPackage:
             "with contextlib.redirect_stdout(out):\n"
             f"    code = main([{str(DATA / 'pigfarm1.lp')!r}])\n"
             "print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules "
-            "if m.startswith(('limid', 'scipy.optimize', 'scipy.sparse')))]))"
+            "if m.startswith(('limid', 'numpy', 'scipy.optimize', 'scipy.sparse')))]))"
         )
 
     def test_solver_child_imports_only_its_module(self):
@@ -313,6 +394,7 @@ class TestLazyPackage:
         assert "scipy.optimize._highspy._core" in loaded
         assert "scipy.optimize" not in loaded
         assert "scipy.sparse" not in loaded
+        assert "numpy" not in loaded
 
     def test_loaded_core_is_the_one_scipy_optimize_uses(self):
         same, status, fun = self.run_python(

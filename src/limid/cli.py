@@ -418,7 +418,7 @@ def cmd_bench(args) -> int:
                   "seed": seed, **_solve_fields(args, model, solution, wall)}
         line = (f"trial seed={seed}: {solution.status}"
                 f" objective={solution.objective_value!r} ({wall:.3f}s)")
-        if solution.status == "optimal" and not args.no_check:
+        if not args.no_check:
             oracle = oracle_optimize(
                 diagram, objective=objective, constraints=constraints
             )
@@ -426,7 +426,10 @@ def cmd_bench(args) -> int:
             record["oracle_value"] = oracle.objective_value
             record["oracle_gap"] = gap
             record["check_ok"] = check_ok
-            line += " oracle infeasible" if gap is None else f" oracle_gap={gap:.3e}"
+            if gap is not None:
+                line += f" oracle_gap={gap:.3e}"
+            else:
+                line += " oracle " + ("optimal" if oracle.feasible else "infeasible")
             if not check_ok:
                 all_ok = False
                 line += " CHECK FAILED"

@@ -217,24 +217,6 @@ class RowSystem:
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_vector @ x)
 
-    def passing(self, xs: np.ndarray, tol: float) -> np.ndarray:
-        """Which columns of ``xs`` (one assignment each) satisfy every row,
-        bound and integrality requirement at ``tol``: ``violations`` for
-        many assignments at once, without the messages."""
-        res = self.matrix @ xs
-        shifted = np.flatnonzero(self.rhs)  # subtracting zero changes nothing
-        res[shifted] -= self.rhs[shifted, None]
-        over = res > tol
-        over[np.flatnonzero(self.senses == GE)] = False
-        under = res < -tol
-        under[np.flatnonzero(self.senses == LE)] = False
-        outside = (xs < -tol) | (xs > 1.0 + tol)
-        outside[np.flatnonzero(~self.bounded)] = False
-        bits = xs[np.flatnonzero(self.binary)]
-        fractional = np.abs(bits - np.round(bits)) > tol
-        return ~(_any_per_column(over | under) | _any_per_column(outside)
-                 | _any_per_column(fractional))
-
     def violations(self, x: np.ndarray, tol: float) -> List[str]:
         problems: List[str] = []
         res = self.matrix @ x - self.rhs
@@ -257,6 +239,45 @@ class RowSystem:
             if fractional[j]:
                 problems.append(f"variable {name} = {val!r} is not integral")
         return problems
+
+
+def _off_sense(res: np.ndarray, senses: np.ndarray, tol: float) -> np.ndarray:
+    """Which residuals (one row of ``res`` per row) break their row's
+    sense at ``tol``."""
+    over = res > tol
+    over[np.flatnonzero(senses == GE)] = False
+    under = res < -tol
+    under[np.flatnonzero(senses == LE)] = False
+    return over | under
+
+
+@dataclass(frozen=True)
+class _LiveRows:
+    """The rows of a ``RowSystem`` with a term on a live column, over the
+    live columns (see ``_LiveColumns``), with those columns' bounds,
+    integrality and objective: what the reference checks and scores for
+    every block."""
+
+    matrix: sparse.csr_matrix
+    rhs: np.ndarray
+    senses: np.ndarray
+    bounded: np.ndarray
+    binary: np.ndarray
+    objective_vector: np.ndarray
+
+    def passing(self, xs: np.ndarray, tol: float) -> np.ndarray:
+        """Which columns of ``xs`` (one live assignment each) satisfy every
+        row, bound and integrality requirement at ``tol``: ``violations``
+        for many assignments at once, without the messages."""
+        res = self.matrix @ xs
+        shifted = np.flatnonzero(self.rhs)  # subtracting zero changes nothing
+        res[shifted] -= self.rhs[shifted, None]
+        outside = (xs < -tol) | (xs > 1.0 + tol)
+        outside[np.flatnonzero(~self.bounded)] = False
+        bits = xs[np.flatnonzero(self.binary)]
+        fractional = np.abs(bits - np.round(bits)) > tol
+        return ~(_any_per_column(_off_sense(res, self.senses, tol))
+                 | _any_per_column(outside) | _any_per_column(fractional))
 
 
 def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarray:
@@ -286,82 +307,162 @@ def _one_hot_rows(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
                              shape=(n_groups, groups.size))
 
 
-# Per cluster: sums onto the groups it inherits, spread onto its configurations.
-_Products = Dict[str, Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]]
+def _at(arr: np.ndarray, live: Optional[np.ndarray]) -> np.ndarray:
+    """The entries of ``arr`` at ``live``, or ``arr`` itself when None."""
+    return arr if live is None else arr[live]
 
 
-def _propagation(ctx: CompileContext) -> _Products:
-    """Per cluster, the sparse products ``_block_masses`` applies: the sums
-    of the tree parent's masses onto the groups of the members they share
-    (None at the top), and for a chance or value root the spread of each
-    group's mass onto its configurations, times their CPT entries (None for
-    a decision, whose factor depends on the strategy)."""
+@dataclass(frozen=True)
+class _Cluster:
+    """One cluster's part of the propagation, over its live configurations,
+    the ones some strategy can give a nonzero mass.
+
+    ``live`` lists them, ascending (None when all are live).  ``sums``
+    adds the tree parent's live masses onto the groups of the members they
+    share (None at the top), and ``group_of`` is the group of each live
+    configuration.  A chance or value root's mass is its group's times its
+    CPT entry in ``entries``; a decision root's is its group's times the
+    strategy's indicator at its policy row and state, in ``policy``.
+    """
+
+    live: Optional[np.ndarray]
+    sums: Optional[sparse.csr_matrix]
+    group_of: np.ndarray
+    entries: Optional[np.ndarray]
+    policy: Optional[Tuple[np.ndarray, np.ndarray]]
+
+
+def _propagation(ctx: CompileContext) -> Dict[str, _Cluster]:
+    """Per cluster in tree order, what ``_block_masses`` applies.
+
+    A group is live when some live configuration of the tree parent
+    projects onto it (the one group of the top cluster is).  A decision
+    configuration is live when its group is, and a chance or value
+    configuration when its CPT entry is also nonzero.  Every other mass is
+    0.0 under every strategy, so leaving its terms out of the sums changes
+    no live mass by a bit.
+    """
     d = ctx.diagram
-    out = {}
-    for root, lay in ctx.layouts.items():
-        sums = spread = None
-        if lay.parent_groups is not None:
-            sums = _one_hot_rows(lay.parent_groups, lay.n_groups)
-        if d.kind(root) != NodeKind.DECISION:
-            # one entry a row: the product is the entry times the mass
-            spread = sparse.csr_matrix(
-                (d.cpts[root].rows[lay.table_row, lay.root_state], lay.group_of,
-                 np.arange(lay.total + 1)), shape=(lay.total, lay.n_groups))
-        out[root] = sums, spread
+    out: Dict[str, _Cluster] = {}
+    for root in ctx.tree_order:
+        lay = ctx.layouts[root]
+        sums = groups = None  # groups: which are live, None when all are
+        if lay.parent_groups is None:
+            if lay.n_groups != 1:
+                raise ValueError(
+                    f"top cluster {root!r} has extra members; the tree is "
+                    f"not a valid rooted junction tree"
+                )
+        else:
+            parent_live = out[ctx.tree.parent[root]].live
+            sums = _one_hot_rows(_at(lay.parent_groups, parent_live), lay.n_groups)
+            if parent_live is not None:
+                groups = np.diff(sums.indptr) > 0  # a group's live terms
+        keep = None if groups is None else groups[lay.group_of]
+        entries = policy = None
+        if d.kind(root) == NodeKind.DECISION:
+            policy = lay.table_row, lay.root_state
+        else:
+            entries = d.cpts[root].rows[lay.table_row, lay.root_state]
+            keep = entries != 0 if keep is None else keep & (entries != 0)
+        live = None if keep is None or keep.all() else np.flatnonzero(keep)
+        if entries is not None:
+            entries = _at(entries, live)[:, None]
+        if policy is not None:
+            policy = tuple(_at(arr, live) for arr in policy)
+        out[root] = _Cluster(live, sums, _at(lay.group_of, live), entries, policy)
     return out
 
 
 def _block_masses(
-    ctx: CompileContext, products: _Products, block: StrategyBlock
+    ctx: CompileContext, products: Dict[str, _Cluster], block: StrategyBlock
 ) -> Dict[str, np.ndarray]:
-    """Exact cluster-configuration masses implied by each strategy of a
-    block, one column per strategy; ``products`` is ``_propagation(ctx)``.
+    """Exact masses of the live cluster configurations implied by each
+    strategy of a block, one column per strategy; ``products`` is
+    ``_propagation(ctx)``.
 
     Walks the tree from its root: each cluster's mass over the inherited
     members is the parent's marginal, multiplied by the root node's CPT row
     (or by the strategy's indicator for decisions).
     """
     mu: Dict[str, np.ndarray] = {}
-    for root in ctx.tree_order:
-        lay = ctx.layouts[root]
-        sums, spread = products[root]
-        if sums is None:
-            if lay.n_groups != 1:
-                raise ValueError(
-                    f"top cluster {root!r} has extra members; the tree is "
-                    f"not a valid rooted junction tree"
-                )
+    for root, cluster in products.items():
+        if cluster.sums is None:
             inherited = np.ones((1, block.size))
         else:
-            inherited = sums @ mu[ctx.tree.parent[root]]
-        if spread is not None:
-            mu[root] = spread @ inherited
+            inherited = cluster.sums @ mu[ctx.tree.parent[root]]
+        mu[root] = inherited[cluster.group_of]
+        if cluster.entries is not None:
+            mu[root] *= cluster.entries
         else:
-            picks = block.rules[root][:, lay.table_row] == lay.root_state
-            mu[root] = inherited[lay.group_of] * picks.T
+            table_row, root_state = cluster.policy
+            mu[root] *= (block.rules[root][:, table_row] == root_state).T
     return mu
 
 
+@dataclass(frozen=True)
+class _LiveColumns:
+    """The columns of a model some strategy can make nonzero: every policy
+    bit and CVaR column, and the masses of the live configurations of
+    ``products`` (``_propagation(ctx)``).  ``cols`` lists them, ascending
+    (None when all ``n`` are live); ``before[j]`` counts the live columns
+    before column ``j``, the place of column ``j`` among them when it is
+    live.  ``spans`` gives each cluster's live masses their place, and
+    ``levels`` adds the CVaR value cluster's live masses per utility
+    level."""
+
+    products: Dict[str, _Cluster]
+    n: int
+    cols: Optional[np.ndarray]
+    before: np.ndarray
+    spans: Dict[str, slice]
+    levels: Optional[sparse.csr_matrix]
+
+    @property
+    def size(self) -> int:
+        return int(self.before[-1])
+
+
+def _live_columns(model: MipModel, ctx: CompileContext) -> _LiveColumns:
+    products = _propagation(ctx)
+    keep = np.ones(len(model.variables), dtype=bool)
+    for root, cluster in products.items():
+        if cluster.live is not None:
+            span = model.mu[root].span
+            keep[span] = False
+            keep[span.start + cluster.live] = True
+    before = np.concatenate([[0], np.cumsum(keep)])
+    spans = {root: slice(int(before[b.start]), int(before[b.start + b.size]))
+             for root, b in model.mu.items()}
+    cv = model.cvar
+    levels = None
+    if cv is not None:
+        level = _at(cv.level, products[cv.value_root].live)
+        levels = _one_hot_rows(level, cv.utilities.size)
+    return _LiveColumns(products, keep.size,
+                        None if keep.all() else np.flatnonzero(keep),
+                        before, spans, levels)
+
+
 def _block_vectors(
-    model: MipModel, ctx: CompileContext, products: _Products, block: StrategyBlock
+    model: MipModel, ctx: CompileContext, live: _LiveColumns, block: StrategyBlock
 ) -> np.ndarray:
-    """Full variable assignments implied by a block of strategies, one
-    column each (masses, policy bits, and canonical tail bookkeeping when
-    the model carries a CVaR block)."""
-    x = np.zeros((len(model.variables), block.size))
-    mu = _block_masses(ctx, products, block)
+    """Assignments of the live columns implied by a block of strategies,
+    one column each (masses, policy bits, and canonical tail bookkeeping
+    when the model carries a CVaR block); ``_full`` widens them."""
+    x = np.zeros((live.size, block.size))
+    mu = _block_masses(ctx, live.products, block)
     for root, arr in mu.items():
-        x[model.mu[root].span] = arr
+        x[live.spans[root]] = arr
     columns = np.arange(block.size)[:, None]
     for dnode, rules in block.rules.items():
         pcfgs = np.arange(model.delta[dnode].shape[0])
-        x[model.delta_var(dnode, pcfgs, rules), columns] = 1.0
+        x[live.before[model.delta_var(dnode, pcfgs, rules)], columns] = 1.0
     cv = model.cvar
     if cv is not None:
         # One row per strategy: a row's sum then adds its levels as a lone
         # distribution's sum would, and the cumulative sums run left to right.
-        probs = np.ascontiguousarray(
-            (_one_hot_rows(cv.level, cv.utilities.size) @ mu[cv.value_root]).T)
+        probs = np.ascontiguousarray((live.levels @ mu[cv.value_root]).T)
         u = cv.utilities
         # eta is the alpha-quantile: the first level whose cumulative
         # probability reaches alpha (else the top one).
@@ -373,12 +474,49 @@ def _block_vectors(
         # the tail shares: full mass under eta, what alpha leaves at eta
         shares = np.where(u == eta[:, None],
                           (cv.alpha - tail.sum(axis=1))[:, None], tail)
-        x[cv.eta] = eta
-        x[cv.lam] = below.T
-        x[cv.lambar] = (u <= eta[:, None]).T
-        x[cv.rho] = tail.T
-        x[cv.rhobar] = shares.T
+        at = live.before
+        x[at[cv.eta]] = eta
+        x[at[cv.lam]] = below.T
+        x[at[cv.lambar]] = (u <= eta[:, None]).T
+        x[at[cv.rho]] = tail.T
+        x[at[cv.rhobar]] = shares.T
     return x
+
+
+def _full(live: _LiveColumns, xs: np.ndarray) -> np.ndarray:
+    """Assignments of every column from those of the live columns (one
+    per column of ``xs``); a dead column is 0.0."""
+    if live.cols is None:
+        return xs
+    full = np.zeros((live.n,) + xs.shape[1:])
+    full[live.cols] = xs
+    return full
+
+
+def _live_rows(system: RowSystem, live: _LiveColumns) -> Tuple[_LiveRows, bool]:
+    """The rows of ``system`` with a term on a live column, over the live
+    columns, and whether every other row holds at ``EXACT_TOL``: its
+    residual is ``-rhs`` under every strategy."""
+    if live.cols is None:
+        return _LiveRows(system.matrix, system.rhs, system.senses, system.bounded,
+                         system.binary, system.objective_vector), True
+    m = system.matrix
+    kept = np.zeros(live.n, dtype=bool)
+    kept[live.cols] = True
+    kept = kept[m.indices]
+    row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    counts = np.bincount(row_of[kept], minlength=m.shape[0])
+    rows = np.flatnonzero(counts)
+    matrix = sparse.csr_matrix(
+        (m.data[kept], live.before[m.indices[kept]],
+         np.concatenate([[0], np.cumsum(counts[rows])])),
+        shape=(rows.size, live.size))
+    steady = np.flatnonzero(counts == 0)
+    holds = not _off_sense(-system.rhs[steady], system.senses[steady],
+                           EXACT_TOL).any()
+    return _LiveRows(matrix, system.rhs[rows], system.senses[rows],
+                     system.bounded[live.cols], system.binary[live.cols],
+                     system.objective_vector[live.cols]), holds
 
 
 def _single(strategy: Strategy) -> StrategyBlock:
@@ -391,8 +529,16 @@ def propagate_cluster_marginals(
 ) -> Dict[str, np.ndarray]:
     """Exact cluster-configuration masses implied by a strategy (see
     ``_block_masses``), one flat array per cluster."""
-    masses = _block_masses(ctx, _propagation(ctx), _single(strategy))
-    return {root: arr[:, 0] for root, arr in masses.items()}
+    products = _propagation(ctx)
+    out = {}
+    for root, arr in _block_masses(ctx, products, _single(strategy)).items():
+        live = products[root].live
+        if live is None:
+            out[root] = arr[:, 0]
+        else:
+            out[root] = np.zeros(ctx.layouts[root].total)
+            out[root][live] = arr[:, 0]
+    return out
 
 
 def _strategy_vector(
@@ -400,7 +546,8 @@ def _strategy_vector(
 ) -> np.ndarray:
     """Full variable assignment implied by a strategy (masses, policy bits,
     and canonical tail bookkeeping when the model carries a CVaR block)."""
-    return _block_vectors(model, ctx, _propagation(ctx), _single(strategy))[:, 0]
+    live = _live_columns(model, ctx)
+    return _full(live, _block_vectors(model, ctx, live, _single(strategy)))[:, 0]
 
 
 def _score(
@@ -416,19 +563,22 @@ def _score(
 def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     """Exact optimum by strategy enumeration with full row checking.
 
-    Every deterministic strategy is converted to a complete variable
-    assignment, a block of strategies at a time; assignments violating any
-    row are discarded.  The strategies whose block objective comes within
-    ``NEAR_TIE`` of the best are checked and scored again alone, as
-    ``_score`` does, and ties of that score break toward the
-    lexicographically smallest strategy (the incumbent changes only on
-    strict improvement).
+    Every deterministic strategy is converted to an assignment of the live
+    columns (``_LiveColumns``), a block of strategies at a time, and
+    checked against the rows with a live term; the other rows do not
+    depend on the strategy and are checked once.  Assignments violating
+    any row are discarded.  The strategies whose block objective comes
+    within ``NEAR_TIE`` of the best are widened to full assignments,
+    checked and scored again alone, as ``_score`` does, and ties of that
+    score break toward the lexicographically smallest strategy (the
+    incumbent changes only on strict improvement).
     """
     system = RowSystem(model)
-    products = _propagation(ctx)
+    live = _live_columns(model, ctx)
+    rows, holds = _live_rows(system, live)
     # A block's assignments and row residuals take BLOCK_FLOATS floats each.
-    size = max(1, BLOCK_FLOATS // max(len(model.variables), len(model.rows)))
-    weights = np.abs(system.objective_vector)
+    size = max(1, BLOCK_FLOATS // max(live.size, rows.matrix.shape[0]))
+    weights = np.abs(rows.objective_vector)
     best: Optional[Strategy] = None
     best_val: Optional[float] = None
     best_x: Optional[np.ndarray] = None
@@ -436,17 +586,19 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     n_feasible = 0
     for block in strategy_blocks(ctx.diagram, size):
         n_total += block.size
-        xs = _block_vectors(model, ctx, products, block)
-        ok = system.passing(xs, EXACT_TOL)
+        if not holds:
+            continue
+        xs = _block_vectors(model, ctx, live, block)
+        ok = rows.passing(xs, EXACT_TOL)
         n_feasible += int(ok.sum())
         if not ok.any():
             continue
-        vals = system.objective_vector @ xs
-        # Each candidate is checked and scored alone, from its column: the
-        # assignment _strategy_vector builds, to the bit.
+        vals = rows.objective_vector @ xs
+        # Each candidate is checked and scored alone, from its column
+        # widened: the assignment _strategy_vector builds, to the bit.
         slack = NEAR_TIE * float((weights @ np.abs(xs)).max())
         for i in near_best(vals, ok, best_val, slack):
-            x = np.ascontiguousarray(xs[:, i])
+            x = np.ascontiguousarray(_full(live, xs[:, i]))
             if system.violations(x, EXACT_TOL):
                 continue
             val = system.objective_value(x)

@@ -533,6 +533,31 @@ class TestBench:
         assert "trial seed=0:" in proc.stdout
         assert "oracle_gap" not in proc.stdout
 
+    def test_infeasible_answer_agreeing_with_oracle_passes(self, workdir):
+        proc = run_cli(
+            "bench", "pigfarm", "--n", "3", "--trials", "1",
+            "--backend", "reference", "--modify", "H1,H2,H3",
+            "--chance", "P(H2=ill|H3=ill)<=0.0", "--report", "infeasible.jsonl",
+            cwd=workdir,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "trial seed=0: infeasible" in proc.stdout
+        assert "oracle infeasible" in proc.stdout
+        assert "CHECK FAILED" not in proc.stdout
+        record = json.loads((workdir / "infeasible.jsonl").read_text())
+        assert record["check_ok"] is True
+        assert record["oracle_value"] is None
+
+    def test_status_disagreeing_with_oracle_fails_the_check(self, workdir):
+        proc = run_cli(
+            "bench", "pigfarm", "--n", "2", "--trials", "1",
+            "--backend", "external", "--solver-cmd",
+            f"{sys.executable} unknown_solver.py {{lp}}", cwd=workdir,
+        )
+        assert proc.returncode == 1
+        assert "trial seed=0: unknown" in proc.stdout
+        assert "oracle optimal CHECK FAILED" in proc.stdout
+
     def test_record_shares_the_solve_fields(self, workdir):
         save_diagram(
             gen_pigfarm(PigFarmSpec(n_periods=1, seed=3)), workdir / "pig1s3.json"

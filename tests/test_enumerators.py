@@ -17,10 +17,12 @@ import pytest
 
 from limid import solve
 from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind, UtilityMap
-from limid.generators import PigFarmSpec, gen_pigfarm
+from limid.generators import (
+    NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm)
 from limid.inference import oracle_optimize, strategy_blocks, strategy_count
 from limid.risk import CvarObjective
-from limid.solve import reference_backend_command, solve_external, solve_reference
+from limid.solve import (
+    RowSystem, reference_backend_command, solve_external, solve_reference)
 from limid.transform import merge_value_nodes
 
 from helpers import (
@@ -107,11 +109,11 @@ def test_block_vectors_equal_one_at_a_time_vectors():
         d = ctx.diagram
         want = np.stack([strategy_vector(model, ctx, s)
                          for s in enumerate_strategies(d)], axis=1)
-        products = solve._propagation(ctx)
+        live = solve._live_columns(model, ctx)
         # The whole enumeration as one block, uneven blocks, and one alone.
         for size in (strategy_count(d), 7):
             got = np.concatenate(
-                [solve._block_vectors(model, ctx, products, block)
+                [solve._full(live, solve._block_vectors(model, ctx, live, block))
                  for block in strategy_blocks(d, size)], axis=1)
             assert got.tobytes() == want.tobytes(), (name, size)
         for k in (0, want.shape[1] - 1):
@@ -133,3 +135,65 @@ def test_oracle_reference_and_external_agree_at_65536_strategies():
     assert ref.strategy == oracle.best == ext.strategy
     assert ref.objective_value == pytest.approx(oracle.objective_value, rel=1e-12)
     assert ext.objective_value == ref.objective_value
+
+
+def test_reference_equals_oracle_at_nmonitoring_6_seed_3():
+    # The exact optimum of the instance on which the external path is known
+    # to answer 685.18485.
+    d = gen_nmonitoring(NMonitoringSpec(n_monitors=6, seed=3))
+    oracle = oracle_optimize(d)
+    _, _, model, ctx, _, _ = compile_case("nmonitoring-6", d)
+    ref = solve_reference(model, ctx)
+    assert ref.info == {"strategies": 4096, "feasible": 4096}
+    assert ref.objective_value == oracle.objective_value == 685.3588739065634
+    assert ref.strategy == oracle.best
+
+
+def _live_sizes(model, ctx):
+    system = RowSystem(model)
+    live = solve._live_columns(model, ctx)
+    rows, holds = solve._live_rows(system, live)
+    return system, live, rows, holds
+
+
+def test_live_columns_and_rows():
+    d = gen_nmonitoring(NMonitoringSpec(n_monitors=5, seed=1))
+    _, _, model, ctx, _, _ = compile_case("nmonitoring-5", d)
+    _, live, rows, holds = _live_sizes(model, ctx)
+    assert (live.size, len(model.variables)) == (586, 4618)
+    assert (rows.matrix.shape[0], len(model.rows)) == (1087, 5183)
+    assert holds
+    # Every column is live on a pig farm: the block arrays are the full ones.
+    _, _, model, ctx, _, _ = compile_case(
+        "pigfarm-4", gen_pigfarm(PigFarmSpec(n_periods=4, seed=1)))
+    system, live, rows, holds = _live_sizes(model, ctx)
+    assert (live.size, len(model.variables)) == (118, 118)
+    assert live.cols is None and rows.matrix is system.matrix
+    assert rows.matrix.shape[0] == len(model.rows) == 210
+
+
+def test_row_without_live_term_is_checked_once():
+    d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+    _, _, model, ctx, _, _ = compile_case("nmonitoring-3", d)
+    xs = np.stack([strategy_vector(model, ctx, s)
+                   for s in enumerate_strategies(d)], axis=1)
+    _, live, _, _ = _live_sizes(model, ctx)
+    dead = np.ones(len(model.variables), dtype=bool)
+    dead[live.cols] = False
+    # A dead column is 0.0 under every strategy.
+    assert dead.any() and not xs[dead].any()
+    # A cpt_link row of a zero CPT entry has one term, on a dead column:
+    # with rhs 1.0 no strategy meets it.
+    rows = model.rows
+    one_term = np.flatnonzero(np.diff(rows.indptr) == 1)
+    row = next(int(i) for i in one_term if rows.tag(i).startswith("cpt_link")
+               and dead[rows.indices[rows.indptr[i]]])
+    rows.rhs[row] = 1.0
+    system = RowSystem(model)
+    feasible = sum(not system.violations(xs[:, k], solve.EXACT_TOL)
+                   for k in range(xs.shape[1]))
+    ref = solve_reference(model, ctx)
+    assert ref.info == {"strategies": xs.shape[1], "feasible": feasible} \
+        == {"strategies": 64, "feasible": 0}
+    assert (ref.status, ref.strategy, ref.x, ref.objective_value) \
+        == ("infeasible", None, None, None)

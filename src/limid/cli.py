@@ -581,9 +581,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first ``main`` call; each parse returns a fresh namespace, so
+# later calls in the same process share the parser and nothing else.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, ExternalSolverError) as exc:

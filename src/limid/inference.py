@@ -2,15 +2,19 @@
 
 Each CPT, and each decision rule as a 0/1 table, sits on its family's axes
 (the parents plus the node).  A query contracts all of them straight onto
-its output axes along a pairwise path that ``np.einsum_path`` plans once
-per output scope.  Nothing is pruned or approximated: the answer is the
-product of every factor summed onto the output, and simplicity is the
-guarantee of correctness, which is what an oracle is for.  The largest
-tensor one step spans is guarded by a cap and refused beyond it.
+its output axes along a pairwise path that ``np.einsum_path`` plans
+(greedy, the ordering of opt_einsum) and the evaluator keeps per output
+scope.  Nothing is pruned or approximated: the answer is the product of
+every factor summed onto the output, and simplicity is the guarantee of
+correctness, which is what an oracle is for.  The largest tensor one
+step spans is guarded by a cap and refused beyond it.
 
 The oracle scores strategies in blocks: the rule tables of the last few
 decisions carry one more axis, over every rule of that decision, so one
 contraction yields the tables of a whole block in enumeration order.
+A scope is planned at most twice: alone, and at the deepest block worth
+trying; shallower blocks walk the deepest one's order.  Enumerations of
+more than ``STRATEGY_CAP`` strategies or ``BLOCK_CAP`` blocks are refused.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from .risk import (
 CONTRACTION_CAP = 1 << 26
 _LABELS = string.ascii_letters  # the 52 subscript labels np.einsum accepts
 STRATEGY_CAP = 1 << 24
+# Blocks one enumeration may take: each pays a contraction or a sparse
+# product, and at one strategy a block 2^17 of them is minutes of work.
+BLOCK_CAP = 1 << 17
 # Floats one array of a block of strategies may hold: an operand or result
 # of the oracle's contraction, the reference's assignments.
 BLOCK_FLOATS = 1 << 16
@@ -181,7 +188,13 @@ class Evaluator:
         ``m`` decisions' rule axes leading: the operand positions each step
         pops (descending, as numpy's paths count them) and its subscripts;
         the largest span of a step; and the most entries an operand or
-        result holds.  Planned once per scope and m."""
+        result holds.
+
+        ``np.einsum_path`` (greedy) orders the lone contraction (m=0) and
+        the deepest block worth trying (``_top``); a shallower block walks
+        the deepest one's order with fewer rule axes, so a scope is planned
+        at most twice.  Along one order no span or array shrinks as m
+        grows.  Each plan is kept per scope and m."""
         plan = self._plans.get((scope, m))
         if plan is not None:
             return plan
@@ -195,11 +208,15 @@ class Evaluator:
             terms[i] = label + terms[i]
             shapes[i] = (size[label], *shapes[i])
         out = rule_labels + "".join(self._label[n] for n in scope)
-        shaped = [np.broadcast_to(0.0, shape) for shape in shapes]
-        # The memory limit keeps greedy off intermediates above the cap; a
-        # step it cannot avoid is refused in _steps.
-        path = np.einsum_path(",".join(terms) + "->" + out, *shaped,
-                              optimize=("greedy", CONTRACTION_CAP))[0][1:]
+        top = self._top(scope) if m else 0
+        if m < top:
+            path = [step for step, _ in self._plan(scope, top)[0]]
+        else:
+            shaped = [np.broadcast_to(0.0, shape) for shape in shapes]
+            # The memory limit keeps greedy off intermediates above the cap;
+            # a step it cannot avoid is refused in _steps.
+            path = np.einsum_path(",".join(terms) + "->" + out, *shaped,
+                                  optimize=("greedy", CONTRACTION_CAP))[0][1:]
         steps = []
         largest = 0
         held = max(map(math.prod, shapes))
@@ -214,6 +231,25 @@ class Evaluator:
             steps.append((step, ",".join(picked) + "->" + terms[-1]))
         self._plans[(scope, m)] = steps, largest, held
         return steps, largest, held
+
+    def _bound(self, scope: Tuple[str, ...]) -> int:
+        """The most entries an array of a block onto ``scope`` may hold:
+        ``BLOCK_FLOATS``, or what the lone contraction already holds."""
+        return max(BLOCK_FLOATS, self._plan(scope)[2])
+
+    def _top(self, scope: Tuple[str, ...]) -> int:
+        """The largest m whose block output alone (every rule of the last m
+        decisions times the states of ``scope``) fits in ``_bound`` and
+        whose rule axes einsum has labels for."""
+        bound = self._bound(scope)
+        entries = math.prod(self._size[self._label[n]] for n in scope)
+        top = 0
+        for d in self.diagram.decision_nodes[::-1][:len(_LABELS) - len(self._nodes)]:
+            entries *= self._rule_count(d)
+            if entries > bound:
+                break
+            top += 1
+        return top
 
     def _steps(self, scope: Tuple[str, ...], m: int = 0
                ) -> List[Tuple[List[int], str]]:
@@ -247,17 +283,19 @@ class Evaluator:
         """``(m, size)``: the count of last decisions whose every rule one
         contraction takes, and the strategies that makes a block.  m is the
         largest for which no array of a contraction onto any of ``scopes``
-        holds more than ``BLOCK_FLOATS`` entries and einsum has a label for
-        each rule axis; 0 (one strategy a block) when even the last
-        decision's rules exceed it.  A scope whose lone contraction already
-        holds more keeps that bound."""
-        m = 0
-        while (m < len(self.diagram.decision_nodes)
-               and len(self._nodes) + m < len(_LABELS)
-               and all(self._plan(tuple(s), m + 1)[2]
-                       <= max(BLOCK_FLOATS, self._plan(tuple(s))[2])
-                       for s in scopes)):
-            m += 1
+        holds more than ``_bound`` entries, no step spans more than
+        ``CONTRACTION_CAP``, and einsum has a label for each rule axis; 0
+        (one strategy a block) when even the last decision's rules exceed
+        it.  Each scope tries depths from its ``_top`` down, along one
+        order, so the first that fits is the deepest."""
+        def depth(scope: Tuple[str, ...]) -> int:
+            for k in range(self._top(scope), 0, -1):
+                _, span, held = self._plan(scope, k)
+                if held <= self._bound(scope) and span <= CONTRACTION_CAP:
+                    return k
+            return 0
+
+        m = min(depth(tuple(s)) for s in scopes)
         return m, math.prod(self._rule_count(d) for d in self._batched(m))
 
     def _contract(self, strategy: Strategy, scope: Sequence[str], m: int = 0
@@ -350,12 +388,15 @@ def strategy_blocks(diagram: InfluenceDiagram, size: int) -> Iterator[StrategyBl
 
     Order: decisions in declaration order, each rule read as a tuple of
     chosen state indices per ascending parent configuration; earlier
-    decisions are more significant.  More than ``STRATEGY_CAP`` strategies
-    are refused before a block is built.
+    decisions are more significant.  More than ``STRATEGY_CAP`` strategies,
+    or more than ``BLOCK_CAP`` blocks, are refused before a block is built.
     """
     count = strategy_count(diagram)
     if count > STRATEGY_CAP:
         raise CapExceededError("strategy enumeration", count, STRATEGY_CAP)
+    blocks = -(-count // size)
+    if blocks > BLOCK_CAP:
+        raise CapExceededError("blocks of strategies", blocks, BLOCK_CAP)
     radix, cuts = [], [0]
     for d in diagram.decision_nodes:
         radix += [diagram.n_states(d)] * diagram.parent_indexer(d).total

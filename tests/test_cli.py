@@ -452,6 +452,25 @@ class TestOracle:
         assert proc.stdout == ""
         assert proc.stderr == "error: CVaR needs a single value node, found 0\n"
 
+    def test_successive_in_process_calls_share_no_flags(
+        self, workdir, monkeypatch, capsys
+    ):
+        # One process, one parser: the second call must not see the first
+        # call's --json or --chance.
+        from limid import cli
+
+        monkeypatch.chdir(workdir)
+        assert cli.main(["oracle", "pig2.json", "--json",
+                         "--chance", "P(H1=ill|H2=ill|H3=ill) <= 0.4"]) == 0
+        parser = cli._PARSER
+        first = capsys.readouterr().out
+        assert json.loads(first.splitlines()[-1])["n_feasible"] == 13
+        assert cli.main(["oracle", "pig2.json"]) == 0
+        assert cli._PARSER is parser
+        second = capsys.readouterr().out
+        assert "strategies      : 16 feasible / 16" in second
+        assert not second.splitlines()[-1].startswith("{")
+
 
 class TestCompare:
     def test_oracle_and_reference_agree(self, workdir):

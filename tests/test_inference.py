@@ -16,6 +16,7 @@ from limid.generators import (
 )
 from limid.inference import (
     ATOM_PROB_FLOOR,
+    BLOCK_CAP,
     Evaluator,
     UtilityDistribution,
     cvar_of_distribution,
@@ -297,6 +298,89 @@ class TestEnumeration:
             oracle_optimize(d)
         with pytest.raises(CapExceededError):
             solve_reference(model, ctx)
+
+    def test_block_cap_admits_pig_farm_ten_and_refuses_one_more(self):
+        # pigfarm n=10 scores 4^10 strategies 16 to an oracle block: 2^16.
+        d = gen_pigfarm(PigFarmSpec(n_periods=10, seed=1))
+        assert strategy_count(d) // 16 == 65_536
+        assert next(strategy_blocks(d, 16)).size == 16
+        assert next(strategy_blocks(d, strategy_count(d) // BLOCK_CAP)).size == 8
+        with pytest.raises(CapExceededError, match="blocks of strategies"):
+            next(strategy_blocks(d, 7))
+
+    def test_one_strategy_blocks_refused_before_a_block(self, monkeypatch):
+        # Draw 22 of this stream: 3^11 strategies whose last decision alone
+        # has more rules than a block holds, so each would be one block.
+        rng = np.random.default_rng(11)
+        for _ in range(23):
+            d = random_diagram(rng, min_nodes=3, max_nodes=6, require_value=True)
+        assert strategy_count(d) == 177_147
+        ev = Evaluator(d)
+        assert ev.blocking([ev._values]) == (0, 1)
+
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(inference, "rule_digits", no_block)
+        with pytest.raises(CapExceededError, match="blocks of strategies"):
+            oracle_optimize(d)
+
+
+# The block depth of the seed-1 ladder onto the value nodes.
+DEPTHS = ([("pigfarm", n, False, m) for n, m in zip(range(3, 11),
+                                                    (3, 4, 5, 4, 4, 3, 3, 2))]
+          + [("nmonitoring", n, False, m) for n, m in zip(range(3, 8),
+                                                          (3, 4, 5, 4, 4))]
+          + [("pigfarm", n, True, m) for n, m in zip(range(3, 7), (3, 4, 5, 4))])
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("family,n,merged,depth", DEPTHS)
+    def test_ladder_depths(self, family, n, merged, depth):
+        ev = Evaluator(_verify_diagram(family, n, merged))
+        m, size = ev.blocking([ev._values])
+        assert m == depth
+        assert size == 4 ** depth  # every decision of the ladder has 4 rules
+
+    @pytest.mark.parametrize("objective,constraints", [
+        (MeuObjective(), []),
+        (CvarObjective(alpha=0.15), []),
+        (MeuObjective(), ["P(H2=ill)<=0.37", "P(H3=ill)>=0.35"]),
+    ], ids=["meu", "cvar", "chance"])
+    def test_each_scope_planned_at_most_twice(self, monkeypatch, objective,
+                                              constraints):
+        d = _verify_diagram("pigfarm", 5, isinstance(objective, CvarObjective))
+        scopes = []
+        einsum_path = np.einsum_path
+
+        def spy(subscripts, *operands, **kwargs):
+            # The output's node labels name the scope; rule axes take the
+            # labels past the nodes'.
+            out = subscripts.split("->")[1]
+            scopes.append("".join(c for c in out
+                                  if inference._LABELS.index(c) < len(d.nodes)))
+            return einsum_path(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", spy)
+        res = oracle_optimize(d, objective,
+                              [parse_chance_text(c) for c in constraints])
+        assert res.n_strategies == 1024
+        assert len(set(scopes)) == 1 + len(constraints)
+        assert max(scopes.count(s) for s in scopes) == 2
+
+    def test_depth_declined_where_a_step_spans_past_the_cap(self, monkeypatch):
+        d = _verify_diagram("pigfarm", 5, merged=False)
+        ev = Evaluator(d)
+        m, _ = ev.blocking([ev._values])
+        want = oracle_optimize(d)
+        # One entry below the deepest block's widest step: that block would
+        # be refused, the one below it runs.
+        monkeypatch.setattr(inference, "CONTRACTION_CAP",
+                            ev._plan(ev._values, m)[1] - 1)
+        ev = Evaluator(d)
+        assert ev.blocking([ev._values])[0] == m - 1
+        got = oracle_optimize(d)
+        assert (got.best, got.objective_value) == (want.best, want.objective_value)
 
 
 class TestOracleOptimize:

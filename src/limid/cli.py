@@ -177,8 +177,12 @@ def _emit_record(args, record: Dict[str, object]) -> None:
         print(line)
     report = getattr(args, "report", None)
     if report:
-        with open(report, "a") as fh:
-            fh.write(line + "\n")
+        try:
+            with open(report, "a") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise OSError(
+                f"cannot write --report file {report!r}: {exc.strerror}") from None
 
 
 def _solver_command(args) -> List[str]:
@@ -217,18 +221,27 @@ def _solve_fields(args, model, solution: Solution, wall: float) -> Dict[str, obj
     }
 
 
+def _utility_scale(diagram: InfluenceDiagram) -> float:
+    """The sum over value nodes of each one's largest |utility|, which bounds
+    every expected utility and CVaR of the diagram."""
+    return sum(float(abs(u.values).max(initial=0.0))
+               for u in diagram.utilities.values())
+
+
 def _agrees(
-    oracle: OracleResult, solution: Solution, tol: float
+    oracle: OracleResult, solution: Solution, tol: float, scale: float
 ) -> Tuple[bool, Optional[float]]:
     """Whether an answer agrees with the oracle (an infeasible oracle only
     with status ``infeasible``, a feasible one only with ``optimal`` and an
-    objective gap of at most ``tol``), and the gap when both are feasible."""
+    objective gap of at most ``tol`` times the utility ``scale``, so that
+    agreement does not depend on the utilities' unit), and the gap when both
+    are feasible."""
     if not oracle.feasible:
         return solution.status == "infeasible", None
     if solution.status != "optimal":
         return False, None
     gap = abs(solution.objective_value - oracle.objective_value)
-    return bool(gap <= tol), gap
+    return bool(gap <= tol * scale), gap
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +387,19 @@ def cmd_compare(args) -> int:
         print(f"{name:<10} {status:<12} {shown}")
 
     ok = True
+    scale = _utility_scale(diagram)
+    within = f"{args.tol} x utility scale {scale!r}"
     for name, solution in solutions.items():
-        agree, gap = _agrees(oracle, solution, args.tol)
+        agree, gap = _agrees(oracle, solution, args.tol, scale)
         ok = ok and agree
         if not agree and gap is None:
             print(f"mismatch: oracle feasible={oracle.feasible} but "
                   f"{name} status={solution.status}")
         elif not agree:
-            print(f"mismatch: {name} objective differs from oracle by {gap!r}")
+            print(f"mismatch: {name} objective differs from oracle by {gap!r}, "
+                  f"more than {within}")
         elif gap is not None:
-            print(f"agree: {name} within {args.tol} of oracle (gap {gap:.3e})")
+            print(f"agree: {name} within {within} of oracle (gap {gap:.3e})")
     record = {
         "record": "compare",
         "diagram": args.diagram,
@@ -422,7 +438,8 @@ def cmd_bench(args) -> int:
             oracle = oracle_optimize(
                 diagram, objective=objective, constraints=constraints
             )
-            check_ok, gap = _agrees(oracle, solution, max(args.tol, 1e-9))
+            check_ok, gap = _agrees(oracle, solution, max(args.tol, 1e-9),
+                                    _utility_scale(diagram))
             record["oracle_value"] = oracle.objective_value
             record["oracle_gap"] = gap
             record["check_ok"] = check_ok
@@ -490,7 +507,8 @@ def _add_backend_flags(p: argparse.ArgumentParser, choice: bool = True) -> None:
         help="external solver command template; '{lp}' marks the LP path",
     )
     p.add_argument("--tol", type=tolerance, default=1e-6,
-                   help="feasibility re-check tolerance (default 1e-6)")
+                   help="feasibility re-check tolerance, and the objective gap "
+                   "to the oracle allowed per unit of utility scale (default 1e-6)")
 
 
 def tolerance(text: str) -> float:

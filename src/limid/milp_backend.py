@@ -14,7 +14,9 @@ without importing ``scipy.optimize``: that package import is most of a
 solver child's start-up, while the extension alone loads in milliseconds.
 Nor does the child import numpy, which would be most of what is left: the
 model is built as plain lists, and HiGHS takes the costs through scalar
-calls and every other field of its ``HighsLp`` from lists.
+calls and every other field of its ``HighsLp`` from lists.  The same
+loader gives ``limid.solve`` scipy's compiled sparse kernels
+(``sparsetools``) without ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SECTION_WORDS = {
@@ -58,8 +59,7 @@ class LpParseError(ValueError):
     pass
 
 
-@dataclass
-class LpProblem:
+class LpProblem(NamedTuple):
     sense: str  # "max" or "min"
     variables: List[str]
     objective: Dict[str, float]
@@ -67,7 +67,7 @@ class LpProblem:
     rows: List[Tuple[Dict[str, float], str, float]]
     lower: Dict[str, float]
     upper: Dict[str, float]
-    integer: Dict[str, bool] = field(default_factory=dict)
+    integer: Dict[str, bool]
 
 
 # Comments run from a backslash to the end of the line.
@@ -344,30 +344,40 @@ def solve_lp_text(text: str):
     return status, sign * fun + prob.constant, dict(zip(names, x))
 
 
-_CORE = "scipy.optimize._highspy._core"
 # The options scipy's ``milp`` sets; HiGHS's answers move with its options.
 HIGHS_OPTIONS = {"log_to_console": False, "mip_rel_gap": 0.0}
 
 
-def highs_core():
-    """scipy's HiGHS extension module, loaded from its file.
+def _extension(name: str):
+    """The scipy extension module ``name``, loaded from its file.
 
-    The module is registered under its own name, so a later
-    ``import scipy.optimize`` reuses it.  Without the file (another scipy
-    layout) it is imported the normal way, which runs ``scipy.optimize``.
+    The module is registered under its own name, so a later import of its
+    package reuses it.  Without the file (another scipy layout) it is
+    imported the normal way, which runs its package's ``__init__``.
     """
-    if _CORE in sys.modules:
-        return sys.modules[_CORE]
+    if name in sys.modules:
+        return sys.modules[name]
     scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
-    stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+    stem = os.path.join(scipy_dir, *name.split(".")[1:])
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(stem + suffix):
-            spec = importlib.util.spec_from_file_location(_CORE, stem + suffix)
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
             module = importlib.util.module_from_spec(spec)
-            sys.modules[_CORE] = module
+            sys.modules[name] = module
             spec.loader.exec_module(module)
             return module
-    return importlib.import_module(_CORE)
+    return importlib.import_module(name)
+
+
+def highs_core():
+    """scipy's HiGHS extension, without ``scipy.optimize``."""
+    return _extension("scipy.optimize._highspy._core")
+
+
+def sparsetools():
+    """scipy's compiled sparse kernels, the ones ``scipy.sparse`` matrices
+    run, without ``scipy.sparse``."""
+    return _extension("scipy.sparse._sparsetools")
 
 
 def run_highs(c, data, indices, indptr, row_lower, row_upper, col_lower,

@@ -16,10 +16,9 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from .diagram import NodeKind, Strategy
 from .inference import (
@@ -30,6 +29,7 @@ from .inference import (
     near_best,
     strategy_blocks,
 )
+from .milp_backend import sparsetools
 from .mip import (
     BINARY,
     EQ,
@@ -184,6 +184,44 @@ def write_lp(model: MipModel, path: Union[str, Path]) -> None:
 # Row checking
 
 
+class _Csr(NamedTuple):
+    """A sparse matrix in compressed sparse row form whose products run
+    the compiled kernels ``scipy.sparse.csr_matrix`` runs, called the way it
+    calls them, so they equal its products to the bit.  Loading the kernels
+    alone spares a process the import of ``scipy.sparse``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+
+    def sorted(self) -> "_Csr":
+        """This matrix with ascending columns within each row, as
+        ``csr_matrix.sort_indices`` leaves it: itself when every row is in
+        order (duplicates and all), else a sorted copy."""
+        tools = sparsetools()
+        if tools.csr_has_sorted_indices(self.shape[0], self.indptr, self.indices):
+            return self
+        out = _Csr(self.data.copy(), self.indices.copy(), self.indptr, self.shape)
+        tools.csr_sort_indices(self.shape[0], out.indptr, out.indices, out.data)
+        return out
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        m, n = self.shape
+        other = np.ascontiguousarray(other, dtype=np.float64)
+        if other.ndim not in (1, 2) or other.shape[0] != n:
+            raise ValueError(f"cannot multiply a {m}x{n} matrix by shape {other.shape}")
+        if other.ndim == 1 or other.shape[1] == 1:  # scipy's vector kernel
+            out = np.zeros(m)
+            sparsetools().csr_matvec(m, n, self.indptr, self.indices, self.data,
+                                     other.ravel(), out)
+            return out.reshape((m,) + other.shape[1:])
+        out = np.zeros((m, other.shape[1]))
+        sparsetools().csr_matvecs(m, n, other.shape[1], self.indptr, self.indices,
+                                  self.data, other.ravel(), out.ravel())
+        return out
+
+
 def _any_per_column(mask: np.ndarray) -> np.ndarray:
     """``mask.any(axis=0)``, which numpy computes slowly for a tall mask
     of few columns, one short row at a time."""
@@ -199,11 +237,8 @@ class RowSystem:
         self.model = model
         rows = model.rows
         n = len(model.variables)
-        self.matrix = sparse.csr_matrix(
-            (rows.data, rows.indices, rows.indptr), shape=(len(rows), n),
-            copy=True,
-        )
-        self.matrix.sort_indices()  # ascending columns within each row
+        # ascending columns within each row fix the order of every sum
+        self.matrix = _Csr(rows.data, rows.indices, rows.indptr, (len(rows), n)).sorted()
         self.rhs = rows.rhs
         self.senses = rows.sense
         kinds = model.variables.kinds
@@ -258,7 +293,7 @@ class _LiveRows:
     integrality and objective: what the reference checks and scores for
     every block."""
 
-    matrix: sparse.csr_matrix
+    matrix: _Csr
     rhs: np.ndarray
     senses: np.ndarray
     bounded: np.ndarray
@@ -297,14 +332,13 @@ def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarr
 # Reference solver
 
 
-def _one_hot_rows(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
+def _one_hot_rows(groups: np.ndarray, n_groups: int) -> _Csr:
     """The 0/1 matrix with a one at ``(groups[i], i)``.  Its product adds
     each group's entries in ascending i, the order ``np.bincount`` adds
     them in, so the sums are the same to the bit."""
     order = np.argsort(groups, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(groups, minlength=n_groups))])
-    return sparse.csr_matrix((np.ones(groups.size), order, indptr),
-                             shape=(n_groups, groups.size))
+    return _Csr(np.ones(groups.size), order, indptr, (n_groups, groups.size))
 
 
 def _at(arr: np.ndarray, live: Optional[np.ndarray]) -> np.ndarray:
@@ -326,7 +360,7 @@ class _Cluster:
     """
 
     live: Optional[np.ndarray]
-    sums: Optional[sparse.csr_matrix]
+    sums: Optional[_Csr]
     group_of: np.ndarray
     entries: Optional[np.ndarray]
     policy: Optional[Tuple[np.ndarray, np.ndarray]]
@@ -416,7 +450,7 @@ class _LiveColumns:
     cols: Optional[np.ndarray]
     before: np.ndarray
     spans: Dict[str, slice]
-    levels: Optional[sparse.csr_matrix]
+    levels: Optional[_Csr]
 
     @property
     def size(self) -> int:
@@ -507,10 +541,9 @@ def _live_rows(system: RowSystem, live: _LiveColumns) -> Tuple[_LiveRows, bool]:
     row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     counts = np.bincount(row_of[kept], minlength=m.shape[0])
     rows = np.flatnonzero(counts)
-    matrix = sparse.csr_matrix(
-        (m.data[kept], live.before[m.indices[kept]],
-         np.concatenate([[0], np.cumsum(counts[rows])])),
-        shape=(rows.size, live.size))
+    matrix = _Csr(m.data[kept], live.before[m.indices[kept]],
+                 np.concatenate([[0], np.cumsum(counts[rows])]),
+                 (rows.size, live.size))
     steady = np.flatnonzero(counts == 0)
     holds = not _off_sense(-system.rhs[steady], system.senses[steady],
                            EXACT_TOL).any()

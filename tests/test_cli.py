@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from limid.diagram import Cpt
+from limid import cli
+from limid.diagram import Cpt, UtilityMap
 from limid.diagram_io import save_diagram
 from limid.generators import (
     NMonitoringSpec,
@@ -22,6 +23,8 @@ from limid.generators import (
     gen_nmonitoring,
     gen_pigfarm,
 )
+from limid.inference import oracle_optimize
+from limid.solve import Solution
 
 from test_modify_rjt import two_branch_diagram
 
@@ -325,6 +328,13 @@ class TestSolve:
             assert record["record"] == "solve"
             assert record["objective_value"] == pytest.approx(767.06, abs=1e-9)
 
+    def test_unwritable_report_names_the_flag(self, workdir):
+        proc = run_cli("solve", "pig2.json", "--report", "no_such_dir/r.jsonl",
+                       cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: cannot write --report file "
+                               "'no_such_dir/r.jsonl': No such file or directory\n")
+
     def test_cvar_objective_requires_merged_values(self, workdir):
         proc = run_cli("solve", "pig2.json", "--objective", "cvar:0.2", cwd=workdir)
         assert proc.returncode == 1
@@ -495,6 +505,22 @@ class TestCompare:
         assert "infeasible" in proc.stdout
         assert "mismatch" not in proc.stdout
         assert "agree" not in proc.stdout
+
+    def test_agreement_does_not_depend_on_utility_units(self, tmp_path):
+        # At 1e9 times the utilities, oracle and reference differ in their
+        # last bit: 1.2e-4 absolute, 1e-16 of the utility scale.
+        diagram = gen_pigfarm(PigFarmSpec(n_periods=3))
+        for name, u in list(diagram.utilities.items()):
+            diagram.utilities[name] = UtilityMap(name, u.values * 1e9)
+        save_diagram(diagram, tmp_path / "pig3.json")
+        proc = run_cli("compare", "pig3.json", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stdout
+        assert "agree: reference within 1e-06 x utility scale" in proc.stdout
+        # A gap of 1e-4 of the objective still disagrees.
+        oracle = oracle_optimize(diagram)
+        planted = Solution("optimal", oracle.objective_value * (1 + 1e-4), None)
+        agree, gap = cli._agrees(oracle, planted, 1e-6, cli._utility_scale(diagram))
+        assert not agree and gap == pytest.approx(oracle.objective_value * 1e-4)
 
     def test_unknown_status_disagrees_with_infeasible_oracle(self, workdir):
         proc = run_cli(
@@ -683,7 +709,10 @@ def test_directory_for_a_file_is_an_error(workdir, argv):
     (workdir / "adir").mkdir(exist_ok=True)
     proc = run_cli(*argv, cwd=workdir)
     assert proc.returncode == 1
-    assert proc.stderr == "error: [Errno 21] Is a directory: 'adir'\n"
+    if "--report" in argv:  # a --report write error names the flag
+        assert proc.stderr == "error: cannot write --report file 'adir': Is a directory\n"
+    else:
+        assert proc.stderr == "error: [Errno 21] Is a directory: 'adir'\n"
 
 
 # The external backend under each subcommand that can run it.

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from limid import milp_backend
+from limid.diagram_io import save_diagram
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -382,9 +383,28 @@ class TestLazyPackage:
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = main([{str(DATA / 'pigfarm1.lp')!r}])\n"
-            "print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules "
-            "if m.startswith(('limid', 'numpy', 'scipy.optimize', 'scipy.sparse')))]))"
+            "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))"
         )
+
+    def run_compare(self, diagram, before=""):
+        """Run ``limid compare --external`` on ``diagram`` in a fresh
+        interpreter after the statements ``before``; returns its exit code,
+        its stdout and what the interpreter loaded."""
+        return self.run_python(
+            "import contextlib, io, json, sys\n"
+            f"{before}\n"
+            "from limid.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = main(['compare', {str(diagram)!r}, '--external', '--json'])\n"
+            "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))"
+        )
+
+    @pytest.fixture
+    def pig2(self, tmp_path):
+        path = tmp_path / "pig2.json"
+        save_diagram(gen_pigfarm(PigFarmSpec(n_periods=2)), path)
+        return path
 
     def test_solver_child_imports_only_its_module(self):
         code, listing, loaded = self.run_child()
@@ -395,6 +415,7 @@ class TestLazyPackage:
         assert "scipy.optimize" not in loaded
         assert "scipy.sparse" not in loaded
         assert "numpy" not in loaded
+        assert "dataclasses" not in loaded
 
     def test_loaded_core_is_the_one_scipy_optimize_uses(self):
         same, status, fun = self.run_python(
@@ -409,6 +430,41 @@ class TestLazyPackage:
         )
         assert same
         assert (status, fun) == (0, -2.0)
+
+    def test_loaded_kernels_are_the_ones_scipy_sparse_uses(self):
+        same, product, fun = self.run_python(
+            "import json\n"
+            "import numpy as np\n"
+            "from limid.milp_backend import sparsetools\n"
+            "tools = sparsetools()\n"
+            "from scipy import optimize, sparse\n"
+            "from scipy.sparse import _compressed\n"
+            "m = sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))\n"
+            "res = optimize.milp([-1.0, -2.0], integrality=[1, 0],\n"
+            "                    bounds=optimize.Bounds(0, [1.5, 0.5]),\n"
+            "                    constraints=optimize.LinearConstraint([[1, 1]], 0, 1.5))\n"
+            "print(json.dumps([_compressed._sparsetools is tools,\n"
+            "                  (m @ np.ones(2)).tolist(), res.fun]))"
+        )
+        assert same
+        assert product == [3.0, 3.0]
+        assert fun == -2.0
+
+    def test_compare_loads_only_the_sparse_kernels(self, pig2):
+        code, out, loaded = self.run_compare(pig2)
+        assert code == 0 and json.loads(out.splitlines()[-1])["ok"]
+        assert "scipy.sparse._sparsetools" in loaded
+        for heavy in ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
+                      "numpy.testing"):
+            assert heavy not in loaded
+
+    def test_fallback_import_gives_the_same_compare_record(self, pig2):
+        code, out, _ = self.run_compare(pig2)
+        fallback = self.run_compare(
+            pig2, "import importlib.machinery\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = []")
+        assert fallback[:2] == [code, out]
+        assert "scipy.sparse" in fallback[2]
 
     def test_fallback_import_gives_the_same_listing(self):
         code, listing, _ = self.run_child()

@@ -31,6 +31,7 @@ from limid.risk import (
     parse_chance_text,
     parse_logical_text,
 )
+from limid import solve
 from limid.rjt import build_rjt, modify_rjt
 from limid.solve import (
     ExternalSolverError,
@@ -223,6 +224,69 @@ class TestRowChecking:
         _, model, ctx = pig_setup(1)
         with pytest.raises(ExternalSolverError, match="misses"):
             assignment_vector(model, {"mu_H1_0": 1.0})
+
+
+class TestCsr:
+    """The holder's products equal ``scipy.sparse.csr_matrix``'s to the bit."""
+
+    @staticmethod
+    def pair(data, indices, indptr, shape):
+        from scipy import sparse
+
+        data = np.asarray(data, dtype=float)
+        indices, indptr = np.asarray(indices), np.asarray(indptr)
+        theirs = sparse.csr_matrix((data, indices, indptr), shape=shape, copy=True)
+        theirs.sort_indices()
+        return solve._Csr(data, indices, indptr, shape).sorted(), theirs
+
+    def random_pair(self):
+        """A 40x30 matrix with empty rows, unsorted rows and duplicates."""
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 9, 40)
+        counts[[0, 7, 39]] = 0
+        indices = rng.integers(0, 30, counts.sum())
+        data = rng.normal(size=counts.sum()) * 10.0 ** rng.integers(-8, 8, counts.sum())
+        return self.pair(data, indices, np.concatenate([[0], np.cumsum(counts)]),
+                         (40, 30))
+
+    @pytest.mark.parametrize("operand", [
+        "vector", "column", "multi", "strided vector", "strided multi", "fortran",
+    ])
+    def test_products_match_scipy_byte_for_byte(self, operand):
+        ours, theirs = self.random_pair()
+        base = np.random.default_rng(8).normal(size=(30, 12))
+        other = {
+            "vector": base[:, 0].copy(),
+            "column": base[:, :1].copy(),
+            "multi": base.copy(),
+            "strided vector": base[:, 3],
+            "strided multi": base[:, ::3],
+            "fortran": np.asfortranarray(base),
+        }[operand]
+        got, want = ours @ other, theirs @ other
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_unsorted_row_with_a_duplicate_column(self):
+        # The duplicates' order in the sorted row fixes how the sum rounds.
+        ours, theirs = self.pair([1e16, 1.0, -1e16, 3.0, 1.0], [4, 1, 4, 0, 4],
+                                 [0, 0, 5], (2, 5))
+        assert ours.indices.tolist() == theirs.indices.tolist()
+        assert ours.data.tobytes() == theirs.data.tobytes()
+        x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
+        assert (ours @ x).tobytes() == (theirs @ x).tobytes()
+        assert (ours @ np.c_[x, 2 * x]).tobytes() == (theirs @ np.c_[x, 2 * x]).tobytes()
+
+    def test_sorting_leaves_the_source_arrays_alone(self):
+        indices = np.array([2, 0, 1])
+        holder = solve._Csr(np.array([1.0, 2.0, 3.0]), indices, np.array([0, 3]), (1, 3))
+        assert holder.sorted().indices.tolist() == [0, 1, 2]
+        assert indices.tolist() == [2, 0, 1]
+
+    def test_operand_of_the_wrong_length_refused(self):
+        ours, _ = self.random_pair()
+        with pytest.raises(ValueError, match="40x30"):
+            ours @ np.ones(29)
 
 
 class TestPropagation:

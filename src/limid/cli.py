@@ -30,7 +30,7 @@ from .diagram import (
     check_strategy,
     validate_diagram,
 )
-from .diagram_io import load_diagram, load_strategy, save_strategy
+from .diagram_io import load_diagram, load_strategy, strategy_to_dict
 from .generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -52,12 +52,16 @@ from .solve import (
     ExternalSolverError,
     Solution,
     decode,
+    export_lp,
     reference_backend_command,
     solve_external,
     solve_reference,
-    write_lp,
 )
 from .transform import merge_value_nodes
+
+# The objective gap to the oracle that ``compare`` and ``bench`` allow, per
+# unit of utility scale (see ``_agrees``).
+AGREEMENT_TOL = 1e-6
 
 
 def _compile_hint(exc: ValueError) -> str:
@@ -171,18 +175,29 @@ def describe_strategy(diagram: InfluenceDiagram, strategy: Strategy) -> List[str
     return lines
 
 
+def _write(flag: str, path: str, text: str, mode: str = "w") -> None:
+    """Write ``text`` to the file named by ``flag``; a failure names the flag."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {flag} file {path!r}: {exc.strerror}") from None
+
+
+def _write_strategy(args, diagram: InfluenceDiagram, strategy: Strategy) -> None:
+    if args.out_strategy:
+        text = json.dumps(strategy_to_dict(diagram, strategy), indent=2) + "\n"
+        _write("--out-strategy", args.out_strategy, text)
+        print(f"wrote {args.out_strategy}")
+
+
 def _emit_record(args, record: Dict[str, object]) -> None:
     line = json.dumps(record, sort_keys=True, default=str)
     if getattr(args, "json", False):
         print(line)
     report = getattr(args, "report", None)
     if report:
-        try:
-            with open(report, "a") as fh:
-                fh.write(line + "\n")
-        except OSError as exc:
-            raise OSError(
-                f"cannot write --report file {report!r}: {exc.strerror}") from None
+        _write("--report", report, line + "\n", mode="a")
 
 
 def _solver_command(args) -> List[str]:
@@ -229,19 +244,19 @@ def _utility_scale(diagram: InfluenceDiagram) -> float:
 
 
 def _agrees(
-    oracle: OracleResult, solution: Solution, tol: float, scale: float
+    oracle: OracleResult, solution: Solution, scale: float
 ) -> Tuple[bool, Optional[float]]:
     """Whether an answer agrees with the oracle (an infeasible oracle only
     with status ``infeasible``, a feasible one only with ``optimal`` and an
-    objective gap of at most ``tol`` times the utility ``scale``, so that
-    agreement does not depend on the utilities' unit), and the gap when both
-    are feasible."""
+    objective gap of at most ``AGREEMENT_TOL`` times the utility ``scale``,
+    so that agreement does not depend on the utilities' unit), and the gap
+    when both are feasible."""
     if not oracle.feasible:
         return solution.status == "infeasible", None
     if solution.status != "optimal":
         return False, None
     gap = abs(solution.objective_value - oracle.objective_value)
-    return bool(gap <= tol * scale), gap
+    return bool(gap <= AGREEMENT_TOL * scale), gap
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +288,7 @@ def cmd_rjt(args) -> int:
         arrow = f" <- {parent}" if parent else " (top)"
         print(f"  C[{root}]: {{{members}}}{arrow}")
     if args.dot:
-        Path(args.dot).write_text(to_dot(tree))
+        _write("--dot", args.dot, to_dot(tree))
         print(f"wrote {args.dot}")
     for p in tree_problems:
         print(f"invalid: {p}")
@@ -282,7 +297,7 @@ def cmd_rjt(args) -> int:
 
 def cmd_build(args) -> int:
     model, ctx, objective, constraints = _compile(args, _load(args))
-    write_lp(model, args.out)
+    _write("--out", args.out, export_lp(model))
     stats = model_stats(model)
     print(json.dumps(stats, sort_keys=True))
     print(f"wrote {args.out}")
@@ -327,9 +342,7 @@ def cmd_solve(args) -> int:
         for u, p in dist.atoms:
             print(f"  u={u!r} p={p!r}")
         record["n_atoms"] = dist.utilities.size
-    if args.out_strategy:
-        save_strategy(diagram, decoded.strategy, args.out_strategy)
-        print(f"wrote {args.out_strategy}")
+    _write_strategy(args, diagram, decoded.strategy)
     print(f"wall time       : {wall:.3f}s")
     _emit_record(args, record)
     return 0
@@ -362,9 +375,7 @@ def cmd_oracle(args) -> int:
     for line in describe_strategy(diagram, result.best):
         print(line)
     record["strategy"] = {d: list(r) for d, r in result.best.rules.items()}
-    if args.out_strategy:
-        save_strategy(diagram, result.best, args.out_strategy)
-        print(f"wrote {args.out_strategy}")
+    _write_strategy(args, diagram, result.best)
     _emit_record(args, record)
     return 0
 
@@ -388,9 +399,9 @@ def cmd_compare(args) -> int:
 
     ok = True
     scale = _utility_scale(diagram)
-    within = f"{args.tol} x utility scale {scale!r}"
+    within = f"{AGREEMENT_TOL} x utility scale {scale!r}"
     for name, solution in solutions.items():
-        agree, gap = _agrees(oracle, solution, args.tol, scale)
+        agree, gap = _agrees(oracle, solution, scale)
         ok = ok and agree
         if not agree and gap is None:
             print(f"mismatch: oracle feasible={oracle.feasible} but "
@@ -438,8 +449,7 @@ def cmd_bench(args) -> int:
             oracle = oracle_optimize(
                 diagram, objective=objective, constraints=constraints
             )
-            check_ok, gap = _agrees(oracle, solution, max(args.tol, 1e-9),
-                                    _utility_scale(diagram))
+            check_ok, gap = _agrees(oracle, solution, _utility_scale(diagram))
             record["oracle_value"] = oracle.objective_value
             record["oracle_gap"] = gap
             record["check_ok"] = check_ok
@@ -507,8 +517,8 @@ def _add_backend_flags(p: argparse.ArgumentParser, choice: bool = True) -> None:
         help="external solver command template; '{lp}' marks the LP path",
     )
     p.add_argument("--tol", type=tolerance, default=1e-6,
-                   help="feasibility re-check tolerance, and the objective gap "
-                   "to the oracle allowed per unit of utility scale (default 1e-6)")
+                   help="tolerance of the external answer's re-check against "
+                   "every row, bound and integrality requirement (default 1e-6)")
 
 
 def tolerance(text: str) -> float:

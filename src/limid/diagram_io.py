@@ -155,12 +155,6 @@ def strategy_from_dict(diagram: InfluenceDiagram, data: Dict[str, Any]) -> Strat
     return Strategy(rules=rules)
 
 
-def save_strategy(diagram: InfluenceDiagram, strategy: Strategy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(strategy_to_dict(diagram, strategy), fh, indent=2)
-        fh.write("\n")
-
-
 def load_strategy(diagram: InfluenceDiagram, path: str) -> Strategy:
     with open(path, "r", encoding="utf-8") as fh:
         return strategy_from_dict(diagram, json.load(fh))

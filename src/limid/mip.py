@@ -273,7 +273,6 @@ class ClusterLayout:
     consistency and downward propagation use the same arithmetic.
     """
 
-    root: str
     members: Tuple[str, ...]
     total: int
     n_groups: int
@@ -333,7 +332,6 @@ class CompileContext:
                                                pindexer.total)
 
         return ClusterLayout(
-            root=root,
             members=members,
             total=total,
             n_groups=total // d.n_states(root),

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -32,7 +33,6 @@ from .inference import (
 from .milp_backend import sparsetools
 from .mip import (
     BINARY,
-    EQ,
     FREE,
     GE,
     LE,
@@ -230,6 +230,28 @@ def _any_per_column(mask: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _check(
+    rows, xs: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The row residuals of the assignments ``xs`` (one per column) and
+    where they fail at ``tol``: the rows that break their sense, the
+    bounded entries outside [0, 1] and the binary entries that are not
+    integral.  ``rows`` is a ``RowSystem`` or a ``_LiveView``'s rows."""
+    res = rows.matrix @ xs
+    shifted = np.flatnonzero(rows.rhs)  # subtracting zero changes nothing
+    res[shifted] -= rows.rhs[shifted, None]
+    off = res > tol
+    off[np.flatnonzero(rows.senses == GE)] = False
+    under = res < -tol
+    under[np.flatnonzero(rows.senses == LE)] = False
+    outside = (xs < -tol) | (xs > 1.0 + tol)
+    outside[np.flatnonzero(~rows.bounded)] = False
+    bits = np.flatnonzero(rows.binary)
+    fractional = np.zeros(xs.shape, dtype=bool)
+    fractional[bits] = np.abs(xs[bits] - np.round(xs[bits])) > tol
+    return res, off | under, outside, fractional
+
+
 class RowSystem:
     """Sparse row matrix of a model for fast repeated feasibility checks."""
 
@@ -253,66 +275,23 @@ class RowSystem:
         return float(self.objective_vector @ x)
 
     def violations(self, x: np.ndarray, tol: float) -> List[str]:
-        problems: List[str] = []
-        res = self.matrix @ x - self.rhs
-        bad_eq = (self.senses == EQ) & (np.abs(res) > tol)
-        bad_le = (self.senses == LE) & (res > tol)
-        bad_ge = (self.senses == GE) & (res < -tol)
-        for i in np.nonzero(bad_eq | bad_le | bad_ge)[0]:
-            problems.append(
-                f"row c{i + 1} [{self.model.rows.tag(i)}] residual "
-                f"{res[i]:.3e} violates sense {SENSES[self.senses[i]]}"
-            )
-        outside = self.bounded & ((x < -tol) | (x > 1.0 + tol))
-        fractional = self.binary & (np.abs(x - np.round(x)) > tol)
-        bad = np.nonzero(outside | fractional)[0]
+        """What ``_check`` finds wrong with the one assignment ``x``, in
+        words: the rows in order, then the variables in order."""
+        res, off, outside, fractional = _check(self, x[:, None], tol)
+        problems = [
+            f"row c{i + 1} [{self.model.rows.tag(i)}] residual "
+            f"{res[i, 0]:.3e} violates sense {SENSES[self.senses[i]]}"
+            for i in np.flatnonzero(off)
+        ]
+        bad = np.flatnonzero(outside | fractional)
         names = self.model.variables.names() if bad.size else []
         for j in bad:
             name, val = names[j], x[j]
-            if outside[j]:
+            if outside[j, 0]:
                 problems.append(f"variable {name} = {val!r} outside [0, 1]")
-            if fractional[j]:
+            if fractional[j, 0]:
                 problems.append(f"variable {name} = {val!r} is not integral")
         return problems
-
-
-def _off_sense(res: np.ndarray, senses: np.ndarray, tol: float) -> np.ndarray:
-    """Which residuals (one row of ``res`` per row) break their row's
-    sense at ``tol``."""
-    over = res > tol
-    over[np.flatnonzero(senses == GE)] = False
-    under = res < -tol
-    under[np.flatnonzero(senses == LE)] = False
-    return over | under
-
-
-@dataclass(frozen=True)
-class _LiveRows:
-    """The rows of a ``RowSystem`` with a term on a live column, over the
-    live columns (see ``_LiveColumns``), with those columns' bounds,
-    integrality and objective: what the reference checks and scores for
-    every block."""
-
-    matrix: _Csr
-    rhs: np.ndarray
-    senses: np.ndarray
-    bounded: np.ndarray
-    binary: np.ndarray
-    objective_vector: np.ndarray
-
-    def passing(self, xs: np.ndarray, tol: float) -> np.ndarray:
-        """Which columns of ``xs`` (one live assignment each) satisfy every
-        row, bound and integrality requirement at ``tol``: ``violations``
-        for many assignments at once, without the messages."""
-        res = self.matrix @ xs
-        shifted = np.flatnonzero(self.rhs)  # subtracting zero changes nothing
-        res[shifted] -= self.rhs[shifted, None]
-        outside = (xs < -tol) | (xs > 1.0 + tol)
-        outside[np.flatnonzero(~self.bounded)] = False
-        bits = xs[np.flatnonzero(self.binary)]
-        fractional = np.abs(bits - np.round(bits)) > tol
-        return ~(_any_per_column(_off_sense(res, self.senses, tol))
-                 | _any_per_column(outside) | _any_per_column(fractional))
 
 
 def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarray:
@@ -434,58 +413,104 @@ def _block_masses(
     return mu
 
 
-@dataclass(frozen=True)
-class _LiveColumns:
-    """The columns of a model some strategy can make nonzero: every policy
-    bit and CVaR column, and the masses of the live configurations of
-    ``products`` (``_propagation(ctx)``).  ``cols`` lists them, ascending
-    (None when all ``n`` are live); ``before[j]`` counts the live columns
-    before column ``j``, the place of column ``j`` among them when it is
-    live.  ``spans`` gives each cluster's live masses their place, and
-    ``levels`` adds the CVaR value cluster's live masses per utility
-    level."""
+class _Rows(NamedTuple):
+    """Rows over some columns, with those columns' bounds, integrality and
+    objective, as ``_check`` reads them from a ``RowSystem``, and whether
+    the rows left out hold."""
 
-    products: Dict[str, _Cluster]
-    n: int
-    cols: Optional[np.ndarray]
-    before: np.ndarray
-    spans: Dict[str, slice]
-    levels: Optional[_Csr]
-
-    @property
-    def size(self) -> int:
-        return int(self.before[-1])
+    matrix: _Csr
+    rhs: np.ndarray
+    senses: np.ndarray
+    bounded: np.ndarray
+    binary: np.ndarray
+    objective_vector: np.ndarray
+    holds: bool
 
 
-def _live_columns(model: MipModel, ctx: CompileContext) -> _LiveColumns:
-    products = _propagation(ctx)
-    keep = np.ones(len(model.variables), dtype=bool)
-    for root, cluster in products.items():
-        if cluster.live is not None:
-            span = model.mu[root].span
-            keep[span] = False
-            keep[span.start + cluster.live] = True
-    before = np.concatenate([[0], np.cumsum(keep)])
-    spans = {root: slice(int(before[b.start]), int(before[b.start + b.size]))
-             for root, b in model.mu.items()}
-    cv = model.cvar
-    levels = None
-    if cv is not None:
-        level = _at(cv.level, products[cv.value_root].live)
-        levels = _one_hot_rows(level, cv.utilities.size)
-    return _LiveColumns(products, keep.size,
-                        None if keep.all() else np.flatnonzero(keep),
-                        before, spans, levels)
+class _LiveView:
+    """The columns of a model some strategy can make nonzero, and the rows
+    with a term on one of them: what the reference builds, checks and
+    scores for every block.  Built once per solve from the model's
+    ``RowSystem`` and ``ctx``.
+
+    The live columns are every policy bit and CVaR column and the masses of
+    the live configurations of ``products`` (``_propagation(ctx)``).
+    ``cols`` lists them, ascending (None when all are live); ``before[j]``
+    counts the live columns before column ``j``, the place of column ``j``
+    among them when it is live.  ``spans`` gives each cluster's live masses
+    their place, and ``levels`` adds the CVaR value cluster's live masses
+    per utility level.
+    """
+
+    def __init__(self, system: RowSystem, ctx: CompileContext):
+        model = system.model
+        self.system, self.ctx = system, ctx
+        self.products = _propagation(ctx)
+        keep = np.ones(len(model.variables), dtype=bool)
+        for root, cluster in self.products.items():
+            if cluster.live is not None:
+                span = model.mu[root].span
+                keep[span] = False
+                keep[span.start + cluster.live] = True
+        self.cols = None if keep.all() else np.flatnonzero(keep)
+        self.before = before = np.concatenate([[0], np.cumsum(keep)])
+        self.size = int(before[-1])
+        self.spans = {root: slice(int(before[b.start]), int(before[b.start + b.size]))
+                      for root, b in model.mu.items()}
+        cv = model.cvar
+        self.levels = None if cv is None else _one_hot_rows(
+            _at(cv.level, self.products[cv.value_root].live), cv.utilities.size)
+
+    @cached_property
+    def rows(self) -> _Rows:
+        """The rows with a term on a live column, over the live columns (the
+        system's own arrays when every column is live), and whether every
+        other row holds at ``EXACT_TOL``: its residual is the zero
+        assignment's under every strategy.  Only the reference reads them,
+        so they are built on first use."""
+        s = self.system
+        if self.cols is None:
+            return _Rows(s.matrix, s.rhs, s.senses, s.bounded, s.binary,
+                         s.objective_vector, True)
+        m = s.matrix
+        kept = np.zeros(m.shape[1], dtype=bool)
+        kept[self.cols] = True
+        kept = kept[m.indices]
+        row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        counts = np.bincount(row_of[kept], minlength=m.shape[0])
+        rows = np.flatnonzero(counts)
+        off = _check(s, np.zeros((m.shape[1], 1)), EXACT_TOL)[1]
+        return _Rows(
+            _Csr(m.data[kept], self.before[m.indices[kept]],
+                 np.concatenate([[0], np.cumsum(counts[rows])]), (rows.size, self.size)),
+            s.rhs[rows], s.senses[rows], s.bounded[self.cols], s.binary[self.cols],
+            s.objective_vector[self.cols], not off[counts == 0].any())
+
+    def full(self, xs: np.ndarray) -> np.ndarray:
+        """Assignments of every column from those of the live columns (one
+        per column of ``xs``); a dead column is 0.0."""
+        if self.cols is None:
+            return xs
+        full = np.zeros(self.system.matrix.shape[1:] + xs.shape[1:])
+        full[self.cols] = xs
+        return full
+
+    def passing(self, xs: np.ndarray, tol: float) -> np.ndarray:
+        """Which columns of ``xs`` (one live assignment each) pass ``_check``
+        on ``rows`` at ``tol``: ``violations`` for many assignments at
+        once, without the messages, when ``rows.holds``."""
+        _, off, outside, fractional = _check(self.rows, xs, tol)
+        return ~(_any_per_column(off) | _any_per_column(outside)
+                 | _any_per_column(fractional))
 
 
-def _block_vectors(
-    model: MipModel, ctx: CompileContext, live: _LiveColumns, block: StrategyBlock
-) -> np.ndarray:
+def _block_vectors(live: _LiveView, block: StrategyBlock) -> np.ndarray:
     """Assignments of the live columns implied by a block of strategies,
     one column each (masses, policy bits, and canonical tail bookkeeping
-    when the model carries a CVaR block); ``_full`` widens them."""
+    when the model carries a CVaR block); ``live.full`` widens them."""
+    model = live.system.model
     x = np.zeros((live.size, block.size))
-    mu = _block_masses(ctx, live.products, block)
+    mu = _block_masses(live.ctx, live.products, block)
     for root, arr in mu.items():
         x[live.spans[root]] = arr
     columns = np.arange(block.size)[:, None]
@@ -517,41 +542,6 @@ def _block_vectors(
     return x
 
 
-def _full(live: _LiveColumns, xs: np.ndarray) -> np.ndarray:
-    """Assignments of every column from those of the live columns (one
-    per column of ``xs``); a dead column is 0.0."""
-    if live.cols is None:
-        return xs
-    full = np.zeros((live.n,) + xs.shape[1:])
-    full[live.cols] = xs
-    return full
-
-
-def _live_rows(system: RowSystem, live: _LiveColumns) -> Tuple[_LiveRows, bool]:
-    """The rows of ``system`` with a term on a live column, over the live
-    columns, and whether every other row holds at ``EXACT_TOL``: its
-    residual is ``-rhs`` under every strategy."""
-    if live.cols is None:
-        return _LiveRows(system.matrix, system.rhs, system.senses, system.bounded,
-                         system.binary, system.objective_vector), True
-    m = system.matrix
-    kept = np.zeros(live.n, dtype=bool)
-    kept[live.cols] = True
-    kept = kept[m.indices]
-    row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    counts = np.bincount(row_of[kept], minlength=m.shape[0])
-    rows = np.flatnonzero(counts)
-    matrix = _Csr(m.data[kept], live.before[m.indices[kept]],
-                 np.concatenate([[0], np.cumsum(counts[rows])]),
-                 (rows.size, live.size))
-    steady = np.flatnonzero(counts == 0)
-    holds = not _off_sense(-system.rhs[steady], system.senses[steady],
-                           EXACT_TOL).any()
-    return _LiveRows(matrix, system.rhs[rows], system.senses[rows],
-                     system.bounded[live.cols], system.binary[live.cols],
-                     system.objective_vector[live.cols]), holds
-
-
 def _single(strategy: Strategy) -> StrategyBlock:
     return StrategyBlock(size=1, rules={
         d: np.asarray([rule], dtype=np.int64) for d, rule in strategy.rules.items()})
@@ -574,21 +564,15 @@ def propagate_cluster_marginals(
     return out
 
 
-def _strategy_vector(
-    model: MipModel, ctx: CompileContext, strategy: Strategy
-) -> np.ndarray:
-    """Full variable assignment implied by a strategy (masses, policy bits,
-    and canonical tail bookkeeping when the model carries a CVaR block)."""
-    live = _live_columns(model, ctx)
-    return _full(live, _block_vectors(model, ctx, live, _single(strategy)))[:, 0]
-
-
 def _score(
     system: RowSystem, ctx: CompileContext, strategy: Strategy
 ) -> Tuple[np.ndarray, List[str], Optional[float]]:
-    """The assignment a strategy implies, its row violations at
-    ``EXACT_TOL``, and its objective, which is None unless it passes."""
-    x = _strategy_vector(system.model, ctx, strategy)
+    """The full assignment a strategy implies (masses, policy bits, and
+    canonical tail bookkeeping when the model carries a CVaR block), its
+    row violations at ``EXACT_TOL``, and its objective, which is None
+    unless it passes."""
+    live = _LiveView(system, ctx)
+    x = live.full(_block_vectors(live, _single(strategy)))[:, 0]
     violations = system.violations(x, EXACT_TOL)
     return x, violations, None if violations else system.objective_value(x)
 
@@ -597,9 +581,10 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     """Exact optimum by strategy enumeration with full row checking.
 
     Every deterministic strategy is converted to an assignment of the live
-    columns (``_LiveColumns``), a block of strategies at a time, and
-    checked against the rows with a live term; the other rows do not
-    depend on the strategy and are checked once.  Assignments violating
+    columns (``_LiveView``), a block of strategies at a time.  One routine,
+    ``_check``, tests the rows, bounds and integrality: over the rows with
+    a live term for each block, and once over the zero assignment for the
+    other rows, whose residual no strategy changes.  Assignments violating
     any row are discarded.  The strategies whose block objective comes
     within ``NEAR_TIE`` of the best are widened to full assignments,
     checked and scored again alone, as ``_score`` does, and ties of that
@@ -607,8 +592,8 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     incumbent changes only on strict improvement).
     """
     system = RowSystem(model)
-    live = _live_columns(model, ctx)
-    rows, holds = _live_rows(system, live)
+    live = _LiveView(system, ctx)
+    rows = live.rows
     # A block's assignments and row residuals take BLOCK_FLOATS floats each.
     size = max(1, BLOCK_FLOATS // max(live.size, rows.matrix.shape[0]))
     weights = np.abs(rows.objective_vector)
@@ -619,19 +604,19 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     n_feasible = 0
     for block in strategy_blocks(ctx.diagram, size):
         n_total += block.size
-        if not holds:
+        if not rows.holds:
             continue
-        xs = _block_vectors(model, ctx, live, block)
-        ok = rows.passing(xs, EXACT_TOL)
+        xs = _block_vectors(live, block)
+        ok = live.passing(xs, EXACT_TOL)
         n_feasible += int(ok.sum())
         if not ok.any():
             continue
         vals = rows.objective_vector @ xs
         # Each candidate is checked and scored alone, from its column
-        # widened: the assignment _strategy_vector builds, to the bit.
+        # widened: the assignment _score builds, to the bit.
         slack = NEAR_TIE * float((weights @ np.abs(xs)).max())
         for i in near_best(vals, ok, best_val, slack):
-            x = np.ascontiguousarray(_full(live, xs[:, i]))
+            x = np.ascontiguousarray(live.full(xs[:, i]))
             if system.violations(x, EXACT_TOL):
                 continue
             val = system.objective_value(x)
@@ -763,16 +748,14 @@ def solve_external(
         status = STATUS_INFEASIBLE
     else:
         status = STATUS_UNKNOWN
-    info: Dict[str, object] = {}
-    if parsed.get("objective") is not None:
-        info["reported_objective"] = parsed["objective"]
     if status != STATUS_OPTIMAL:
-        return Solution(status=status, objective_value=None, x=None, info=info)
+        return Solution(status=status, objective_value=None, x=None)
     x = assignment_vector(model, parsed["assignment"])  # raises when short
     system = RowSystem(model)
     violations = system.violations(x, tol)
     objective = system.objective_value(x)
     strategy = None
+    info: Dict[str, object] = {}
     if not violations:
         strategy = _strategy_from_bits(model, x)
         x, violations, exact = _score(system, ctx, strategy)

@@ -10,6 +10,7 @@ expected values.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -452,3 +453,12 @@ def strategy_vector(model: MipModel, ctx: CompileContext,
         x[block.rho] = np.where(wit["below"], probs, 0.0)
         x[block.rhobar] = wit["tail_share"]
     return x
+
+
+def listing_command(path, names, x):
+    """A solver command that prints ``x`` as an optimal name/value listing."""
+    path.write_text("status optimal\n" + "".join(
+        f"{name} {value!r}\n" for name, value in zip(names, x.tolist())
+    ))
+    return [sys.executable, "-c",
+            "import sys; print(open(sys.argv[1]).read())", str(path), "{lp}"]

@@ -8,6 +8,7 @@ as the shared input.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 from limid import cli
 from limid.diagram import Cpt, UtilityMap
-from limid.diagram_io import save_diagram
+from limid.diagram_io import load_diagram, save_diagram
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -24,8 +25,9 @@ from limid.generators import (
     gen_pigfarm,
 )
 from limid.inference import oracle_optimize
-from limid.solve import Solution
+from limid.solve import RowSystem, Solution
 
+from helpers import compile_case, enumerate_strategies, listing_command, strategy_vector
 from test_modify_rjt import two_branch_diagram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -519,8 +521,26 @@ class TestCompare:
         # A gap of 1e-4 of the objective still disagrees.
         oracle = oracle_optimize(diagram)
         planted = Solution("optimal", oracle.objective_value * (1 + 1e-4), None)
-        agree, gap = cli._agrees(oracle, planted, 1e-6, cli._utility_scale(diagram))
+        agree, gap = cli._agrees(oracle, planted, cli._utility_scale(diagram))
         assert not agree and gap == pytest.approx(oracle.objective_value * 1e-4)
+
+    def test_tol_loosens_the_recheck_not_the_agreement(self, workdir, tmp_path):
+        # A solver listing of a feasible strategy worse than the best passes
+        # a --tol 0.5 re-check; its gap to the oracle is still a mismatch.
+        diagram = load_diagram(str(workdir / "pig2.json"))
+        _, _, model, ctx, _, _ = compile_case("pig2", diagram)
+        oracle = oracle_optimize(diagram)
+        worse = next(s for s in enumerate_strategies(diagram) if s != oracle.best)
+        x = strategy_vector(model, ctx, worse)
+        gap = oracle.objective_value - RowSystem(model).objective_value(x)
+        assert 0 < gap <= 0.5 * cli._utility_scale(diagram)
+        cmd = listing_command(tmp_path / "answer.txt", model.variables.names(), x)
+        proc = run_cli("compare", "pig2.json", "--external", "--tol", "0.5",
+                       "--solver-cmd", shlex.join(cmd), cwd=workdir)
+        assert proc.returncode == 1
+        assert "agree: reference within" in proc.stdout
+        assert f"mismatch: external objective differs from oracle by {gap!r}" \
+            in proc.stdout
 
     def test_unknown_status_disagrees_with_infeasible_oracle(self, workdir):
         proc = run_cli(
@@ -635,7 +655,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_tol_must_be_finite_and_above_zero(self, workdir, command, value):
-        # NaN made every gap "agree"; a negative tolerance made every gap differ
+        # A NaN tolerance would pass every re-check, a negative one fail every one
         proc = run_cli(command, "pig2.json", f"--tol={value}", cwd=workdir)
         assert proc.returncode == 2
         assert "argument --tol: must be a finite number above 0" in proc.stderr
@@ -701,6 +721,7 @@ DIRECTORY_ARGS = [
     ("rjt", "pig2.json", "--dot", "adir"),
     ("solve", "pig2.json", "--report", "adir"),
     ("solve", "pig2.json", "--out-strategy", "adir"),
+    ("oracle", "pig2.json", "--out-strategy", "adir"),
 ]
 
 
@@ -709,10 +730,11 @@ def test_directory_for_a_file_is_an_error(workdir, argv):
     (workdir / "adir").mkdir(exist_ok=True)
     proc = run_cli(*argv, cwd=workdir)
     assert proc.returncode == 1
-    if "--report" in argv:  # a --report write error names the flag
-        assert proc.stderr == "error: cannot write --report file 'adir': Is a directory\n"
-    else:
+    if argv[0] == "validate":  # a read error keeps the system's message
         assert proc.stderr == "error: [Errno 21] Is a directory: 'adir'\n"
+    else:  # a write error names the flag
+        assert proc.stderr == \
+            f"error: cannot write {argv[-2]} file 'adir': Is a directory\n"
 
 
 # The external backend under each subcommand that can run it.

@@ -10,6 +10,7 @@ those ``helpers.strategy_vector`` builds one strategy at a time.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind, UtilityMap
 from limid.generators import (
     NMonitoringSpec, PigFarmSpec, gen_nmonitoring, gen_pigfarm)
 from limid.inference import oracle_optimize, strategy_blocks, strategy_count
-from limid.risk import CvarObjective
+from limid.mip import BINARY, EQ, GE, LE, SENSES, UNIT
+from limid.risk import CvarObjective, parse_chance_text
 from limid.solve import (
     RowSystem, reference_backend_command, solve_external, solve_reference)
 from limid.transform import merge_value_nodes
@@ -109,16 +111,17 @@ def test_block_vectors_equal_one_at_a_time_vectors():
         d = ctx.diagram
         want = np.stack([strategy_vector(model, ctx, s)
                          for s in enumerate_strategies(d)], axis=1)
-        live = solve._live_columns(model, ctx)
+        system = RowSystem(model)
+        live = solve._LiveView(system, ctx)
         # The whole enumeration as one block, uneven blocks, and one alone.
         for size in (strategy_count(d), 7):
             got = np.concatenate(
-                [solve._full(live, solve._block_vectors(model, ctx, live, block))
+                [live.full(solve._block_vectors(live, block))
                  for block in strategy_blocks(d, size)], axis=1)
             assert got.tobytes() == want.tobytes(), (name, size)
         for k in (0, want.shape[1] - 1):
             s = list(enumerate_strategies(d))[k]
-            assert solve._strategy_vector(model, ctx, s).tobytes() \
+            assert solve._score(system, ctx, s)[0].tobytes() \
                 == want[:, k].tobytes(), name
         checked += 1
     assert checked == 21 + 6 + 1
@@ -151,9 +154,8 @@ def test_reference_equals_oracle_at_nmonitoring_6_seed_3():
 
 def _live_sizes(model, ctx):
     system = RowSystem(model)
-    live = solve._live_columns(model, ctx)
-    rows, holds = solve._live_rows(system, live)
-    return system, live, rows, holds
+    live = solve._LiveView(system, ctx)
+    return system, live, live.rows, live.rows.holds
 
 
 def test_live_columns_and_rows():
@@ -197,3 +199,99 @@ def test_row_without_live_term_is_checked_once():
         == {"strategies": 64, "feasible": 0}
     assert (ref.status, ref.strategy, ref.x, ref.objective_value) \
         == ("infeasible", None, None, None)
+
+
+def _agreement_cases():
+    # Dead columns and rows without a live term; then every column live,
+    # with the CVaR block's rows and a chance row 4 of 16 strategies break.
+    d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+    yield compile_case("nmonitoring-3", d)
+    merged = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=2, seed=1)))[0]
+    yield compile_case("merged pigfarm-2 cvar0.3", merged, CvarObjective(alpha=0.3),
+                       [parse_chance_text("P(H3=ill) <= 0.45")])
+
+
+def _plants(model, live, full):
+    """``(kind, rhs shift, column, value shift, must fail)`` per planted
+    violation, over the assignments ``full`` (one per strategy).  A row
+    plant moves one row's rhs so that its residual passes 1e-3 (an EQ
+    row) or the midpoint of its residuals (an LE or GE row).  A column
+    plant moves one live column by the same amount under every strategy
+    and every row's rhs by what that adds to the row, so no row breaks:
+    a mass pushed to at most 1 + 1e-3, and a policy bit moved by 0.5."""
+    system = RowSystem(model)
+    rows = model.rows
+    res = system.matrix @ full - rows.rhs[:, None]
+    live_col = np.zeros(len(model.variables), dtype=bool)
+    live_col[live.cols if live.cols is not None else slice(None)] = True
+    row_of = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+    live_term = np.bincount(row_of, weights=live_col[rows.indices],
+                            minlength=len(rows)) > 0
+    spread = res.max(axis=1) - res.min(axis=1)
+    for sense in (EQ, LE, GE):
+        fit = live_term & (rows.sense == sense) & ((sense == EQ) | (spread > 2e-3))
+        if not fit.any():
+            continue
+        i = int(np.argmax(np.where(fit, spread, -1.0)))
+        mid = 1e-3 if sense == EQ else (res[i].max() + res[i].min()) / 2
+        shift = np.zeros(len(rows))
+        shift[i] = -mid if sense == EQ else mid
+        moved = res[i] - shift[i]
+        yield (f"violates sense {SENSES[sense]}", shift, None, 0.0,
+               np.abs(moved) > 1e-6 if sense == EQ else
+               moved > 1e-6 if sense == LE else moved < -1e-6)
+    varies = live_col & (full.max(axis=1) - full.min(axis=1) > 2e-3)
+    for var_kind, kind in ((UNIT, "outside [0, 1]"), (BINARY, "is not integral")):
+        j = int(np.flatnonzero(varies & (model.variables.kinds == var_kind))[0])
+        delta = 1 + 1e-3 - full[j].max() if var_kind == UNIT else 0.5
+        step = np.zeros(len(model.variables))
+        step[j] = delta
+        must_fail = full[j] + delta > 1 + 1e-6 if var_kind == UNIT \
+            else np.ones(full.shape[1], dtype=bool)
+        yield kind, system.matrix @ step, j, delta, must_fail
+
+
+def _keys(messages):
+    """A message without the residual it prints, which rounding moves."""
+    return {re.sub(r" residual \S+", "", m) for m in messages}
+
+
+def test_block_check_agrees_with_lone_check():
+    planted = set()
+    for name, d, model, ctx, _, _ in _agreement_cases():
+        system = RowSystem(model)
+        live = solve._LiveView(system, ctx)
+        block = next(strategy_blocks(d, strategy_count(d)))
+        xs = solve._block_vectors(live, block)
+        full = live.full(xs)
+        rows = model.rows
+        base_rhs = rows.rhs.copy()
+        names = model.variables.names()
+        outcomes = set()
+        for tol in (solve.EXACT_TOL, 1e-6):
+            base = [system.violations(np.ascontiguousarray(full[:, k]), tol)
+                    for k in range(block.size)]
+            for kind, shift, col, delta, must_fail in _plants(model, live, full):
+                rows.rhs[:] = base_rhs + shift
+                p_system = RowSystem(model)
+                p_live = solve._LiveView(p_system, ctx)
+                p_xs = xs.copy()
+                if col is not None:
+                    p_xs[live.before[col]] += delta
+                p_full = p_live.full(p_xs)
+                ok = p_live.passing(p_xs, tol) & p_live.rows.holds
+                lone = [p_system.violations(np.ascontiguousarray(p_full[:, k]), tol)
+                        for k in range(block.size)]
+                assert ok.tolist() == [not m for m in lone], (name, kind, tol)
+                # The plant breaks where it must, and only in its own way.
+                added = [_keys(m) - _keys(b) for m, b in zip(lone, base)]
+                assert all(any(kind in m for m in new)
+                           for new, fail in zip(added, must_fail) if fail), (name, kind)
+                own = kind if col is None else f"variable {names[col]} = "
+                assert all(own in m for new in added for m in new), (name, kind)
+                planted.add(kind)
+                outcomes.update(ok.tolist())
+                rows.rhs[:] = base_rhs
+        assert outcomes == {True, False}, name
+    assert planted == {"violates sense ==", "violates sense <=", "violates sense >=",
+                       "outside [0, 1]", "is not integral"}

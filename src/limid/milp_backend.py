@@ -28,6 +28,8 @@ import math
 import os
 import re
 import sys
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import itemgetter, not_, sub
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -80,8 +82,9 @@ _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # relations, a lone "=" (one not touching another "=" or a "<"/">" that is
 # not part of a relation), colons, signs, a number, the number of a
 # coefficient fused to its name (2x), and any other word up to where the
-# next token starts.
-_TOKEN_RE = re.compile(
+# next token starts.  Text in the exported layout never needs it, so ``re``
+# compiles it on first use rather than at every solver child's start.
+_TOKEN = (
     r"\s*(<=|>=|(?==)(?:(?<![<>=])|(?<=[<>]=))=(?!=|[<>](?!=))|:"
     r"|(?=[+-])(?<![eE])[+-]"
     rf"|{_NUM}{_END}|{_NUM}(?=[A-Za-z_][A-Za-z0-9_.]*{_END})"
@@ -91,13 +94,14 @@ _TOKEN_RE = re.compile(
 
 
 _REL, _SECTION, _PLUS, _MINUS, _NUMBER, _WORD = range(6)
+_RELATIONS = frozenset(("<=", ">=", "="))
 
 
 class _Kinds(dict):
     """Token -> kind, worked out once per distinct token."""
 
     def __missing__(self, tok: str) -> int:
-        if tok in ("<=", ">=", "="):
+        if tok in _RELATIONS:
             kind = _REL
         elif tok.lower() in _SECTION_WORDS:
             kind = _SECTION
@@ -113,19 +117,206 @@ class _Kinds(dict):
         return kind
 
 
+# A section in the layout ``limid.solve.export_lp`` writes: its header alone
+# on a line.  The objective, rows, bounds and binaries are read a whole
+# section at a time when every chunk between spaces is one token of the
+# kind its place asks for; anything else goes through the token loop.
+_HEADER_RE = re.compile(
+    r"\n(?=(?:Maximize|Minimize|Subject To|Bounds|Binaries|End)\n)")
+_FIRST_TERM_RE = re.compile(r": (?=[\d.])")
+_WORD_CHARS_RE = re.compile(r"[A-Za-z0-9_. ]*")
+
+
+class _Section:
+    """What a section read in one step adds to the problem.
+
+    ``opens`` is the section its header opens (a ``_SECTION_WORDS`` value),
+    ``names`` the variables it uses in order of first use, and ``lower`` and
+    ``upper`` the bounds it sets.  ``span`` is where it lies in the
+    comment-free text.  (A plain class: a ``NamedTuple`` took 0.4 ms of
+    every solver child's start-up.)"""
+
+    __slots__ = ("opens", "names", "objective", "rows", "lower", "upper", "span")
+
+    def __init__(self, opens: str, names: Dict[str, None],
+                 objective: Dict[str, float],
+                 rows: List[Tuple[Dict[str, float], str, float]],
+                 lower: Dict[str, float], upper: Dict[str, float]):
+        self.opens, self.names, self.objective = opens, names, objective
+        self.rows, self.lower, self.upper = rows, lower, upper
+        self.span = (0, 0)
+
+
+def _plain(words) -> bool:
+    """Whether each of ``words`` is a single word token and no section word:
+    a letter or '_', then letters, digits, '_' or '.'."""
+    # Digits, '.' and the empty word sort below "A"; other characters are
+    # refused first.
+    return (_WORD_CHARS_RE.fullmatch(" ".join(words)) is not None
+            and (not words or min(words) >= "A")
+            and _SECTION_WORDS.keys().isdisjoint(map(str.lower, words)))
+
+
+def _coefficients(signs: List[str], numbers: List[str]) -> Optional[List[float]]:
+    """Each term's coefficient added to 0.0, as the token loop adds it, or
+    None unless every sign is "+" or "-" and every number is unsigned."""
+    distinct = set(numbers)
+    if not ({"+", "-"}.issuperset(signs) and all(
+            _NUMBER_RE.match(s) and s[0] not in "+-" for s in distinct)):
+        return None
+    signed = {"+": {s: 0.0 + float(s) for s in distinct},
+              "-": {s: 0.0 + -float(s) for s in distinct}}
+    return list(map(dict.__getitem__, map(signed.__getitem__, signs), numbers))
+
+
+def _sums(names: List[str], values: List[float],
+          counts: List[int]) -> List[Dict[str, float]]:
+    """One dict per run of ``counts[k]`` terms, holding each name's
+    coefficient; a name that repeats within a run gets the sum of its
+    coefficients in order, as the token loop adds them."""
+    sums = list(map(dict, map(islice, repeat(zip(names, values)), counts)))
+    if sum(map(len, sums)) == len(names):
+        return sums
+    # No value is -0.0, so adding 0.0 to the first of a name's terms, as
+    # the token loop does, changes none of these sums.
+    terms = zip(names, values)
+    sums = []
+    for k in counts:
+        coeffs: Dict[str, float] = {}
+        for name, value in islice(terms, k):
+            coeffs[name] = coeffs.get(name, 0.0) + value
+        sums.append(coeffs)
+    return sums
+
+
+def _read_section(piece: str) -> Optional[_Section]:
+    """The objective, rows, bounds or binaries of ``piece``, a header line
+    and its section, read in one step; None when the token loop must read
+    it."""
+    header = piece[1:].partition("\n")[0]
+    if header in ("Maximize", "Minimize", "Subject To"):
+        # Give an unsigned first term its "+", which changes nothing the
+        # token loop reads, so that every term is three chunks.
+        piece = _FIRST_TERM_RE.sub(": + ", piece)
+    chunks = piece.split()
+    opens = _SECTION_WORDS[chunks[0].lower()]
+    objective: Dict[str, float] = {}
+    rows: list = []
+    lower: Dict[str, float] = {}
+    upper: Dict[str, float] = {}
+    if header == "Subject To":
+        # Each row is a label, terms of a sign, a number and a name, a
+        # relation and a right-hand side, so the chunks after the header
+        # fall into threes: (label or name, sign or relation, number or
+        # right-hand side), and a relation ends a row.
+        if len(chunks) % 3 != 2:
+            return None
+        heads, marks, tails = chunks[2::3], chunks[3::3], chunks[4::3]
+        ends_row = list(map(_RELATIONS.__contains__, marks))
+        ends = list(compress(count(), ends_row))
+        if not ends or ends[-1] != len(marks) - 1:
+            return None
+        starts = [0, *map((1).__add__, ends[:-1])]
+        labels = list(map(heads.__getitem__, starts))
+        # A label is a word and a colon: no word holds one, so each label
+        # holds one colon at most, at its end.
+        if ("".join(labels).count(":") != len(labels)
+                or not _plain([label[:-1] for label in labels])):
+            return None
+        in_term = list(map(not_, ends_row))
+        names = list(compress(islice(heads, 1, None), in_term))
+        values = _coefficients(list(compress(marks, in_term)),
+                               list(compress(tails, in_term)))
+        rhs = list(map(tails.__getitem__, ends))
+        if values is None or not all(map(_NUMBER_RE.match, set(rhs))):
+            return None
+        rows = list(zip(_sums(names, values, list(map(sub, ends, starts))),
+                        map(marks.__getitem__, ends), map(float, rhs)))
+    elif header == "Bounds":
+        # Runs of "0 <= name <= 1" lines, each ended by a "name free" line
+        # or by the end of the section.
+        body = chunks[1:]
+        names, free = [], []
+        start = 0
+        for at in [*compress(count(), map("free".__eq__, body)), len(body) + 1]:
+            units = body[start:at - 1]
+            k = len(units) // 5
+            if (at - 1 < start or len(units) % 5 or units[0::5] != ["0"] * k
+                    or not units[1::5] == units[3::5] == ["<="] * k
+                    or units[4::5] != ["1"] * k):
+                return None
+            lower.update(zip(units[2::5], repeat(0.0)))
+            upper.update(zip(units[2::5], repeat(1.0)))
+            names += units[2::5]
+            if at <= len(body):
+                name = body[at - 1]
+                lower[name], upper[name] = -_INF, _INF
+                names.append(name)
+                free.append(name.lower())
+            start = at + 1
+        # The token loop reads "inf free" as a lower bound.
+        if not {"inf", "infinity"}.isdisjoint(free):
+            return None
+    elif header == "Binaries":
+        names = chunks[1:]
+    elif opens in ("objective-max", "objective-min"):
+        # A label, then terms of a sign, a number and a name.
+        if len(chunks) % 3 != 2 or not chunks[1].endswith(":"):
+            return None
+        names = chunks[4::3]
+        values = _coefficients(chunks[2::3], chunks[3::3])
+        if values is None or not _plain([chunks[1][:-1]]):
+            return None
+        objective = _sums(names, values, [len(names)])[0]
+    else:
+        return None
+    used = dict.fromkeys(names)
+    if not _plain(used):
+        return None
+    return _Section(opens, used, objective, rows, lower, upper)
+
+
+def _tokens(text: str) -> Tuple[List[str], Dict[int, _Section]]:
+    """The tokens of ``text``, except that a section read in one step stands
+    as its header's first token, and the section itself is kept by that
+    token's index.
+
+    The text splits between whitespace and a header, and no token spans
+    whitespace, so the pieces' tokens are the whole text's.  The token loop
+    reads nothing after an End header, so the tokens stop there.  A header
+    after "<=" would be a bound's name in the token loop, so its section is
+    left to it."""
+    tokens: List[str] = []
+    sections: Dict[int, _Section] = {}
+    cuts = [0, *(m.start() for m in _HEADER_RE.finditer(text)), len(text)]
+    for k, (start, end) in enumerate(zip(cuts, cuts[1:])):
+        piece = text[start:end]
+        if k and tokens[-1:] != ["<="]:  # the first piece has no header
+            if piece.startswith("\nEnd\n"):
+                tokens.append("End")  # where the token loop stops reading
+                break
+            part = _read_section(piece)
+            if part is not None:
+                part.span = (start, end)
+                sections[len(tokens)] = part
+                tokens.append(piece.split(None, 1)[0])
+                continue
+        if piece and not piece.isspace():
+            tokens += re.findall(_TOKEN, piece)
+    return tokens, sections
+
+
 def parse_lp(text: str) -> LpProblem:
-    tokens = _TOKEN_RE.findall(_COMMENT_RE.sub("", text))
+    text = _COMMENT_RE.sub("", text)
+    tokens, sections = _tokens(text)
     if not tokens:
         raise LpParseError("empty LP file")
     n = len(tokens)
     kinds = _Kinds()
-    variables: List[str] = []
-    seen = set()
+    seen: Dict[str, None] = {}  # the variables, in order of first use
 
     def touch(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            variables.append(name)
+        seen[name] = None
 
     i = 0
     section = None
@@ -136,6 +327,11 @@ def parse_lp(text: str) -> LpProblem:
     lower: Dict[str, float] = {}
     upper: Dict[str, float] = {}
     integer: Dict[str, bool] = {}
+
+    def position(i: int) -> int:
+        """The place of tokens[i] among the tokens of the whole text."""
+        return i + sum(len(re.findall(_TOKEN, text[slice(*part.span)])) - 1
+                       for at, part in sections.items() if at < i)
 
     def parse_expr(stop_at_sense: bool):
         """Read a linear expression; returns (coeffs, const, sense_token).
@@ -155,9 +351,7 @@ def parse_lp(text: str) -> LpProblem:
                 if i + 1 < n and tokens[i + 1] == ":":
                     i += 2  # row or objective label, not a variable
                     continue
-                if tok not in seen:
-                    seen.add(tok)
-                    variables.append(tok)
+                seen[tok] = None
                 coeffs[tok] = coeffs.get(tok, 0.0) + sign * (
                     1.0 if coef is None else coef
                 )
@@ -190,6 +384,24 @@ def parse_lp(text: str) -> LpProblem:
         return coeffs, const, None
 
     while i < n:
+        part = sections.get(i)
+        if part is not None:
+            seen.update(part.names)
+            if part.opens in ("objective-max", "objective-min"):
+                sense = "max" if part.opens == "objective-max" else "min"
+                objective, constant = part.objective, 0.0
+            else:
+                section = part.opens
+            rows += part.rows
+            lower.update(part.lower)
+            upper.update(part.upper)
+            if part.opens == "binaries":
+                for name in part.names:
+                    integer[name] = True
+                    lower.setdefault(name, 0.0)
+                    upper.setdefault(name, 1.0)
+            i += 1
+            continue
         tok = tokens[i]
         sec = _SECTION_WORDS[tok.lower()] if kinds[tok] == _SECTION else None
         if sec == "objective-max" or sec == "objective-min":
@@ -216,7 +428,8 @@ def parse_lp(text: str) -> LpProblem:
             coeffs, const, rel = parse_expr(stop_at_sense=True)
             if rel is None:
                 raise LpParseError(
-                    f"constraint without relational operator near token {i}"
+                    f"constraint without relational operator near token "
+                    f"{position(i)}"
                 )
             i += 1  # consume sense token
             val, i = _read_signed(
@@ -239,7 +452,7 @@ def parse_lp(text: str) -> LpProblem:
 
     return LpProblem(
         sense=sense,
-        variables=variables,
+        variables=list(seen),
         objective=objective,
         constant=constant,
         rows=rows,
@@ -308,14 +521,15 @@ def solve_lp_text(text: str):
     """Parse and solve; returns (status word, objective or None, assignment)."""
     prob = parse_lp(text)
     names = prob.variables
-    index = {name: j for j, name in enumerate(names)}
-    c = [0.0] * len(names)
-    for name, coef in prob.objective.items():
-        c[index[name]] += coef
+    index = dict(zip(names, count()))
+    # Each cost is 0.0 plus the objective's coefficient, as a sum from 0.0.
+    c = list(map((0.0).__add__, map(prob.objective.get, names, repeat(0.0))))
     if prob.sense == "max":
-        c = [-cost for cost in c]
+        c = list(map(float.__neg__, c))
     # Row-major terms to CSC: walking the rows in order keeps each column's
-    # rows ascending, as a CSR-to-CSC conversion does.
+    # rows ascending, as a CSR-to-CSC conversion does.  (Bulk transposes,
+    # a stable sort by column or appends mapped over the terms, measured
+    # slower than this loop.)
     col_rows = [[] for _ in names]
     col_values = [[] for _ in names]
     for r, (coeffs, _, _) in enumerate(prob.rows):
@@ -323,19 +537,18 @@ def solve_lp_text(text: str):
             j = index[name]
             col_rows[j].append(r)
             col_values[j].append(coef)
-    indptr = [0]
-    for rows in col_rows:
-        indptr.append(indptr[-1] + len(rows))
+    relations = list(map(itemgetter(1), prob.rows))
+    rhs = list(map(itemgetter(2), prob.rows))
 
     status, fun, x = run_highs(
         c,
-        [value for values in col_values for value in values],
-        [r for rows in col_rows for r in rows],
-        indptr,
-        [-_INF if rel == "<=" else rhs for _, rel, rhs in prob.rows],
-        [_INF if rel == ">=" else rhs for _, rel, rhs in prob.rows],
-        [prob.lower.get(m, 0.0) for m in names],
-        [prob.upper.get(m, _INF) for m in names],
+        list(chain.from_iterable(col_values)),
+        list(chain.from_iterable(col_rows)),
+        [0, *accumulate(map(len, col_rows))],
+        list(map({"<=": -_INF}.get, relations, rhs)),
+        list(map({">=": _INF}.get, relations, rhs)),
+        list(map(prob.lower.get, names, repeat(0.0))),
+        list(map(prob.upper.get, names, repeat(_INF))),
         [1 if prob.integer.get(m) else 0 for m in names],
     )
     if status != "optimal":

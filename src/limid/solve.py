@@ -16,6 +16,8 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -86,38 +88,51 @@ class DecodedSolution:
 # LP text export
 
 
-def _terms_text(coefs: List[float], names: List[str]) -> List[str]:
-    """One ``+ c name`` or ``- c name`` token per term."""
-    return [
-        f"- {-c!r} {name}" if c < 0 else f"+ {c!r} {name}"
-        for c, name in zip(coefs, names)
-    ]
+def _distinct(values: np.ndarray) -> Tuple[List[float], np.ndarray]:
+    """The distinct floats of ``values``, told apart by their bits (so -0.0
+    is not 0.0), and where each entry of ``values`` is among them."""
+    bits, at = np.unique(np.ascontiguousarray(values, dtype=np.float64)
+                         .view(np.int64), return_inverse=True)
+    return bits.view(np.float64).tolist(), at
 
 
-def _wrap(prefix: str, tokens: List[str], tail: str = "") -> List[str]:
-    """Lines of ``prefix``, the terms and ``tail``, wrapped before a term
-    that would pass ``LP_LINE_WIDTH``; a leading plus sign is dropped."""
-    body = " ".join(tokens)
-    if body.startswith("+"):
-        body = body[2:]
-    if len(prefix) + 1 + len(body) <= LP_LINE_WIDTH:
-        # no term can overflow: the line is the whole expression
-        line = f"{prefix} {body}" if body else prefix
-        return [f"{line} {tail}" if tail else line]
-    lines = []
-    cur = prefix
-    for k, tok in enumerate(tokens):
-        if k == 0 and tok.startswith("+"):
-            tok = tok[2:]
-        if len(cur) + 1 + len(tok) > LP_LINE_WIDTH and cur.strip():
-            lines.append(cur)
-            cur = " " + tok
-        else:
-            cur = cur + " " + tok
-    if tail:
-        cur = cur + " " + tail
-    lines.append(cur)
-    return lines
+def _terms_text(coefs: np.ndarray, variables: np.ndarray, firsts: np.ndarray,
+                names: np.ndarray, widths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One ``+ c name`` or ``- c name`` token per term, as an object array,
+    where the terms at ``firsts``, each the first of its expression, drop a
+    leading "+ "; and the width of each token.  ``names`` and ``widths``
+    hold every variable's name and its length.  Each distinct coefficient
+    is formatted once."""
+    values, at = _distinct(coefs)
+    signed = [f"- {-c!r} " if c < 0 else f"+ {c!r} " for c in values]
+    texts = signed + [t[2:] if t[0] == "+" else t for t in signed]
+    at[firsts] += len(signed)
+    return (np.array(texts, dtype=object)[at] + names[variables],
+            np.array(list(map(len, texts)), dtype=np.int64)[at] + widths[variables])
+
+
+def _line_breaks(widths: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                 lead: np.ndarray) -> Tuple[List[int], List[int]]:
+    """The line breaks of expressions wrapped at ``LP_LINE_WIDTH``.
+    Expression k is the terms ``starts[k]:stops[k]`` of ``widths``, after
+    ``lead[k]`` characters on its first line.  A term, with the space before
+    it, goes on its line unless it would pass the width; a continuation line
+    holds at least one term.  Returns the terms a break follows and the
+    expressions that break before their first term."""
+    reach = np.concatenate([[0], np.cumsum(widths + 1)])
+    # the term that ends a line starting at term j, or at expression k's lead
+    ends = (np.searchsorted(reach, reach[:-1] + LP_LINE_WIDTH, side="right") - 1).tolist()
+    firsts = np.searchsorted(reach, reach[starts] + LP_LINE_WIDTH - lead, side="right") - 1
+    breaks, bare = [], []
+    for k in np.flatnonzero(firsts < stops).tolist():
+        start, stop, end = int(starts[k]), int(stops[k]), max(int(firsts[k]), int(starts[k]))
+        while end < stop:
+            if end == start:
+                bare.append(k)
+            else:
+                breaks.append(end - 1)
+            end = min(max(ends[end], end + 1), stop)
+    return breaks, bare
 
 
 def export_lp(model: MipModel) -> str:
@@ -126,6 +141,8 @@ def export_lp(model: MipModel) -> str:
     One comment line (``\\ tag``) precedes each row; rows are named c1..cN in
     emission order; coefficients use shortest round-trip decimal form; lines
     wrap near 200 characters with continuations indented by one space.
+    Terms are joined with spaces; a line break follows a term as a "\n"
+    that ends its token.
     """
     blocks = model.variables.blocks
     for block in blocks:
@@ -137,41 +154,68 @@ def export_lp(model: MipModel) -> str:
                 f"rename diagram nodes to use letters, digits, '_' or '.'"
             )
     names = model.variables.names()
-    out: List[str] = ["\\ influence diagram mixed-integer program", "Maximize"]
+    name_array = np.array(names, dtype=object)
+    name_widths = np.fromiter(map(len, names), np.int64, len(names))
     if model.objective:
-        obj_tokens = _terms_text(
-            [float(c) for c, _ in model.objective],
-            [names[v] for _, v in model.objective],
-        )
+        coefs, variables = zip(*model.objective)
+        tokens, widths = _terms_text(np.array(coefs, dtype=float), np.array(variables),
+                                     np.zeros(1, int), name_array, name_widths)
     else:
-        obj_tokens = [f"0.0 {names[0]}"]
-    out.extend(_wrap(" obj:", obj_tokens))
-    out.append("Subject To")
+        tokens = np.array([f"0.0 {names[0]}"], dtype=object)
+        widths = np.array([len(tokens[0])])
+    head = " obj:"
+    breaks, bare = _line_breaks(widths, np.zeros(1, int), np.array([len(widths)]),
+                                np.array([len(head)]))
+    tokens[breaks] += "\n"
+    if bare:
+        head += "\n"
+    out: List[str] = ["\\ influence diagram mixed-integer program", "Maximize",
+                      " ".join([head, *tokens.tolist()]), "Subject To"]
+
+    # One piece per term, and between the rows one piece that ends a row
+    # and starts the next: its relation and right-hand side, the next
+    # row's tag and its label.
     rows = model.rows
-    indptr = rows.indptr.tolist()
-    tokens = _terms_text(
-        rows.data.tolist(), [names[v] for v in rows.indices.tolist()]
-    )
-    relations = [("=", "<=", ">=")[code] for code in rows.sense.tolist()]
-    for i, (tag, rel, rhs) in enumerate(
-        zip(rows.tags(), relations, rows.rhs.tolist())
-    ):
-        out.append(f"\\ {tag}")
-        out.extend(_wrap(f" c{i + 1}:", tokens[indptr[i]:indptr[i + 1]],
-                         tail=f"{rel} {rhs!r}"))
+    n_rows, counts = len(rows), np.diff(rows.indptr)
+    tokens, widths = _terms_text(rows.data, rows.indices, rows.indptr[:-1][counts > 0],
+                                 name_array, name_widths)
+    values, at = _distinct(rows.rhs)
+    tails = (np.array(["= ", "<= ", ">= "], dtype=object)[rows.sense]
+             + np.array(list(map(repr, values)), dtype=object)[at]).tolist()
+    heads = [f"{tail}\n\\ {tag}\n c{i}:" for tail, tag, i
+             in zip(["", *tails[:-1]], rows.tags(), range(1, n_rows + 1))]
+    # the width of " c<i>:"
+    label_widths = 4 + np.searchsorted(10 ** np.arange(1, 19), np.arange(1, n_rows + 1),
+                                       side="right")
+    breaks, bare = _line_breaks(widths, rows.indptr[:-1], rows.indptr[1:], label_widths)
+    tokens[breaks] += "\n"
+    for i in bare:
+        heads[i] += "\n"
+    if n_rows:
+        pieces = np.empty(len(tokens) + n_rows + 1, dtype=object)
+        starts = rows.indptr[:-1] + np.arange(n_rows)
+        pieces[starts] = np.array(heads, dtype=object)
+        is_term = np.ones(len(pieces), dtype=bool)
+        is_term[starts] = is_term[-1] = False
+        pieces[is_term] = tokens
+        pieces[-1] = tails[-1]
+        out.append(" ".join(pieces.tolist())[1:])
+
     out.append("Bounds")
     binaries: List[str] = []
     for block in blocks:
         block_names = names[block.start:block.start + block.size]
+        if not block_names:
+            continue
         if block.kind == UNIT:
-            out += [f" 0 <= {name} <= 1" for name in block_names]
+            out.append(" 0 <= " + " <= 1\n 0 <= ".join(block_names) + " <= 1")
         elif block.kind == FREE:
-            out += [f" {name} free" for name in block_names]
+            out.append(" " + " free\n ".join(block_names) + " free")
         else:
-            binaries += [f" {name}" for name in block_names]
+            binaries += block_names
     if binaries:
         out.append("Binaries")
-        out += binaries
+        out.append(" " + "\n ".join(binaries))
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -236,7 +280,9 @@ def _check(
     """The row residuals of the assignments ``xs`` (one per column) and
     where they fail at ``tol``: the rows that break their sense, the
     bounded entries outside [0, 1] and the binary entries that are not
-    integral.  ``rows`` is a ``RowSystem`` or a ``_LiveView``'s rows."""
+    integral.  ``rows`` is a ``RowSystem`` or a ``_LiveView``'s rows.
+    Every test is a comparison, which NaN passes; ``violations`` adds what
+    is no number, which assignments built from a strategy never hold."""
     res = rows.matrix @ xs
     shifted = np.flatnonzero(rows.rhs)  # subtracting zero changes nothing
     res[shifted] -= rows.rhs[shifted, None]
@@ -266,18 +312,27 @@ class RowSystem:
         kinds = model.variables.kinds
         self.binary = kinds == BINARY
         self.bounded = self.binary | (kinds == UNIT)
-        obj = np.zeros(n)
-        for coef, var in model.objective:
-            obj[var] += coef
-        self.objective_vector = obj
+        # bincount adds each variable's terms in order, starting from 0.0
+        terms = len(model.objective)
+        self.objective_vector = np.bincount(
+            np.fromiter(map(itemgetter(1), model.objective), np.intp, terms),
+            weights=np.fromiter(map(itemgetter(0), model.objective), float, terms),
+            minlength=n)
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_vector @ x)
 
     def violations(self, x: np.ndarray, tol: float) -> List[str]:
-        """What ``_check`` finds wrong with the one assignment ``x``, in
-        words: the rows in order, then the variables in order."""
+        """What ``_check`` finds wrong with the one assignment ``x``, and
+        what in it is no number, in words: the rows in order, then the
+        variables in order."""
         res, off, outside, fractional = _check(self, x[:, None], tol)
+        # A residual or value that is no number fails too; a free variable
+        # must at least be finite.
+        off |= np.isnan(res)
+        unfit = ~np.isfinite(x)
+        outside[unfit] = True
+        fractional[unfit & self.binary] = True
         problems = [
             f"row c{i + 1} [{self.model.rows.tag(i)}] residual "
             f"{res[i, 0]:.3e} violates sense {SENSES[self.senses[i]]}"
@@ -288,7 +343,9 @@ class RowSystem:
         for j in bad:
             name, val = names[j], x[j]
             if outside[j, 0]:
-                problems.append(f"variable {name} = {val!r} outside [0, 1]")
+                problems.append(f"variable {name} = {val!r} outside [0, 1]"
+                                if self.bounded[j] else
+                                f"variable {name} = {val!r} is not finite")
             if fractional[j, 0]:
                 problems.append(f"variable {name} = {val!r} is not integral")
         return problems
@@ -297,14 +354,15 @@ class RowSystem:
 def assignment_vector(model: MipModel, assignment: Dict[str, float]) -> np.ndarray:
     """The values of a name -> value listing in variable order."""
     names = model.variables.names()
-    missing = [name for name in names if name not in assignment]
+    missing = list(filterfalse(assignment.__contains__, names))
     if missing:
         shown = ", ".join(missing[:10])
         raise ExternalSolverError(
             f"solution misses {len(missing)} model variables ({shown}"
             + (", ..." if len(missing) > 10 else "") + ")"
         )
-    return np.array([float(assignment[name]) for name in names])
+    return np.fromiter(map(float, map(assignment.__getitem__, names)),
+                       dtype=float, count=len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -636,36 +694,31 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
 
 
 def parse_name_value_listing(text: str) -> Dict[str, object]:
-    """Parse ``status <word>``, ``objective <num>``, and ``<name> <num>``
-    lines into a dict with keys "status", "objective", "assignment".
+    """Parse ``status <word>`` and ``<name> <num>`` lines into a dict with
+    keys "status" and "assignment".
 
-    Only lines after the status line count: whatever a solver prints on
-    stdout before it, such as its log, never becomes a value."""
+    Only lines after the first status line count: whatever a solver prints
+    on stdout before it, such as its log, never becomes a value.  A later
+    status line replaces the word.  Blank lines, comments (``#`` or ``\\``),
+    lines of other than two words, ``objective`` lines and values that are
+    no number are skipped."""
     status = None
-    objective = None
     assignment: Dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("#", "\\")):
-            continue
+    # Bulk passes over the lines (split, filter, zip) measured slower than
+    # this loop.
+    for line in text.splitlines():
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or parts[0][0] in "#\\":
             continue
         key, value = parts
         if key == "status":
             status = value.lower()
-            continue
-        if status is None:
-            continue
-        try:
-            num = float(value)
-        except ValueError:
-            continue
-        if key == "objective":
-            objective = num
-        else:
-            assignment[key] = num
-    return {"status": status, "objective": objective, "assignment": assignment}
+        elif status is not None and key != "objective":
+            try:
+                assignment[key] = float(value)
+            except ValueError:
+                continue
+    return {"status": status, "assignment": assignment}
 
 
 def _command_argv(command: Sequence[str], lp_path: str) -> List[str]:
@@ -719,7 +772,8 @@ def solve_external(
     feasibility slack, is kept as ``info["solver_objective"]`` and the
     difference as ``info["drift"]`` (solver minus exact).  A polished
     assignment that violates a row is returned with status "unknown", its
-    violations and no objective (and so no drift).
+    violations and no objective (and so no drift); so is a solver's
+    assignment whose objective is no finite number.
     """
     with tempfile.TemporaryDirectory(prefix="limid_lp_") as tmp:
         lp_path = str(Path(tmp) / "model.lp")
@@ -763,6 +817,8 @@ def solve_external(
         if exact is not None:
             info["drift"] = objective - exact
         objective = exact
+    elif not np.isfinite(objective):
+        objective = None  # a value that is no number: nothing to report
     return Solution(
         status=STATUS_UNKNOWN if violations else STATUS_OPTIMAL,
         objective_value=objective,

@@ -293,6 +293,32 @@ class TestSolve:
         assert record["objective_value"] == pytest.approx(767.06, abs=1e-6)
         assert record["strategy"] == {"D1": [0, 0], "D2": [0, 1]}
 
+    def test_listing_value_that_is_no_number_fails_the_recheck(
+        self, workdir, tmp_path
+    ):
+        # The bundled child's listing of the best strategy with one mass
+        # replaced by nan: the re-check refuses it, and the record stays
+        # JSON without NaN or Infinity.
+        diagram = load_diagram(str(workdir / "pig2.json"))
+        _, _, model, ctx, _, _ = compile_case("pig2", diagram)
+        x = strategy_vector(model, ctx, oracle_optimize(diagram).best)
+        names = model.variables.names()
+        x[names.index("mu_H1_0")] = float("nan")
+        cmd = listing_command(tmp_path / "answer.txt", names, x)
+        proc = run_cli("solve", "pig2.json", "--backend", "external", "--json",
+                       "--solver-cmd", shlex.join(cmd), cwd=workdir)
+        assert proc.returncode == 1
+        assert "status          : unknown" in proc.stdout
+        assert "  row c1 [normalize[H1]] residual nan violates sense ==" \
+            in proc.stdout
+
+        def refuse(constant):
+            raise ValueError(f"record holds {constant}")
+
+        record = json.loads(proc.stdout.splitlines()[-1], parse_constant=refuse)
+        assert record["status"] == "unknown"
+        assert record["objective_value"] is None
+
     def test_json_record_reports_solver_claim_and_drift(self, workdir):
         save_diagram(
             gen_nmonitoring(NMonitoringSpec(n_monitors=2)), workdir / "nm2.json"

@@ -111,6 +111,34 @@ class TestParser:
             parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1\nBounds\n 0 <=")
 
 
+    def test_error_names_the_token_in_the_whole_text(self):
+        # The first rows section is in the exported layout, the second is
+        # not; the token count runs through both.
+        text = ("Maximize\n obj: 1.0 x\nSubject To\n c1: 1.0 x <= 1.0\nBounds\n"
+                " 0 <= x <= 1\nSubject To\n c2: x + y\nEnd\n")
+        with pytest.raises(LpParseError, match="relational operator near token 26$"):
+            parse_lp(text)
+
+    def test_exported_layout_read_as_the_tokens_read(self):
+        # A repeated name adds up from 0.0, "- 0.0" is +0.0, an unsigned
+        # first term is positive, and a header after "<=" is a bound's name.
+        p = parse_lp("Maximize\n obj: 2.0 x - 0.0 y + 1.5 x\nSubject To\n"
+                     " c1: - 1.0 x + 0.5 y - 0.5 y = -0.0\n c2: = 1.0\n"
+                     "Bounds\n 0 <= x <= 1\n y free\nEnd\n")
+        assert p.objective == {"x": 3.5, "y": 0.0}
+        assert str(p.objective["y"]) == "0.0"
+        assert p.rows == [({"x": -1.0, "y": 0.0}, "=", -0.0), ({}, "=", 1.0)]
+        assert str(p.rows[0][2]) == "-0.0"
+        assert (p.lower, p.upper) == ({"x": 0.0, "y": -float("inf")},
+                                      {"x": 1.0, "y": float("inf")})
+        # nothing after End is read
+        assert parse_lp(SMALL_LP + "<= :: - junk") == parse_lp(SMALL_LP)
+        p = parse_lp("Minimize\n obj: 1.0 x\nSubject To\n c1: 1.0 x >= 0.0\n"
+                     "Bounds\n 0 <=\nBounds\n 0 <= x <= 1\nEnd\n")
+        assert p.variables == ["x", "Bounds"]
+        assert p.lower == {"Bounds": 0.0, "x": 0.0}
+
+
 # The dtype of each part ``solve_lp_text`` hands ``run_highs`` when it was
 # built with numpy: c, data, indices, indptr, row bounds, column bounds,
 # integrality.

@@ -526,25 +526,15 @@ def solve_lp_text(text: str):
     c = list(map((0.0).__add__, map(prob.objective.get, names, repeat(0.0))))
     if prob.sense == "max":
         c = list(map(float.__neg__, c))
-    # Row-major terms to CSC: walking the rows in order keeps each column's
-    # rows ascending, as a CSR-to-CSC conversion does.  (Bulk transposes,
-    # a stable sort by column or appends mapped over the terms, measured
-    # slower than this loop.)
-    col_rows = [[] for _ in names]
-    col_values = [[] for _ in names]
-    for r, (coeffs, _, _) in enumerate(prob.rows):
-        for name, coef in coeffs.items():
-            j = index[name]
-            col_rows[j].append(r)
-            col_values[j].append(coef)
+    coeffs = list(map(itemgetter(0), prob.rows))
     relations = list(map(itemgetter(1), prob.rows))
     rhs = list(map(itemgetter(2), prob.rows))
 
     status, fun, x = run_highs(
         c,
-        list(chain.from_iterable(col_values)),
-        list(chain.from_iterable(col_rows)),
-        [0, *accumulate(map(len, col_rows))],
+        list(chain.from_iterable(map(dict.values, coeffs))),
+        list(map(index.__getitem__, chain.from_iterable(coeffs))),
+        [0, *accumulate(map(len, coeffs))],
         list(map({"<=": -_INF}.get, relations, rhs)),
         list(map({">=": _INF}.get, relations, rhs)),
         list(map(prob.lower.get, names, repeat(0.0))),
@@ -597,7 +587,7 @@ def run_highs(c, data, indices, indptr, row_lower, row_upper, col_lower,
               col_upper, integrality):
     """Minimise ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
     ``col_lower <= x <= col_upper``, with ``x[j]`` integer where
-    ``integrality[j]`` is 1 and ``A`` given column-wise by ``data``,
+    ``integrality[j]`` is 1 and ``A`` given row-wise by ``data``,
     ``indices`` and ``indptr``.  Every argument is a plain sequence of
     numbers.
 
@@ -622,6 +612,7 @@ def run_highs(c, data, indices, indptr, row_lower, row_upper, col_lower,
         highs.changeColCost(j, cost)
     lp = highs.getLp()
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
+    lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
     lp.col_lower_ = col_lower
     lp.col_upper_ = col_upper
     lp.row_lower_ = row_lower
@@ -655,7 +646,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("lp_file", help="path to the LP file")
     args = parser.parse_args(argv)
     try:
-        text = open(args.lp_file, "r").read()
+        with open(args.lp_file) as lp_file:
+            text = lp_file.read()
         status, objective, assignment = solve_lp_text(text)
     except (OSError, LpParseError, ValueError) as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -367,7 +367,9 @@ class MipModel:
     variables: VarStore = field(default_factory=VarStore, repr=False,
                                 compare=False)
     rows: RowStore = field(default_factory=RowStore, repr=False, compare=False)
-    objective: Tuple[Tuple[float, int], ...] = ()  # maximized
+    # maximized: column j's coefficient, 0.0 for a column without one
+    objective: np.ndarray = field(default_factory=lambda: np.zeros(0),
+                                  compare=False)
     # the mass block of each cluster, of shape (configurations,), and the
     # policy block of each decision, of shape (parent configs, states)
     mu: Dict[str, VarBlock] = field(default_factory=dict)
@@ -407,7 +409,8 @@ def build_base_model(
     configurations ascending; mass variables first, then policy variables;
     row families in the order normalization, local consistency, chance
     coupling, decision coupling, pick-one.  The objective sums utility
-    times mass over every value cluster (zero-utility terms omitted).
+    times mass over every value cluster; every other column's coefficient
+    is 0.0.
     Each family is emitted one cluster at a time as a block of arrays.
     """
     ctx = CompileContext(diagram, tree)
@@ -469,17 +472,13 @@ def build_base_model(
         rows.append([n_states] * n_pcfg, block.start + np.arange(block.size),
                     np.ones(block.size), EQ, 1.0, (f"policy_pick[{d}][i=",))
 
-    coefs: List[float] = []
-    variables: List[int] = []
+    model.objective = np.zeros(len(model.variables))
     for root in tree.order:
-        if diagram.kind(root) != NodeKind.VALUE:
-            continue
-        lay = ctx.layouts[root]
-        u = diagram.utilities[root].values[lay.root_state].astype(float)
-        hit = np.nonzero(u != 0.0)[0]
-        coefs += u[hit].tolist()
-        variables += (model.mu[root].start + hit).tolist()
-    model.objective = tuple(zip(coefs, variables))
+        if diagram.kind(root) == NodeKind.VALUE:
+            lay = ctx.layouts[root]
+            # adding 0.0 makes a -0.0 utility 0.0, as a sum from 0.0 does
+            model.objective[model.mu[root].span] = (
+                diagram.utilities[root].values[lay.root_state] + 0.0)
     return model, ctx
 
 
@@ -617,14 +616,16 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
                       indexed=False)
 
     tail = np.flatnonzero(utils)
-    tail_terms = tuple(zip((utils[tail] / alpha).tolist(), rhobar[tail].tolist()))
+    objective = np.zeros(len(model.variables))
     if isinstance(spec, CvarObjective):
         mode = "objective"
-        model.objective = tail_terms
+        objective[rhobar[tail]] = utils[tail] / alpha
     else:
         mode = "constraint"
+        objective[:model.objective.size] = model.objective
         model.rows.append([tail.size], rhobar[tail], utils[tail] / alpha, GE,
                           spec.bound, ("cvar_floor",), indexed=False)
+    model.objective = objective
     model.cvar = CvarBlock(
         value_root=v,
         alpha=alpha,

@@ -17,7 +17,6 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
-from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -156,9 +155,9 @@ def export_lp(model: MipModel) -> str:
     names = model.variables.names()
     name_array = np.array(names, dtype=object)
     name_widths = np.fromiter(map(len, names), np.int64, len(names))
-    if model.objective:
-        coefs, variables = zip(*model.objective)
-        tokens, widths = _terms_text(np.array(coefs, dtype=float), np.array(variables),
+    variables = np.flatnonzero(model.objective)
+    if variables.size:
+        tokens, widths = _terms_text(model.objective[variables], variables,
                                      np.zeros(1, int), name_array, name_widths)
     else:
         tokens = np.array([f"0.0 {names[0]}"], dtype=object)
@@ -312,12 +311,7 @@ class RowSystem:
         kinds = model.variables.kinds
         self.binary = kinds == BINARY
         self.bounded = self.binary | (kinds == UNIT)
-        # bincount adds each variable's terms in order, starting from 0.0
-        terms = len(model.objective)
-        self.objective_vector = np.bincount(
-            np.fromiter(map(itemgetter(1), model.objective), np.intp, terms),
-            weights=np.fromiter(map(itemgetter(0), model.objective), float, terms),
-            minlength=n)
+        self.objective_vector = model.objective
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_vector @ x)
@@ -341,7 +335,7 @@ class RowSystem:
         bad = np.flatnonzero(outside | fractional)
         names = self.model.variables.names() if bad.size else []
         for j in bad:
-            name, val = names[j], x[j]
+            name, val = names[j], float(x[j])
             if outside[j, 0]:
                 problems.append(f"variable {name} = {val!r} outside [0, 1]"
                                 if self.bounded[j] else

@@ -319,6 +319,19 @@ class TestSolve:
         assert record["status"] == "unknown"
         assert record["objective_value"] is None
 
+    def test_value_out_of_bounds_printed_as_a_plain_number(self, workdir,
+                                                          tmp_path):
+        diagram = load_diagram(str(workdir / "pig2.json"))
+        _, _, model, ctx, _, _ = compile_case("pig2", diagram)
+        x = strategy_vector(model, ctx, oracle_optimize(diagram).best)
+        names = model.variables.names()
+        x[names.index("mu_H1_0")] = 1.5
+        cmd = listing_command(tmp_path / "answer.txt", names, x)
+        proc = run_cli("solve", "pig2.json", "--backend", "external",
+                       "--solver-cmd", shlex.join(cmd), cwd=workdir)
+        assert proc.returncode == 1
+        assert "  variable mu_H1_0 = 1.5 outside [0, 1]" in proc.stdout.splitlines()
+
     def test_json_record_reports_solver_claim_and_drift(self, workdir):
         save_diagram(
             gen_nmonitoring(NMonitoringSpec(n_monitors=2)), workdir / "nm2.json"

@@ -139,9 +139,9 @@ class TestParser:
         assert p.lower == {"Bounds": 0.0, "x": 0.0}
 
 
-# The dtype of each part ``solve_lp_text`` hands ``run_highs`` when it was
-# built with numpy: c, data, indices, indptr, row bounds, column bounds,
-# integrality.
+# The dtype of each part of a model when the solver child built it with
+# numpy: costs, the matrix (values, indices, starts), row bounds, column
+# bounds, integrality.
 CHILD_DTYPES = ((np.float64,) * 2 + (np.int32,) * 2 + (np.float64,) * 4
                 + (np.int64,))
 
@@ -160,6 +160,41 @@ def _pinned_lp(name: str) -> str:
         model, ctx = build_base_model(build_rjt(d), d)
         add_risk(model, CvarObjective(alpha=0.15), ctx)
     return export_lp(model)
+
+
+def _held(monkeypatch, name: str):
+    """Solve the pinned model ``name`` through ``solve_lp_text``; returns
+    the LP HiGHS holds when ``run`` starts, the values it holds then of the
+    options in ``HIGHS_OPTIONS``, and the parts handed to ``run_highs``."""
+    core = milp_backend.highs_core()
+    real_highs = core._Highs
+    held, passed = [], []
+
+    class Spy:
+        def __init__(self):
+            self._highs = real_highs()
+
+        def __getattr__(self, attr):
+            return getattr(self._highs, attr)
+
+        def run(self):
+            held.append(self._highs.getLp())
+            held.append({key: self._highs.getOptionValue(key)[1]
+                         for key in milp_backend.HIGHS_OPTIONS})
+            return self._highs.run()
+
+    real_run = milp_backend.run_highs
+
+    def run_highs(*parts):
+        passed.append(parts)
+        return real_run(*parts)
+
+    monkeypatch.setattr(core, "_Highs", Spy)
+    monkeypatch.setattr(milp_backend, "run_highs", run_highs)
+    status, _, _ = solve_lp_text(_pinned_lp(name))
+    assert status == "optimal"
+    lp, options = held
+    return lp, options, passed[0]
 
 
 class TestSolver:
@@ -201,7 +236,7 @@ class TestSolver:
         assert status == "unbounded"
 
     def test_model_without_rows(self):
-        # An empty constraint matrix still has one indptr entry per column.
+        # A row-wise matrix without rows has the one indptr entry 0.
         status, objective, assignment = solve_lp_text(
             "Maximize\n obj: x + y\nBounds\n x <= 3\n y <= 1.5\nGeneral\n y\nEnd"
         )
@@ -223,31 +258,23 @@ class TestSolver:
          "c30f2de041c38a385f598c44a18e4473ffdda00639a6b82ed5a2fb34095cba33"),
     ])
     def test_highs_input_pinned(self, monkeypatch, name, digest):
-        # Everything the child hands HiGHS: objective, matrix, row and
-        # column bounds, integrality and options.  HiGHS's answers on these
-        # models move with such details, column order included.
+        # Everything HiGHS holds when ``run`` starts: objective, matrix, row
+        # and column bounds, integrality and options.  HiGHS's answers on
+        # these models move with such details, column order included.
+        lp, options, _ = _held(monkeypatch, name)
+        matrix = lp.a_matrix_
+        assert matrix.format_ == milp_backend.highs_core().MatrixFormat.kColwise
+        parts = (lp.col_cost_, matrix.value_, matrix.index_, matrix.start_,
+                 lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_,
+                 list(map(int, lp.integrality_)))
         sha = hashlib.sha256()
-        real_run = milp_backend.run_highs
-
-        def run_highs(*parts):
-            # c, then the CSC matrix (data, indices, indptr), the row
-            # bounds, the column bounds and integrality, each hashed as an
-            # array of the dtype the child once handed HiGHS.
-            c, _, _, _, row_lower, *_ = parts
-            for part in _as_arrays(parts):
-                sha.update(f"{part.dtype.str}{part.shape}".encode())
-                sha.update(part.tobytes())
-            # Console logging is the one option that cannot move an answer.
-            options = {key: value for key, value
-                       in milp_backend.HIGHS_OPTIONS.items()
-                       if key != "log_to_console"}
-            shape = (len(row_lower), len(c))
-            sha.update(f"csc{shape}{sorted(options.items())}".encode())
-            return real_run(*parts)
-
-        monkeypatch.setattr(milp_backend, "run_highs", run_highs)
-        status, _, _ = solve_lp_text(_pinned_lp(name))
-        assert status == "optimal"
+        for part in _as_arrays(parts):
+            sha.update(f"{part.dtype.str}{part.shape}".encode())
+            sha.update(part.tobytes())
+        # Console logging is the one option that cannot move an answer.
+        del options["log_to_console"]
+        shape = (lp.num_row_, lp.num_col_)
+        sha.update(f"csc{shape}{sorted(options.items())}".encode())
         assert sha.hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["nmonitoring3", "pigfarm3_merged_cvar"])
@@ -258,36 +285,14 @@ class TestSolver:
         # the costs of a max-sense model hold -0.0 for every zero.
         core = milp_backend.highs_core()
         real_highs = core._Highs
-        held, passed = [], []
-
-        class Spy:
-            def __init__(self):
-                self._highs = real_highs()
-
-            def __getattr__(self, attr):
-                return getattr(self._highs, attr)
-
-            def run(self):
-                held.append(self._highs.getLp())
-                return self._highs.run()
-
-        real_run = milp_backend.run_highs
-
-        def run_highs(*parts):
-            passed.append(parts)
-            return real_run(*parts)
-
-        monkeypatch.setattr(core, "_Highs", Spy)
-        monkeypatch.setattr(milp_backend, "run_highs", run_highs)
-        status, _, _ = solve_lp_text(_pinned_lp(name))
-        assert status == "optimal"
+        got, _, parts = _held(monkeypatch, name)
 
         c, data, indices, indptr, row_lower, row_upper, col_lower, \
-            col_upper, integrality = _as_arrays(passed[0])
+            col_upper, integrality = _as_arrays(parts)
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = c.size
         lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
         lp.col_cost_ = c
         lp.col_lower_ = col_lower
         lp.col_upper_ = col_upper
@@ -300,7 +305,7 @@ class TestSolver:
         highs = real_highs()
         highs.setOptionValue("log_to_console", False)
         assert highs.passModel(lp) == core.HighsStatus.kOk
-        want, got = highs.getLp(), held[0]
+        want = highs.getLp()
 
         assert np.signbit(c).sum() > 0  # the -0.0 costs are there to lose
         assert (got.sense_, got.offset_) == (want.sense_, want.offset_)
@@ -333,6 +338,15 @@ class TestCli:
         assert float(lines[1].split()[1]) == pytest.approx(821.8)
         pairs = dict(l.split() for l in lines[2:])
         assert "mu_H1_0" in pairs and "delta_D1_0_0" in pairs
+
+    def test_closes_its_file(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "limid.milp_backend", str(DATA / "pigfarm1.lp")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_missing_file_exits_2(self):
         proc = self.run_cli("no_such_file.lp")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from limid.diagram import NodeKind
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -213,7 +214,7 @@ class TestRowChecking:
                 want.append(f"row c{i + 1} [{row.tag}]")
         names = model.variables.names()
         for j, (name, kind) in enumerate(zip(names, model.variables.kinds)):
-            val = x[j]
+            val = float(x[j])
             if kind in (UNIT, BINARY) and not -1e-6 <= val <= 1 + 1e-6:
                 want.append(f"variable {name} = {val!r} outside [0, 1]")
             if kind == BINARY and abs(val - round(val)) > 1e-6:
@@ -239,19 +240,20 @@ class TestRowChecking:
                    if j in rows.indices[rows.indptr[i]:rows.indptr[i + 1]]]
         assert in_rows
         assert system.violations(bad, 1e-6) == [
-            *in_rows, f"variable {names[j]} = {bad[j]!r} outside [0, 1]"]
+            *in_rows, f"variable {names[j]} = {float(bad[j])!r} outside [0, 1]"]
         bit = model.delta_var("D1", 0, 0)
         bad = x.copy()
         bad[bit] = np.nan
         msgs = system.violations(bad, 1e-6)
-        assert msgs[-2:] == [f"variable {names[bit]} = {bad[bit]!r} outside [0, 1]",
-                             f"variable {names[bit]} = {bad[bit]!r} is not integral"]
+        assert msgs[-2:] == [
+            f"variable {names[bit]} = {float(bad[bit])!r} outside [0, 1]",
+            f"variable {names[bit]} = {float(bad[bit])!r} is not integral"]
         free = int(np.flatnonzero(model.variables.kinds == FREE)[0])
         for value in (np.inf, -np.inf, np.nan):
             bad = x.copy()
             bad[free] = value
             assert system.violations(bad, 1e-6)[-1] == (
-                f"variable {names[free]} = {bad[free]!r} is not finite")
+                f"variable {names[free]} = {float(value)!r} is not finite")
 
     @pytest.mark.parametrize("case", [
         *[("pigfarm", n, None) for n in (3, 4, 5, 6)],
@@ -261,15 +263,42 @@ class TestRowChecking:
     def test_objective_vector_adds_terms_in_order(self, case):
         family, n, alpha = case
         if family == "pigfarm":
-            _, model, _ = pig_setup(n, merged=alpha is not None,
-                                    risk=alpha and CvarObjective(alpha=alpha))
+            d, model, ctx = pig_setup(n, merged=alpha is not None,
+                                      risk=alpha and CvarObjective(alpha=alpha))
         else:
             d = gen_nmonitoring(NMonitoringSpec(n_monitors=n, seed=1))
-            model, _ = build_base_model(build_rjt(d), d)
+            model, ctx = build_base_model(build_rjt(d), d)
+        # One term per column, written by a loop over the value clusters'
+        # configurations, or over the CVaR tail levels.
         want = np.zeros(len(model.variables))
-        for coef, var in model.objective:
-            want[var] += coef
+        if model.cvar is None:
+            for root in ctx.tree_order:
+                if d.kind(root) != NodeKind.VALUE:
+                    continue
+                lay = ctx.layouts[root]
+                for cfg in range(lay.total):
+                    u = d.utilities[root].values[lay.root_state[cfg]]
+                    want[model.mu[root].start + cfg] = u + 0.0
+        else:
+            block = model.cvar
+            for k, u in enumerate(block.utilities):
+                if u != 0.0:
+                    want[block.rhobar[k]] = u / block.alpha
+        assert model.objective.tobytes() == want.tobytes()
         assert RowSystem(model).objective_vector.tobytes() == want.tobytes()
+
+    def test_objective_covers_every_column_after_risk_rows(self):
+        d, model, ctx = pig_setup(3, merged=True)
+        meu = model.objective.copy()
+        for spec in (parse_chance_text("P(H2=ill|H3=ill)<=0.5"),
+                     parse_logical_text("P(D1=treat&D3=treat)"),
+                     BudgetConstraint(costs={"D1": {"treat": 100.0}}, limit=150.0),
+                     CvarConstraint(alpha=0.15, bound=300.0)):
+            add_risk(model, spec, ctx)
+            assert model.objective.size == len(model.variables)
+            assert model.objective[:meu.size].tobytes() == meu.tobytes()
+        assert model.objective.size > meu.size
+        assert not model.objective[meu.size:].any()
 
     def test_missing_variables_rejected(self):
         _, model, ctx = pig_setup(1)

@@ -33,7 +33,7 @@ def main():
     print("  ...")
 
     command = reference_backend_command()
-    print(f"\nexternal solver command: {' '.join(command[2:])}")
+    print(f"\nexternal solver command: python {' '.join(command[1:])}")
     ext = solve_external(model, ctx, command)
     print(f"status {ext.status}, objective {ext.objective_value}")
 

@@ -31,6 +31,7 @@ from .inference import (
     near_best,
     strategy_blocks,
 )
+from . import milp_backend
 from .milp_backend import sparsetools
 from .mip import (
     BINARY,
@@ -824,8 +825,10 @@ def solve_external(
 
 
 def reference_backend_command() -> List[str]:
-    """Command template running the bundled scipy/HiGHS backend."""
-    return [sys.executable, "-m", "limid.milp_backend", "{lp}"]
+    """Command template running the bundled scipy/HiGHS backend: its file,
+    without ``site``, so that it needs neither ``PYTHONPATH`` nor an
+    installed ``limid``."""
+    return [sys.executable, "-S", milp_backend.__file__, "{lp}"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The bundled LP-file MILP backend: parser units, solver behaviour, and
-the command-line entry point."""
+"""The bundled LP-file MILP backend: what HiGHS's reader holds, solver
+behaviour, and the command-line entry point."""
 
 import hashlib
 import json
@@ -19,11 +19,11 @@ from limid.generators import (
     gen_nmonitoring,
     gen_pigfarm,
 )
-from limid.milp_backend import LpParseError, main, parse_lp, solve_lp_text
-from limid.mip import add_risk, build_base_model
+from limid.milp_backend import main, parse_lp, solve_lp_text
+from limid.mip import BINARY, FREE, GE, LE, add_risk, build_base_model
 from limid.risk import CvarObjective
 from limid.rjt import build_rjt
-from limid.solve import export_lp
+from limid.solve import export_lp, reference_backend_command
 from limid.transform import merge_value_nodes
 
 DATA = Path(__file__).parent / "data"
@@ -48,95 +48,88 @@ End
 """
 
 
+def read(tmp_path, text: str):
+    """What HiGHS holds after ``parse_lp`` reads ``text`` from a file: the
+    sign and offset, column names and costs, column bounds, row bounds,
+    the column-wise matrix and the integrality."""
+    path = tmp_path / "m.lp"
+    path.write_text(text)
+    highs, sign, offset = parse_lp(str(path))
+    lp = highs.getLp()
+    m = lp.a_matrix_
+    return dict(sign=sign, offset=offset, names=lp.col_names_,
+                costs=[float(c) for c in lp.col_cost_],
+                cols=list(zip(lp.col_lower_, lp.col_upper_)),
+                rows=list(zip(lp.row_lower_, lp.row_upper_)),
+                matrix=(list(m.start_), list(m.index_), list(m.value_)),
+                integer=[int(v) for v in lp.integrality_])
+
+
 class TestParser:
-    def test_small_program(self):
-        p = parse_lp(SMALL_LP)
-        assert p.sense == "max"
-        assert p.variables == ["x", "y", "z"]
-        assert p.objective == {"x": 3.0, "y": 2.0, "z": -1.0}
-        assert p.rows == [
-            ({"x": 1.0, "y": 1.0}, "<=", 1.5),
-            ({"y": 1.0, "z": -2.0}, ">=", -1.0),
-            ({"x": 1.0, "z": 1.0}, "=", 1.0),
-        ]
-        assert p.lower == {"y": 0.0, "z": -float("inf"), "x": 0.0}
-        assert p.upper == {"y": 1.0, "z": float("inf"), "x": 1.0}
-        assert p.integer == {"x": True}
+    """``parse_lp`` is HiGHS's LP reader, holding a minimisation."""
 
-    def test_operators_survive_missing_whitespace(self):
-        p = parse_lp("Minimize obj: 2x+3y\nSubject To c1: x+y>=4\nEnd")
-        assert p.sense == "min"
-        assert p.objective == {"x": 2.0, "y": 3.0}
-        assert p.rows == [({"x": 1.0, "y": 1.0}, ">=", 4.0)]
+    def test_small_program(self, tmp_path):
+        p = read(tmp_path, SMALL_LP)
+        assert (p["sign"], p["offset"]) == (-1.0, 0.0)
+        assert p["names"] == ["x", "y", "z"]
+        assert p["costs"] == [-3.0, -2.0, 1.0]
+        inf = float("inf")
+        assert p["rows"] == [(-inf, 1.5), (-1.0, inf), (1.0, 1.0)]
+        assert p["matrix"] == ([0, 2, 4, 6], [0, 2, 0, 1, 1, 2],
+                               [1.0, 1.0, 1.0, 1.0, -2.0, 1.0])
+        assert p["cols"] == [(0.0, 1.0), (0.0, 1.0), (-inf, inf)]
+        assert p["integer"] == [1, 0, 0]
 
-    def test_row_labels_are_not_variables(self):
-        p = parse_lp("Maximize\n obj: x\nSubject To\n c1: x <= 2\nEnd")
-        assert p.variables == ["x"]
+    def test_operators_survive_missing_whitespace(self, tmp_path):
+        p = read(tmp_path, "Minimize obj: 2x+3y\nSubject To c1: x+y>=4\nEnd")
+        assert p["sign"] == 1.0
+        assert (p["names"], p["costs"]) == (["x", "y"], [2.0, 3.0])
+        assert p["rows"] == [(4.0, float("inf"))]
+        assert p["matrix"] == ([0, 1, 2], [0, 0], [1.0, 1.0])
 
-    def test_signs_and_constants(self):
-        p = parse_lp(
-            "Minimize\n obj: - x + 2.5\nSubject To\n r: - 2 x - - 3 <= 7\nEnd"
-        )
-        assert p.objective == {"x": -1.0}
-        assert p.constant == 2.5
-        # constants move to the right-hand side
-        assert p.rows == [({"x": -2.0}, "<=", 4.0)]
+    def test_row_labels_are_not_variables(self, tmp_path):
+        p = read(tmp_path, "Maximize\n obj: x\nSubject To\n c1: x <= 2\nEnd")
+        assert p["names"] == ["x"]
 
-    def test_repeated_variable_coefficients_accumulate(self):
-        p = parse_lp("Maximize\n obj: x + 2 x\nSubject To\n c: x <= 1\nEnd")
-        assert p.objective == {"x": 3.0}
+    def test_signs_and_constants(self, tmp_path):
+        # The objective's constant is the offset, kept out of HiGHS.
+        p = read(tmp_path,
+                 "Minimize\n obj: - x + 2.5\nSubject To\n r: - 2 x <= 7\nEnd")
+        assert (p["costs"], p["offset"]) == ([-1.0], 2.5)
+        assert p["matrix"][2] == [-2.0]
 
-    def test_scientific_notation(self):
-        p = parse_lp("Maximize\n obj: 1e-3 x\nSubject To\n c: x <= 1E2\nEnd")
-        assert p.objective == {"x": 0.001}
-        assert p.rows[0][2] == 100.0
+    def test_repeated_variable_keeps_highs_meaning(self, tmp_path):
+        # In the objective the last term of a name counts; in a row the
+        # terms add up.  A constant beside a row's terms is dropped.
+        p = read(tmp_path, "Maximize\n obj: 2 x + 5 x\nSubject To\n"
+                           " c: x + 2 x + 3 <= 7\nEnd")
+        assert p["costs"] == [-5.0]
+        assert p["matrix"][2] == [3.0]
+        assert p["rows"] == [(-float("inf"), 7.0)]
 
-    def test_general_integers(self):
-        p = parse_lp(
-            "Maximize\n obj: n\nSubject To\n c: n <= 7.5\nGeneral\n n\nEnd"
-        )
-        assert p.integer == {"n": True}
-        assert "n" not in p.upper  # generals stay unbounded above
+    def test_scientific_notation(self, tmp_path):
+        p = read(tmp_path, "Maximize\n obj: 1e-3 x\nSubject To\n c: x <= 1E2\nEnd")
+        assert p["costs"] == [-0.001]
+        assert p["rows"][0][1] == 100.0
 
-    def test_errors(self):
-        with pytest.raises(LpParseError, match="empty"):
-            parse_lp("   \n\\ only comments\n")
-        with pytest.raises(LpParseError, match="relational"):
-            parse_lp("Maximize\n obj: x\nSubject To\n c1: x + y\nEnd")
-        with pytest.raises(LpParseError, match="right-hand"):
-            parse_lp("Maximize\n obj: x\nSubject To\n c1: x <= \nEnd")
-        with pytest.raises(LpParseError, match="outside"):
-            parse_lp("stray tokens here")
-        with pytest.raises(LpParseError, match="bad bound"):
-            parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1\nBounds\n 0 <=")
+    def test_general_integers(self, tmp_path):
+        p = read(tmp_path,
+                 "Maximize\n obj: n\nSubject To\n c: n <= 7.5\nGeneral\n n\nEnd")
+        assert p["integer"] == [1]
+        assert p["cols"] == [(0.0, float("inf"))]  # unbounded above
 
-
-    def test_error_names_the_token_in_the_whole_text(self):
-        # The first rows section is in the exported layout, the second is
-        # not; the token count runs through both.
-        text = ("Maximize\n obj: 1.0 x\nSubject To\n c1: 1.0 x <= 1.0\nBounds\n"
-                " 0 <= x <= 1\nSubject To\n c2: x + y\nEnd\n")
-        with pytest.raises(LpParseError, match="relational operator near token 26$"):
-            parse_lp(text)
-
-    def test_exported_layout_read_as_the_tokens_read(self):
-        # A repeated name adds up from 0.0, "- 0.0" is +0.0, an unsigned
-        # first term is positive, and a header after "<=" is a bound's name.
-        p = parse_lp("Maximize\n obj: 2.0 x - 0.0 y + 1.5 x\nSubject To\n"
-                     " c1: - 1.0 x + 0.5 y - 0.5 y = -0.0\n c2: = 1.0\n"
-                     "Bounds\n 0 <= x <= 1\n y free\nEnd\n")
-        assert p.objective == {"x": 3.5, "y": 0.0}
-        assert str(p.objective["y"]) == "0.0"
-        assert p.rows == [({"x": -1.0, "y": 0.0}, "=", -0.0), ({}, "=", 1.0)]
-        assert str(p.rows[0][2]) == "-0.0"
-        assert (p.lower, p.upper) == ({"x": 0.0, "y": -float("inf")},
-                                      {"x": 1.0, "y": float("inf")})
-        # nothing after End is read
-        assert parse_lp(SMALL_LP + "<= :: - junk") == parse_lp(SMALL_LP)
-        p = parse_lp("Minimize\n obj: 1.0 x\nSubject To\n c1: 1.0 x >= 0.0\n"
-                     "Bounds\n 0 <=\nBounds\n 0 <= x <= 1\nEnd\n")
-        assert p.variables == ["x", "Bounds"]
-        assert p.lower == {"Bounds": 0.0, "x": 0.0}
+    def test_errors(self, tmp_path):
+        for text in ("Maximize\n obj: x\nSubject To\n c1: x + y\nEnd",
+                     "Maximize\n obj: x\nSubject To\n c1: x <= \nEnd",
+                     "Minimize\n obj: x\nSubject To\n c: x >= 1\nBounds\n 0 <="):
+            with pytest.raises(ValueError, match="^HiGHS cannot read .*m.lp$"):
+                read(tmp_path, text)
+        # Text without columns is a model without an objective.
+        for text in ("   \n\\ only comments\n", "stray tokens here"):
+            with pytest.raises(ValueError, match="at least one element"):
+                read(tmp_path, text)
+        with pytest.raises(ValueError, match="end in .lp or .mps"):
+            parse_lp(str(DATA / "pigfarm1.lp") + ".txt")
 
 
 # The dtype of each part of a model when the solver child built it with
@@ -151,7 +144,7 @@ def _as_arrays(parts):
             for part, dtype in zip(parts, CHILD_DTYPES, strict=True)]
 
 
-def _pinned_lp(name: str) -> str:
+def _pinned_model(name: str):
     if name == "nmonitoring3":
         d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
         model, _ = build_base_model(build_rjt(d), d)
@@ -159,16 +152,16 @@ def _pinned_lp(name: str) -> str:
         d, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=3)))
         model, ctx = build_base_model(build_rjt(d), d)
         add_risk(model, CvarObjective(alpha=0.15), ctx)
-    return export_lp(model)
+    return model
 
 
-def _held(monkeypatch, name: str):
-    """Solve the pinned model ``name`` through ``solve_lp_text``; returns
-    the LP HiGHS holds when ``run`` starts, the values it holds then of the
-    options in ``HIGHS_OPTIONS``, and the parts handed to ``run_highs``."""
+def _held(monkeypatch, text: str):
+    """Solve ``text`` through ``solve_lp_text``; returns the LP HiGHS holds
+    when ``run`` starts and the values it holds then of the options in
+    ``HIGHS_OPTIONS``."""
     core = milp_backend.highs_core()
     real_highs = core._Highs
-    held, passed = [], []
+    held = []
 
     class Spy:
         def __init__(self):
@@ -183,18 +176,11 @@ def _held(monkeypatch, name: str):
                          for key in milp_backend.HIGHS_OPTIONS})
             return self._highs.run()
 
-    real_run = milp_backend.run_highs
-
-    def run_highs(*parts):
-        passed.append(parts)
-        return real_run(*parts)
-
     monkeypatch.setattr(core, "_Highs", Spy)
-    monkeypatch.setattr(milp_backend, "run_highs", run_highs)
-    status, _, _ = solve_lp_text(_pinned_lp(name))
+    status, _, _ = solve_lp_text(text)
     assert status == "optimal"
     lp, options = held
-    return lp, options, passed[0]
+    return lp, options
 
 
 class TestSolver:
@@ -261,7 +247,7 @@ class TestSolver:
         # Everything HiGHS holds when ``run`` starts: objective, matrix, row
         # and column bounds, integrality and options.  HiGHS's answers on
         # these models move with such details, column order included.
-        lp, options, _ = _held(monkeypatch, name)
+        lp, options = _held(monkeypatch, export_lp(_pinned_model(name)))
         matrix = lp.a_matrix_
         assert matrix.format_ == milp_backend.highs_core().MatrixFormat.kColwise
         parts = (lp.col_cost_, matrix.value_, matrix.index_, matrix.start_,
@@ -280,34 +266,40 @@ class TestSolver:
     @pytest.mark.parametrize("name", ["nmonitoring3", "pigfarm3_merged_cvar"])
     def test_handover_matches_a_model_passed_from_arrays(self, monkeypatch,
                                                          name):
-        # The LP HiGHS holds when ``run`` starts must be the one a HighsLp
-        # built from numpy arrays and passed whole gives, bit for bit:
-        # the costs of a max-sense model hold -0.0 for every zero.
-        core = milp_backend.highs_core()
-        real_highs = core._Highs
-        got, _, parts = _held(monkeypatch, name)
+        # The LP HiGHS holds when ``run`` starts, read from the exported
+        # text, must be the one a HighsLp built from the model's arrays and
+        # passed whole gives, bit for bit: the rows as stored, the costs
+        # -objective (so a zero cost is -0.0), bounds and integrality from
+        # the kinds.  HiGHS numbers the columns in order of first use in the
+        # text, so the arrays are put in that order.
+        model = _pinned_model(name)
+        got, _ = _held(monkeypatch, export_lp(model))
+        names = model.variables.names()
+        order = np.array([names.index(n) for n in got.col_names_])
+        column = np.argsort(order)  # HiGHS's column of each model column
+        kinds = model.variables.kinds[order]
+        rows = model.rows
 
-        c, data, indices, indptr, row_lower, row_upper, col_lower, \
-            col_upper, integrality = _as_arrays(parts)
+        core = milp_backend.highs_core()
         lp = core.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-        lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(order)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
         lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
-        lp.col_cost_ = c
-        lp.col_lower_ = col_lower
-        lp.col_upper_ = col_upper
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.start_ = indptr
-        lp.a_matrix_.index_ = indices
-        lp.a_matrix_.value_ = data
-        lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
-        highs = real_highs()
+        lp.col_cost_ = -model.objective[order]
+        lp.col_lower_ = np.where(kinds == FREE, -np.inf, 0.0)
+        lp.col_upper_ = np.where(kinds == FREE, np.inf, 1.0)
+        lp.row_lower_ = np.where(rows.sense == LE, -np.inf, rows.rhs)
+        lp.row_upper_ = np.where(rows.sense == GE, np.inf, rows.rhs)
+        lp.a_matrix_.start_ = rows.indptr.astype(np.int32)
+        lp.a_matrix_.index_ = column[rows.indices].astype(np.int32)
+        lp.a_matrix_.value_ = rows.data
+        lp.integrality_ = [core.HighsVarType(int(k == BINARY)) for k in kinds]
+        highs = core._Highs()
         highs.setOptionValue("log_to_console", False)
         assert highs.passModel(lp) == core.HighsStatus.kOk
         want = highs.getLp()
 
-        assert np.signbit(c).sum() > 0  # the -0.0 costs are there to lose
+        assert np.signbit(want.col_cost_).sum() > 0  # -0.0 costs to lose
         assert (got.sense_, got.offset_) == (want.sense_, want.offset_)
         assert (got.num_col_, got.num_row_) == (want.num_col_, want.num_row_)
         assert got.a_matrix_.format_ == want.a_matrix_.format_
@@ -321,13 +313,17 @@ class TestSolver:
         assert list(got.integrality_) == list(want.integrality_)
 
 
+def bundled(*args, flags=()):
+    """The bundled solver command with the interpreter options ``flags``
+    and the arguments ``args`` in place of its file argument."""
+    python, *options, _ = reference_backend_command()
+    return [python, *flags, *options, *args]
+
+
 class TestCli:
-    def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "limid.milp_backend", *args],
-            capture_output=True,
-            text=True,
-        )
+    def run_cli(self, *args, **kwargs):
+        return subprocess.run(bundled(*args), capture_output=True, text=True,
+                              **kwargs)
 
     def test_solves_snapshot_file(self):
         proc = self.run_cli(str(DATA / "pigfarm1.lp"))
@@ -339,26 +335,55 @@ class TestCli:
         pairs = dict(l.split() for l in lines[2:])
         assert "mu_H1_0" in pairs and "delta_D1_0_0" in pairs
 
+    def test_needs_no_pythonpath_or_cwd(self, tmp_path):
+        # The bundled command runs the module's file without ``site``: no
+        # PYTHONPATH, another cwd, and the listing of the installed entry
+        # point's module run.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = self.run_cli(str(DATA / "pigfarm1.lp"), cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("status optimal\n")
+        module = subprocess.run(
+            [sys.executable, "-m", "limid.milp_backend", str(DATA / "pigfarm1.lp")],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(SRC)})
+        assert proc.stdout == module.stdout
+
     def test_closes_its_file(self):
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-m", "limid.milp_backend", str(DATA / "pigfarm1.lp")],
+            bundled(str(DATA / "pigfarm1.lp"),
+                    flags=("-X", "dev", "-W", "error::ResourceWarning")),
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("args", [(), ("a.lp", "b.lp"), ("--help",)])
+    def test_usage_exits_2(self, args):
+        proc = self.run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == "usage: limid-milp LP_FILE\n"
+
+    def test_name_must_end_in_lp_or_mps(self, tmp_path):
+        # HiGHS picks its reader by the file name.
+        text = tmp_path / "x.txt"
+        text.write_text((DATA / "pigfarm1.lp").read_text())
+        proc = self.run_cli(str(text))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error {text}: HiGHS reads only files whose "
+                               "names end in .lp or .mps\n")
+
     def test_missing_file_exits_2(self):
         proc = self.run_cli("no_such_file.lp")
         assert proc.returncode == 2
-        assert "error" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error HiGHS cannot read no_such_file.lp\n"
 
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.lp"
         bad.write_text("Maximize\n obj: x\nSubject To\n c1: x + y\nEnd\n")
         proc = self.run_cli(str(bad))
         assert proc.returncode == 2
-        assert "relational" in proc.stderr
+        assert proc.stderr == f"error HiGHS cannot read {bad}\n"
 
     def test_infeasible_is_a_definitive_answer(self, tmp_path):
         lp = tmp_path / "inf.lp"
@@ -458,6 +483,24 @@ class TestLazyPackage:
         assert "scipy.sparse" not in loaded
         assert "numpy" not in loaded
         assert "dataclasses" not in loaded
+
+    def test_bundled_child_loads_no_site_numpy_or_parsers(self):
+        # Every module the bundled command imports (-X importtime) or holds
+        # at exit (-v lists them as it clears them).
+        proc = subprocess.run(
+            bundled(str(DATA / "pigfarm1.lp"), flags=("-X", "importtime", "-v")),
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.startswith("status optimal\n")
+        loaded = set()
+        for line in proc.stderr.splitlines():
+            if line.startswith("import time:"):
+                loaded.add(line.rsplit("|", 1)[1].strip())
+            elif line.startswith("# cleanup[") and " removing " in line:
+                loaded.add(line.split(" removing ", 1)[1])
+        assert "scipy.optimize._highspy._core" in loaded
+        assert "os" in loaded and "importlib.util" in loaded
+        assert loaded.isdisjoint({"site", "numpy", "argparse", "re", "typing",
+                                  "scipy.optimize", "limid"})
 
     def test_loaded_core_is_the_one_scipy_optimize_uses(self):
         same, status, fun = self.run_python(

@@ -14,27 +14,12 @@ Run:  python3 demos/herd_management.py [--periods N]
 
 import argparse
 
+from limid.cli import describe_strategy
 from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.inference import oracle_optimize
 from limid.mip import build_base_model, model_stats
 from limid.rjt import build_rjt
 from limid.solve import decode, solve_reference
-
-
-def describe_strategy(diagram, strategy):
-    lines = []
-    for d, rule in strategy.rules.items():
-        parents = diagram.parents(d)
-        idx = diagram.indexer(parents)
-        cases = []
-        for pcfg, s in enumerate(rule):
-            states = idx.states_of(pcfg)
-            seen = ", ".join(
-                f"{p}={diagram.states(p)[v]}" for p, v in zip(parents, states)
-            )
-            cases.append(f"{seen} -> {diagram.states(d)[s]}")
-        lines.append(f"  {d}: " + "; ".join(cases))
-    return lines
 
 
 def main():

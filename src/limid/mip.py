@@ -22,7 +22,6 @@ node, usable as objective or as a lower-bound constraint.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -124,10 +123,6 @@ class LinearConstraint:
     rhs: float
     tag: str
 
-    @property
-    def family(self) -> str:
-        return self.tag.split("[", 1)[0]
-
 
 _TENS = "]\n".join(map(str, range(100))) + "]"
 _HUNDRED = "]\n".join(f"{i:02d}" for i in range(100)) + "]"
@@ -154,12 +149,6 @@ class RowBlock:
     stop: int
     heads: Tuple[str, ...]
     indexed: bool
-
-    def tag(self, row: int) -> str:
-        if not self.indexed:
-            return self.heads[0]
-        j, p = row - self.start, len(self.heads)
-        return f"{self.heads[j % p]}{j // p}]"
 
     def tags(self) -> List[str]:
         n, p = self.stop - self.start, len(self.heads)
@@ -258,10 +247,6 @@ class RowStore:
     def rhs(self) -> np.ndarray:
         self._join()
         return self._rhs
-
-    def tag(self, row: int) -> str:
-        at = bisect_right(self.blocks, row, key=lambda block: block.start)
-        return self.blocks[at - 1].tag(row)
 
     def tags(self) -> Iterator[str]:
         for block in self.blocks:

@@ -19,7 +19,7 @@ exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .diagram import InfluenceDiagram, check_order, topological_order
 
@@ -183,7 +183,7 @@ def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[st
     if len(roots) != 1:
         problems.append(f"expected one parentless cluster, found {sorted(roots)}")
         return problems
-    seen = reachable_roots(tree, roots[0])
+    seen = frozenset(tree.preorder(roots[0]))
     if seen != set(tree.clusters):
         problems.append(
             f"clusters unreachable from the tree root: {sorted(set(tree.clusters) - seen)}"
@@ -221,11 +221,6 @@ def validate_rjt(tree: RootedJunctionTree, diagram: InfluenceDiagram) -> List[st
                 f"expected exactly {{{r!r}}}"
             )
     return problems
-
-
-def reachable_roots(tree: RootedJunctionTree, j: str) -> FrozenSet[str]:
-    """Nodes whose root cluster sits in the subtree of C_j (j included)."""
-    return frozenset(tree.preorder(j))
 
 
 def modify_rjt(

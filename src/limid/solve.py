@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,10 +220,6 @@ def export_lp(model: MipModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_lp(model: MipModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(export_lp(model))
-
-
 # ---------------------------------------------------------------------------
 # Row checking
 
@@ -328,10 +324,12 @@ class RowSystem:
         unfit = ~np.isfinite(x)
         outside[unfit] = True
         fractional[unfit & self.binary] = True
+        failed = np.flatnonzero(off)
+        tags = list(self.model.rows.tags()) if failed.size else []
         problems = [
-            f"row c{i + 1} [{self.model.rows.tag(i)}] residual "
+            f"row c{i + 1} [{tags[i]}] residual "
             f"{res[i, 0]:.3e} violates sense {SENSES[self.senses[i]]}"
-            for i in np.flatnonzero(off)
+            for i in failed
         ]
         bad = np.flatnonzero(outside | fractional)
         names = self.model.variables.names() if bad.size else []
@@ -373,25 +371,20 @@ def _one_hot_rows(groups: np.ndarray, n_groups: int) -> _Csr:
     return _Csr(np.ones(groups.size), order, indptr, (n_groups, groups.size))
 
 
-def _at(arr: np.ndarray, live: Optional[np.ndarray]) -> np.ndarray:
-    """The entries of ``arr`` at ``live``, or ``arr`` itself when None."""
-    return arr if live is None else arr[live]
-
-
 @dataclass(frozen=True)
 class _Cluster:
     """One cluster's part of the propagation, over its live configurations,
     the ones some strategy can give a nonzero mass.
 
-    ``live`` lists them, ascending (None when all are live).  ``sums``
-    adds the tree parent's live masses onto the groups of the members they
-    share (None at the top), and ``group_of`` is the group of each live
-    configuration.  A chance or value root's mass is its group's times its
-    CPT entry in ``entries``; a decision root's is its group's times the
-    strategy's indicator at its policy row and state, in ``policy``.
+    ``live`` lists them, ascending.  ``sums`` adds the tree parent's live
+    masses onto the groups of the members they share (None at the top),
+    and ``group_of`` is the group of each live configuration.  A chance or
+    value root's mass is its group's times its CPT entry in ``entries``; a
+    decision root's is its group's times the strategy's indicator at its
+    policy row and state, in ``policy``.
     """
 
-    live: Optional[np.ndarray]
+    live: np.ndarray
     sums: Optional[_Csr]
     group_of: np.ndarray
     entries: Optional[np.ndarray]
@@ -412,31 +405,29 @@ def _propagation(ctx: CompileContext) -> Dict[str, _Cluster]:
     out: Dict[str, _Cluster] = {}
     for root in ctx.tree_order:
         lay = ctx.layouts[root]
-        sums = groups = None  # groups: which are live, None when all are
         if lay.parent_groups is None:
             if lay.n_groups != 1:
                 raise ValueError(
                     f"top cluster {root!r} has extra members; the tree is "
                     f"not a valid rooted junction tree"
                 )
+            sums, keep = None, np.ones(lay.total, dtype=bool)
         else:
             parent_live = out[ctx.tree.parent[root]].live
-            sums = _one_hot_rows(_at(lay.parent_groups, parent_live), lay.n_groups)
-            if parent_live is not None:
-                groups = np.diff(sums.indptr) > 0  # a group's live terms
-        keep = None if groups is None else groups[lay.group_of]
+            sums = _one_hot_rows(lay.parent_groups[parent_live], lay.n_groups)
+            keep = (np.diff(sums.indptr) > 0)[lay.group_of]  # a group's live terms
         entries = policy = None
         if d.kind(root) == NodeKind.DECISION:
             policy = lay.table_row, lay.root_state
         else:
             entries = d.cpts[root].rows[lay.table_row, lay.root_state]
-            keep = entries != 0 if keep is None else keep & (entries != 0)
-        live = None if keep is None or keep.all() else np.flatnonzero(keep)
+            keep &= entries != 0
+        live = np.flatnonzero(keep)
         if entries is not None:
-            entries = _at(entries, live)[:, None]
+            entries = entries[live][:, None]
         if policy is not None:
-            policy = tuple(_at(arr, live) for arr in policy)
-        out[root] = _Cluster(live, sums, _at(lay.group_of, live), entries, policy)
+            policy = tuple(arr[live] for arr in policy)
+        out[root] = _Cluster(live, sums, lay.group_of[live], entries, policy)
     return out
 
 
@@ -488,7 +479,7 @@ class _LiveView:
 
     The live columns are every policy bit and CVaR column and the masses of
     the live configurations of ``products`` (``_propagation(ctx)``).
-    ``cols`` lists them, ascending (None when all are live); ``before[j]``
+    ``cols`` lists them, ascending (all of them on a pig farm); ``before[j]``
     counts the live columns before column ``j``, the place of column ``j``
     among them when it is live.  ``spans`` gives each cluster's live masses
     their place, and ``levels`` adds the CVaR value cluster's live masses
@@ -501,40 +492,34 @@ class _LiveView:
         self.products = _propagation(ctx)
         keep = np.ones(len(model.variables), dtype=bool)
         for root, cluster in self.products.items():
-            if cluster.live is not None:
-                span = model.mu[root].span
-                keep[span] = False
-                keep[span.start + cluster.live] = True
-        self.cols = None if keep.all() else np.flatnonzero(keep)
+            span = model.mu[root].span
+            keep[span] = False
+            keep[span.start + cluster.live] = True
+        self.cols = np.flatnonzero(keep)
         self.before = before = np.concatenate([[0], np.cumsum(keep)])
         self.size = int(before[-1])
         self.spans = {root: slice(int(before[b.start]), int(before[b.start + b.size]))
                       for root, b in model.mu.items()}
         cv = model.cvar
         self.levels = None if cv is None else _one_hot_rows(
-            _at(cv.level, self.products[cv.value_root].live), cv.utilities.size)
+            cv.level[self.products[cv.value_root].live], cv.utilities.size)
 
     @cached_property
     def rows(self) -> _Rows:
-        """The rows with a term on a live column, over the live columns (the
-        system's own arrays when every column is live), and whether every
-        other row holds at ``EXACT_TOL``: its residual is the zero
-        assignment's under every strategy.  Only the reference reads them,
-        so they are built on first use."""
+        """The rows with a term on a live column, over the live columns, and
+        whether every other row holds at ``EXACT_TOL``: its residual is the
+        zero assignment's under every strategy.  Only the reference reads
+        them, so they are built on first use."""
         s = self.system
-        if self.cols is None:
-            return _Rows(s.matrix, s.rhs, s.senses, s.bounded, s.binary,
-                         s.objective_vector, True)
         m = s.matrix
         kept = np.zeros(m.shape[1], dtype=bool)
         kept[self.cols] = True
-        kept = kept[m.indices]
-        row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        counts = np.bincount(row_of[kept], minlength=m.shape[0])
+        at = np.flatnonzero(kept[m.indices])  # the terms on a live column
+        counts = np.diff(np.searchsorted(at, m.indptr))
         rows = np.flatnonzero(counts)
         off = _check(s, np.zeros((m.shape[1], 1)), EXACT_TOL)[1]
         return _Rows(
-            _Csr(m.data[kept], self.before[m.indices[kept]],
+            _Csr(m.data[at], self.before[m.indices[at]],
                  np.concatenate([[0], np.cumsum(counts[rows])]), (rows.size, self.size)),
             s.rhs[rows], s.senses[rows], s.bounded[self.cols], s.binary[self.cols],
             s.objective_vector[self.cols], not off[counts == 0].any())
@@ -542,8 +527,6 @@ class _LiveView:
     def full(self, xs: np.ndarray) -> np.ndarray:
         """Assignments of every column from those of the live columns (one
         per column of ``xs``); a dead column is 0.0."""
-        if self.cols is None:
-            return xs
         full = np.zeros(self.system.matrix.shape[1:] + xs.shape[1:])
         full[self.cols] = xs
         return full
@@ -608,12 +591,8 @@ def propagate_cluster_marginals(
     products = _propagation(ctx)
     out = {}
     for root, arr in _block_masses(ctx, products, _single(strategy)).items():
-        live = products[root].live
-        if live is None:
-            out[root] = arr[:, 0]
-        else:
-            out[root] = np.zeros(ctx.layouts[root].total)
-            out[root][live] = arr[:, 0]
+        out[root] = np.zeros(ctx.layouts[root].total)
+        out[root][products[root].live] = arr[:, 0]
     return out
 
 
@@ -771,9 +750,9 @@ def solve_external(
     assignment whose objective is no finite number.
     """
     with tempfile.TemporaryDirectory(prefix="limid_lp_") as tmp:
-        lp_path = str(Path(tmp) / "model.lp")
-        write_lp(model, lp_path)
-        argv = _command_argv(command, lp_path)
+        lp_path = Path(tmp) / "model.lp"
+        lp_path.write_text(export_lp(model))
+        argv = _command_argv(command, str(lp_path))
         try:
             proc = subprocess.run(argv, capture_output=True, text=True)
         except FileNotFoundError as exc:

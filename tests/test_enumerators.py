@@ -165,13 +165,19 @@ def test_live_columns_and_rows():
     assert (live.size, len(model.variables)) == (586, 4618)
     assert (rows.matrix.shape[0], len(model.rows)) == (1087, 5183)
     assert holds
-    # Every column is live on a pig farm: the block arrays are the full ones.
+    # Every column is live on a pig farm: the live rows are the system's.
     _, _, model, ctx, _, _ = compile_case(
         "pigfarm-4", gen_pigfarm(PigFarmSpec(n_periods=4, seed=1)))
     system, live, rows, holds = _live_sizes(model, ctx)
     assert (live.size, len(model.variables)) == (118, 118)
-    assert live.cols is None and rows.matrix is system.matrix
+    assert np.array_equal(live.cols, np.arange(118))
+    for got, want in [(rows.matrix.data, system.matrix.data),
+                      (rows.matrix.indices, system.matrix.indices),
+                      (rows.matrix.indptr, system.matrix.indptr),
+                      (rows.rhs, system.rhs), (rows.senses, system.senses)]:
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
     assert rows.matrix.shape[0] == len(model.rows) == 210
+    assert holds
 
 
 def test_row_without_live_term_is_checked_once():
@@ -188,7 +194,8 @@ def test_row_without_live_term_is_checked_once():
     # with rhs 1.0 no strategy meets it.
     rows = model.rows
     one_term = np.flatnonzero(np.diff(rows.indptr) == 1)
-    row = next(int(i) for i in one_term if rows.tag(i).startswith("cpt_link")
+    tags = list(rows.tags())
+    row = next(int(i) for i in one_term if tags[i].startswith("cpt_link")
                and dead[rows.indices[rows.indptr[i]]])
     rows.rhs[row] = 1.0
     system = RowSystem(model)

@@ -330,7 +330,7 @@ class TestBaseModel:
         }
         assert model.objective.tolist() == [0.0, 0.0]
         # the two chance-coupling rows pin mu to the prior outright
-        link = [c for c in model.constraints if c.family == "cpt_link"]
+        link = [c for c in model.constraints if c.tag.split("[", 1)[0] == "cpt_link"]
         for i, (c, p) in enumerate(zip(link, (0.3, 0.7))):
             assert c.sense == "==" and c.rhs == 0.0
             coeffs = {v: co for co, v in c.terms}
@@ -377,8 +377,8 @@ class TestBaseModel:
 
     def test_policy_rows_have_expected_shape(self):
         d, tree, model, ctx = pig_model(1)
-        ubs = [c for c in model.constraints if c.family == "policy_ub"]
-        lbs = [c for c in model.constraints if c.family == "policy_lb"]
+        ubs = [c for c in model.constraints if c.tag.split("[", 1)[0] == "policy_ub"]
+        lbs = [c for c in model.constraints if c.tag.split("[", 1)[0] == "policy_lb"]
         assert len(ubs) == len(lbs) == 8
         for c in ubs:
             assert c.sense == "<=" and c.rhs == 0.0
@@ -455,7 +455,7 @@ class TestRiskRows:
     def test_chance_row_lands_on_smallest_covering_cluster(self):
         d, tree, model, ctx = pig_model(2)
         add_risk(model, parse_chance_text("P(H2=ill) <= 0.25"), ctx)
-        rows = [c for c in model.constraints if c.family == "chance"]
+        rows = [c for c in model.constraints if c.tag.split("[", 1)[0] == "chance"]
         assert len(rows) == 1
         row = rows[0]
         assert row.tag == "chance[T2]"  # {H2,T2} is the smallest cover
@@ -483,7 +483,7 @@ class TestRiskRows:
         d, tree, model, ctx = pig_model(2, targets=["D1", "D2"])
         add_risk(model, parse_logical_text("P(D1=treat&D2=treat)"), ctx)
         row = model.constraints[-1]
-        assert row.family == "logical"
+        assert row.tag.split("[", 1)[0] == "logical"
         assert (row.sense, row.rhs) == ("<=", 0.0)
         root = row.tag[len("logical["):-1]
         assert {"D1", "D2"} <= set(tree.members(root))
@@ -496,7 +496,7 @@ class TestRiskRows:
         )
         add_risk(model, spec, ctx)
         row = model.constraints[-1]
-        assert row.family == "budget"
+        assert row.tag.split("[", 1)[0] == "budget"
         root = row.tag[len("budget["):-1]
         lay = ctx.layouts[root]
         indexer = d.indexer(lay.members)
@@ -558,7 +558,7 @@ class TestCvarBlock:
         meu_objective = model.objective.copy()
         add_risk(model, CvarConstraint(alpha=0.2, bound=250.0), ctx)
         assert model.cvar.mode == "constraint"
-        assert model.constraints[-1].family == "cvar_floor"
+        assert model.constraints[-1].tag.split("[", 1)[0] == "cvar_floor"
         assert model.constraints[-1].sense == ">="
         assert model.constraints[-1].rhs == 250.0
         # the expected-utility objective stays in place

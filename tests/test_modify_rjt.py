@@ -25,7 +25,6 @@ from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind, UtilityMap
 from limid.rjt import (
     build_rjt,
     modify_rjt,
-    reachable_roots,
     validate_rjt,
 )
 
@@ -100,7 +99,7 @@ def check_walks(tree):
     up = {r: ancestors(tree, r) for r in tree.order}
     assert tree.preorder() == brute_preorder(tree)
     for a in tree.order:
-        assert reachable_roots(tree, a) == {r for r in tree.order if a in up[r]}
+        assert frozenset(tree.preorder(a)) == {r for r in tree.order if a in up[r]}
         for b in tree.order:
             path = sorted(
                 (c for c in up[b] if a in up[c]), key=lambda c: len(up[c])

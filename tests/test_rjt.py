@@ -11,7 +11,6 @@ from limid.generators import PigFarmSpec, gen_pigfarm
 from limid.rjt import (
     build_rjt,
     modify_rjt,
-    reachable_roots,
     to_dot,
     tree_from_members,
     validate_rjt,
@@ -193,8 +192,8 @@ class TestModificationWalkthrough:
         assert tree_path(tree, "A", "F") == ("A", "B", "D", "F")
         assert tree_path(tree, "E", "F") == ()
         assert tree_path(tree, "E", "E") == ("E",)
-        assert reachable_roots(tree, "B") == {"B", "C", "D", "E", "F"}
-        assert reachable_roots(tree, "A") == set("ABCDEF")
+        assert frozenset(tree.preorder("B")) == {"B", "C", "D", "E", "F"}
+        assert frozenset(tree.preorder("A")) == set("ABCDEF")
 
     def test_modify_trace_matches_walkthrough(self):
         tree = example_tree()

@@ -21,6 +21,7 @@ from limid.mip import (
     BINARY,
     EQ,
     FREE,
+    LE,
     SENSES,
     UNIT,
     MipModel,
@@ -47,7 +48,6 @@ from limid.solve import (
     reference_backend_command,
     solve_external,
     solve_reference,
-    write_lp,
 )
 from limid.transform import merge_value_nodes
 
@@ -164,10 +164,12 @@ class TestLpExport:
         text = export_lp(model)
         assert " obj: 0.0 x" in text
 
-    def test_write_lp_round_trip(self, tmp_path):
-        _, model, _ = pig_setup(1)
+    def test_external_solver_reads_the_exported_text(self, tmp_path):
+        _, model, ctx = pig_setup(1)
         path = tmp_path / "m.lp"
-        write_lp(model, path)
+        copy = ("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2]); "
+                "print('status infeasible')")
+        solve_external(model, ctx, [sys.executable, "-c", copy, "{lp}", str(path)])
         assert path.read_text() == export_lp(model)
 
 
@@ -223,6 +225,31 @@ class TestRowChecking:
                for m in RowSystem(model).violations(x, 1e-6)]
         assert got == want
 
+    @pytest.mark.parametrize("case, broken", [
+        # the ends of an interleaved policy_ub/policy_lb block, a row past
+        # 100 of an indexed block, and a single-row block
+        ("nmonitoring-3", {449: "policy_ub[A3][c=0]", 512: "policy_lb[A3][c=31]",
+                           268: "cpt_link[T][c=123]", 8: "normalize[T]"}),
+        ("pigfarm-3 chance", {160: "chance[T3]"}),
+        ("merged pigfarm-2 cvar0.25", {254: "cvar_share_total"}),
+    ])
+    def test_messages_print_literal_row_tags(self, case, broken):
+        # An optimal answer made to break each row by a unit of its
+        # right-hand side names exactly those rows, by label and tag.
+        if case == "nmonitoring-3":
+            d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+            model, ctx = build_base_model(build_rjt(d), d)
+        elif case == "pigfarm-3 chance":
+            _, model, ctx = pig_setup(3, risk=parse_chance_text("P(H3=ill) <= 0.45"))
+        else:
+            _, model, ctx = pig_setup(2, merged=True, risk=CvarObjective(alpha=0.25))
+        x = solve_reference(model, ctx).x
+        rows = model.rows
+        for i in broken:
+            rows.rhs[i] += -1.0 if rows.sense[i] == LE else 1.0
+        got = [m.split(" residual")[0] for m in RowSystem(model).violations(x, 1e-9)]
+        assert got == [f"row c{i + 1} [{tag}]" for i, tag in sorted(broken.items())]
+
     def test_values_that_are_no_number_fail(self):
         # Every comparison with NaN is False, so each test asks whether a
         # value passes: NaN breaks each row it enters and each bound it has,
@@ -235,7 +262,8 @@ class TestRowChecking:
         j = model.mu["H1"].start
         bad = x.copy()
         bad[j] = np.nan
-        in_rows = [f"row c{i + 1} [{rows.tag(i)}] residual nan violates sense "
+        tags = list(rows.tags())
+        in_rows = [f"row c{i + 1} [{tags[i]}] residual nan violates sense "
                    f"{SENSES[rows.sense[i]]}" for i in range(len(rows))
                    if j in rows.indices[rows.indptr[i]:rows.indptr[i + 1]]]
         assert in_rows

@@ -4,7 +4,12 @@ answer is printed as a name/value listing.
 HiGHS's own reader takes the file (``_Highs.readModel``), so the dialect is
 HiGHS's: the LP format :func:`limid.solve.export_lp` writes, other LP files
 with one objective, and MPS.  HiGHS picks its reader by the file name, so
-the name must end in ``.lp`` or ``.mps``.  Output is one ``status <word>``
+the name must end in ``.lp`` or ``.mps``.  HiGHS 1.12 reads hand-written LP
+text silently (exit 0, no warning) other than its plain meaning in two
+places: a constant beside a row's terms is dropped (``c: x + 3 <= 7`` is
+held as ``x <= 7``), and a name repeated in the objective keeps only its
+last term (``obj: 2 x + 5 x`` is held as ``5 x``); exported text has
+neither form.  Output is one ``status <word>``
 line, one ``objective <number>`` line when solved, then one
 ``<name> <number>`` line per column, which is exactly the layout the
 external-solver bridge parses.  Exit code 0 means a definitive answer

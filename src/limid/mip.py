@@ -1,9 +1,10 @@
 """Compile a junction tree into a mixed-integer linear program.
 
-Variables: one probability-mass variable per cluster configuration
-(``mu_<root>_<config>``) and one binary policy variable per decision,
-parent configuration, and state (``delta_<d>_<pcfg>_<state>``), stored as
-one block per cluster and one per decision; names are built on request.
+Variables: one probability-mass variable per live cluster configuration
+(``mu_<root>_<config>``), the configurations some strategy can give a
+nonzero mass, and one binary policy variable per decision, parent
+configuration, and state (``delta_<d>_<pcfg>_<state>``), stored as one
+block per cluster and one per decision; names are built on request.
 
 Rows: each cluster's mass sums to one; adjacent clusters agree on the
 marginal of their shared nodes; inside a chance or value cluster, the
@@ -11,7 +12,9 @@ mass of a configuration is the cluster's own marginal over the root node
 times the root's CPT entry; inside a decision cluster, the analogous
 product against the binary policy variable is written exactly with two
 linear rows per configuration (valid because all masses live in [0, 1]),
-plus one pick-one row per parent configuration.
+plus one pick-one row per parent configuration.  A term on a dead
+configuration is left out, and a row left with no terms is dropped when it
+holds at zero.
 
 Risk extensions: chance / logical / budget rows bound the mass of marked
 configurations inside one covering cluster, and a CVaR block introduces
@@ -52,12 +55,14 @@ class VarBlock:
     """Variables ``start`` to ``start + size`` of one kind code, laid out
     in C order over ``shape``.  The variable at coordinates ``(i, j)`` is
     named ``head + "i_j"``; a block of shape ``()`` is the variable
-    ``head``."""
+    ``head``.  A one-dimensional block with ``labels`` names its variable
+    ``i`` ``head + str(labels[i])`` instead."""
 
     start: int
     shape: Tuple[int, ...]
     head: str
     kind: int
+    labels: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -70,6 +75,8 @@ class VarBlock:
     def names(self) -> List[str]:
         if not self.shape:
             return [self.head]
+        if self.labels is not None:
+            return [self.head + str(c) for c in self.labels.tolist()]
         heads = [self.head]
         for n in self.shape[:-1]:
             heads = [f"{h}{i}_" for h in heads for i in range(n)]
@@ -87,9 +94,10 @@ class VarStore:
         self.blocks: List[VarBlock] = []
         self._n = 0
 
-    def add(self, head: str, shape: Tuple[int, ...], kind: int) -> VarBlock:
+    def add(self, head: str, shape: Tuple[int, ...], kind: int,
+            labels: Optional[np.ndarray] = None) -> VarBlock:
         """Append a block of kind code ``kind`` and return it."""
-        block = VarBlock(self._n, tuple(shape), head, kind)
+        block = VarBlock(self._n, tuple(shape), head, kind, labels)
         self.blocks.append(block)
         self._n += block.size
         return block
@@ -140,20 +148,25 @@ def _marks(k: int) -> str:
 class RowBlock:
     """Rows ``start`` to ``stop`` (exclusive), emitted in one step.
 
-    A single row is tagged ``heads[0]``.  In an indexed block, row
-    ``start + j`` is tagged ``heads[j % p] + str(j // p) + "]"`` with
-    ``p = len(heads)``, so two heads interleave two row families.
+    A single row is tagged ``heads[0]``.  In an indexed block, the row
+    written ``j``-th is tagged ``heads[j % p] + str(j // p) + "]"`` with
+    ``p = len(heads)``, so two heads interleave two row families.  When
+    some written rows were dropped, ``places`` gives the ``j`` of each row
+    kept; else row ``start + j`` is the ``j``-th.
     """
 
     start: int
     stop: int
     heads: Tuple[str, ...]
     indexed: bool
+    places: Optional[np.ndarray] = field(default=None, compare=False)
 
     def tags(self) -> List[str]:
         n, p = self.stop - self.start, len(self.heads)
         if not self.indexed:
             return [self.heads[0]] * n
+        if self.places is not None:
+            return [f"{self.heads[j % p]}{j // p}]" for j in self.places.tolist()]
         marks = _marks(-(-n // p))
         tags = [""] * n
         for j, head in enumerate(self.heads):
@@ -164,9 +177,10 @@ class RowBlock:
         return tags
 
     def family_counts(self) -> Iterator[Tuple[str, int]]:
-        n, p = self.stop - self.start, len(self.heads)
-        for j, head in enumerate(self.heads):
-            yield head.split("[", 1)[0], len(range(j, n, p))
+        p = len(self.heads)
+        places = np.arange(self.stop - self.start) if self.places is None else self.places
+        for head, n in zip(self.heads, np.bincount(places % p, minlength=p).tolist()):
+            yield head.split("[", 1)[0], n
 
 
 class RowStore:
@@ -188,25 +202,37 @@ class RowStore:
         self._sense = np.zeros(0, dtype=np.int8)
         self._rhs = np.zeros(0)
 
-    def append(self, counts, indices, data, sense, rhs, heads, indexed=True):
+    def append(self, counts, indices, data, sense, rhs, heads, indexed=True,
+               places=None):
         """Add ``len(counts)`` rows whose terms lie in ``indices``/``data``
-        row after row; ``sense`` and ``rhs`` are per row or scalars."""
+        row after row; ``sense`` and ``rhs`` are per row or scalars, and
+        ``places`` is the block's ``RowBlock.places``."""
         n = len(counts)
         sense = np.broadcast_to(np.asarray(sense, dtype=np.int8), (n,))
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,))
         self._pending.append((counts, indices, data, sense, rhs))
-        self.blocks.append(RowBlock(self._n, self._n + n, tuple(heads), indexed))
+        self.blocks.append(RowBlock(self._n, self._n + n, tuple(heads), indexed,
+                                    places))
         self._n += n
 
-    def append_terms(self, n_rows, row, var, coef, sense, rhs, heads):
+    def append_terms(self, n_rows, row, var, coef, sense, rhs, heads, indexed=True):
         """Add ``n_rows`` rows from terms ``coef * x[var]`` on rows ``row``
         (numbered from 0 in this block).  A row keeps its terms in the
-        order given, less those with a zero coefficient."""
-        keep = coef != 0.0
+        order given, less those with a zero coefficient or the variable -1
+        (a configuration without a column); a row left with no terms is
+        dropped when it holds at zero."""
+        keep = (coef != 0.0) & (var >= 0)
         row = row[keep]
         order = np.argsort(row, kind="stable")
-        self.append(np.bincount(row, minlength=n_rows), var[keep][order],
-                    coef[keep][order], sense, rhs, heads)
+        counts = np.bincount(row, minlength=n_rows)
+        var, coef, places = var[keep][order], coef[keep][order], None
+        if not counts.all():
+            sense = np.broadcast_to(np.asarray(sense, dtype=np.int8), (n_rows,))
+            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n_rows,))
+            holds = np.choose(sense, [rhs == 0.0, rhs >= 0.0, rhs <= 0.0])
+            places = np.flatnonzero((counts > 0) | ~holds)
+            counts, sense, rhs = counts[places], sense[places], rhs[places]
+        self.append(counts, var, coef, sense, rhs, heads, indexed, places)
 
     def _join(self) -> None:
         if not self._pending:
@@ -274,6 +300,13 @@ class ClusterLayout:
     in declared parent order).  ``parent_groups`` maps each configuration of
     the tree-parent cluster to the group it projects onto, so local
     consistency and downward propagation use the same arithmetic.
+
+    ``live`` lists, ascending, the configurations some strategy can give a
+    nonzero mass, the ones that get a column.  A group is live when a live
+    configuration of the tree parent projects onto it (every group of the
+    top cluster is).  A decision configuration is live when its group is,
+    and a chance or value configuration when its CPT entry is also
+    nonzero.  Every other mass is 0.0 under every strategy.
     """
 
     members: Tuple[str, ...]
@@ -283,17 +316,20 @@ class ClusterLayout:
     root_state: np.ndarray
     table_row: np.ndarray
     parent_groups: Optional[np.ndarray]
+    live: np.ndarray
 
 
 class CompileContext:
-    """Diagram + tree + per-cluster layouts, shared by compiler and solvers."""
+    """Diagram + tree + per-cluster layouts, shared by compiler and solvers.
+    The layouts are built from the top of the tree down (``tree_order``),
+    since a cluster's live configurations follow from its tree parent's."""
 
     def __init__(self, diagram: InfluenceDiagram, tree: RootedJunctionTree):
         self.diagram = diagram
         self.tree = tree
         self.layouts: Dict[str, ClusterLayout] = {}
         self.tree_order = tree.preorder()
-        for root in tree.order:
+        for root in self.tree_order:
             self.layouts[root] = self._layout(root)
 
     def _layout(self, root: str) -> ClusterLayout:
@@ -320,8 +356,10 @@ class CompileContext:
             )
         table_row = d.parent_indexer(root).index_array(coords, total)
 
+        n_groups = total // d.n_states(root)
         parent_root = tree.parent.get(root)
         parent_groups = None
+        live_groups = np.ones(n_groups, dtype=bool)
         if parent_root is not None:
             pmembers = tree.members(parent_root)
             missing = [m for m in others.scope if m not in pmembers]
@@ -333,15 +371,21 @@ class CompileContext:
             pindexer = d.indexer(pmembers)
             parent_groups = others.index_array(pindexer.coordinates(),
                                                pindexer.total)
+            live_groups[:] = False
+            live_groups[parent_groups[self.layouts[parent_root].live]] = True
+        live = live_groups[group_of]
+        if d.kind(root) != NodeKind.DECISION:
+            live &= d.cpts[root].rows[table_row, coords[root]] != 0
 
         return ClusterLayout(
             members=members,
             total=total,
-            n_groups=total // d.n_states(root),
+            n_groups=n_groups,
             group_of=group_of,
             root_state=coords[root],
             table_row=table_row,
             parent_groups=parent_groups,
+            live=np.flatnonzero(live),
         )
 
 
@@ -354,7 +398,7 @@ class CvarBlock:
     eps: float
     big_m: float
     utilities: np.ndarray
-    level: np.ndarray  # value-cluster config -> index into utilities
+    level: np.ndarray  # value-cluster mass column -> index into utilities
     eta: int
     lam: np.ndarray  # variable indices, one per utility level
     lambar: np.ndarray
@@ -408,7 +452,7 @@ def build_base_model(
 ) -> Tuple[MipModel, CompileContext]:
     """Emit the expected-utility model for a diagram and its junction tree.
 
-    Deterministic emission: clusters in topological root order with
+    Deterministic emission: clusters in topological root order with live
     configurations ascending; mass variables first, then policy variables;
     row families in the order normalization, local consistency, chance
     coupling, decision coupling, pick-one.  The objective sums utility
@@ -421,8 +465,9 @@ def build_base_model(
     rows = model.rows
 
     for root in tree.order:
-        model.mu[root] = model.variables.add(
-            f"mu_{root}_", (ctx.layouts[root].total,), UNIT)
+        live = ctx.layouts[root].live
+        model.mu[root] = model.variables.add(f"mu_{root}_", live.shape, UNIT, live)
+    cols = {root: _columns(model, ctx, root) for root in tree.order}
     for d in diagram.decision_nodes:
         shape = (diagram.parent_indexer(d).total, diagram.n_states(d))
         model.delta[d] = model.variables.add(f"delta_{d}_", shape, BINARY)
@@ -442,8 +487,7 @@ def build_base_model(
         rows.append_terms(
             lay.n_groups,
             np.concatenate([lay.parent_groups, lay.group_of]),
-            np.concatenate([model.mu[parent].start + np.arange(n_parent),
-                            model.mu[child].start + np.arange(lay.total)]),
+            np.concatenate([cols[parent], cols[child]]),
             np.concatenate([np.ones(n_parent), -np.ones(lay.total)]),
             EQ, 0.0, (f"consistency[{parent}->{child}][g=",),
         )
@@ -461,7 +505,7 @@ def build_base_model(
         rows.append_terms(
             lay.total,
             np.concatenate([cfgs, np.repeat(linked, siblings.shape[1])]),
-            model.mu[root].start + np.concatenate([cfgs, siblings.ravel()]),
+            cols[root][np.concatenate([cfgs, siblings.ravel()])],
             np.concatenate([1.0 - p, np.repeat(-p[linked], siblings.shape[1])]),
             EQ, 0.0, (f"cpt_link[{root}][c=",),
         )
@@ -469,7 +513,7 @@ def build_base_model(
     for root in tree.order:
         if diagram.kind(root) != NodeKind.DECISION:
             continue
-        linearize_decision_coupling(model, ctx, root)
+        linearize_decision_coupling(model, ctx, root, cols[root])
     for d, block in model.delta.items():
         n_pcfg, n_states = block.shape
         rows.append([n_states] * n_pcfg, block.start + np.arange(block.size),
@@ -481,8 +525,16 @@ def build_base_model(
             lay = ctx.layouts[root]
             # adding 0.0 makes a -0.0 utility 0.0, as a sum from 0.0 does
             model.objective[model.mu[root].span] = (
-                diagram.utilities[root].values[lay.root_state] + 0.0)
+                diagram.utilities[root].values[lay.root_state[lay.live]] + 0.0)
     return model, ctx
+
+
+def _columns(model: MipModel, ctx: CompileContext, root: str) -> np.ndarray:
+    """The column of each configuration of ``root``'s cluster, -1 for a
+    dead one."""
+    cols = np.full(ctx.layouts[root].total, -1)
+    cols[ctx.layouts[root].live] = model.mu[root].start + np.arange(model.mu[root].size)
+    return cols
 
 
 def _siblings(lay: ClusterLayout, cfgs: np.ndarray) -> np.ndarray:
@@ -495,21 +547,21 @@ def _siblings(lay: ClusterLayout, cfgs: np.ndarray) -> np.ndarray:
     return members[lay.group_of[cfgs][:, None], skip_own]
 
 
-def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str) -> None:
+def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str,
+                                cols: np.ndarray) -> None:
     """Exact two-row linearization of mass = marginal * policy.
 
     For each configuration: mass is capped by the policy bit, and mass must
     reach the cluster's own root-marginal less the bit's slack.  Both rows
     are exact because masses live in [0, 1]; the root marginal is written as
     the sum over the root node's states inside the same cluster.  The two
-    rows of configuration c are rows 2c and 2c + 1 of the block.
+    rows of configuration c are rows 2c and 2c + 1 of the block; ``cols``
+    is ``_columns(model, ctx, root)``.
     """
     lay = ctx.layouts[root]
-    start = model.mu[root].start
     cfgs = np.arange(lay.total)
-    mu = start + cfgs
     bit = model.delta_var(root, lay.table_row, lay.root_state)
-    siblings = start + _siblings(lay, cfgs)
+    siblings = cols[_siblings(lay, cfgs)]
     ub, lb = 2 * cfgs, 2 * cfgs + 1
     ones = np.ones(lay.total)
     model.rows.append_terms(
@@ -517,7 +569,7 @@ def linearize_decision_coupling(model: MipModel, ctx: CompileContext, root: str)
         # policy_ub: mass - bit <= 0.  policy_lb: mass - group mass - bit
         # >= -1, in which the own mass cancels.
         np.concatenate([ub, ub, np.repeat(lb, siblings.shape[1]), lb]),
-        np.concatenate([mu, bit, siblings.ravel(), bit]),
+        np.concatenate([cols, bit, siblings.ravel(), bit]),
         np.concatenate([ones, -ones, -np.ones(siblings.size), -ones]),
         np.tile([LE, GE], lay.total),
         np.tile([0.0, -1.0], lay.total),
@@ -554,9 +606,9 @@ def add_risk(model: MipModel, spec, ctx: CompileContext) -> MipModel:
         else:
             family = "logical" if isinstance(spec, LogicalConstraint) else "budget"
             sense, rhs = LE, 0.0
-        model.rows.append([hits.size], model.mu[root].start + hits,
-                          np.ones(hits.size), sense, rhs, (f"{family}[{root}]",),
-                          indexed=False)
+        model.rows.append_terms(1, np.zeros(hits.size, dtype=np.int64),
+                                _columns(model, ctx, root)[hits], np.ones(hits.size),
+                                sense, rhs, (f"{family}[{root}]",), indexed=False)
         return model
     if isinstance(spec, (CvarObjective, CvarConstraint)):
         _add_cvar_block(model, spec, ctx)
@@ -575,8 +627,11 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
             f"CVaR needs a single value node, found {len(values)}{hint}")
     v = values[0]
     lay = ctx.layouts[v]
+    # the levels of every configuration, so that a dead one leaves the block
+    # as it is less its mass terms
     per_cfg = round_to_sig(d.utilities[v].values[lay.root_state])
     utils, level = np.unique(per_cfg, return_inverse=True)
+    level = level[lay.live]
     eps = float(np.min(np.diff(utils))) / 2.0 if utils.size > 1 else 1.0
     big_m = float(utils[-1] - utils[0]) + eps
 
@@ -591,8 +646,8 @@ def _add_cvar_block(model: MipModel, spec, ctx: CompileContext) -> None:
     # each row keeps its terms in the order they are listed.
     n = utils.size
     at, mass_at = 9 * np.arange(n), 9 * level
-    mu = model.mu[v].start + np.arange(lay.total)
-    etas, one, mass_one = np.full(n, eta), np.ones(n), np.ones(lay.total)
+    mu = model.mu[v].start + np.arange(level.size)
+    etas, one, mass_one = np.full(n, eta), np.ones(n), np.ones(level.size)
     big, wide = np.full(n, big_m), np.full(n, big_m + eps)
     row, var, coef = (np.concatenate(part) for part in zip(
         (at, etas, one), (at, lam, -big),

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import filterfalse
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -271,24 +270,24 @@ def _any_per_column(mask: np.ndarray) -> np.ndarray:
 
 
 def _check(
-    rows, xs: np.ndarray, tol: float
+    system: RowSystem, xs: np.ndarray, tol: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The row residuals of the assignments ``xs`` (one per column) and
     where they fail at ``tol``: the rows that break their sense, the
     bounded entries outside [0, 1] and the binary entries that are not
-    integral.  ``rows`` is a ``RowSystem`` or a ``_LiveView``'s rows.
-    Every test is a comparison, which NaN passes; ``violations`` adds what
-    is no number, which assignments built from a strategy never hold."""
-    res = rows.matrix @ xs
-    shifted = np.flatnonzero(rows.rhs)  # subtracting zero changes nothing
-    res[shifted] -= rows.rhs[shifted, None]
+    integral.  Every test is a comparison, which NaN passes; ``violations``
+    adds what is no number, which assignments built from a strategy never
+    hold."""
+    res = system.matrix @ xs
+    shifted = np.flatnonzero(system.rhs)  # subtracting zero changes nothing
+    res[shifted] -= system.rhs[shifted, None]
     off = res > tol
-    off[np.flatnonzero(rows.senses == GE)] = False
+    off[np.flatnonzero(system.senses == GE)] = False
     under = res < -tol
-    under[np.flatnonzero(rows.senses == LE)] = False
+    under[np.flatnonzero(system.senses == LE)] = False
     outside = (xs < -tol) | (xs > 1.0 + tol)
-    outside[np.flatnonzero(~rows.bounded)] = False
-    bits = np.flatnonzero(rows.binary)
+    outside[np.flatnonzero(~system.bounded)] = False
+    bits = np.flatnonzero(system.binary)
     fractional = np.zeros(xs.shape, dtype=bool)
     fractional[bits] = np.abs(xs[bits] - np.round(xs[bits])) > tol
     return res, off | under, outside, fractional
@@ -373,18 +372,17 @@ def _one_hot_rows(groups: np.ndarray, n_groups: int) -> _Csr:
 
 @dataclass(frozen=True)
 class _Cluster:
-    """One cluster's part of the propagation, over its live configurations,
-    the ones some strategy can give a nonzero mass.
+    """One cluster's part of the propagation, over its live configurations
+    (``ClusterLayout.live``), the model's columns of its masses.
 
-    ``live`` lists them, ascending.  ``sums`` adds the tree parent's live
-    masses onto the groups of the members they share (None at the top),
-    and ``group_of`` is the group of each live configuration.  A chance or
-    value root's mass is its group's times its CPT entry in ``entries``; a
-    decision root's is its group's times the strategy's indicator at its
-    policy row and state, in ``policy``.
+    ``sums`` adds the tree parent's live masses onto the groups of the
+    members they share (None at the top), and ``group_of`` is the group of
+    each live configuration.  A chance or value root's mass is its group's
+    times its CPT entry in ``entries``; a decision root's is its group's
+    times the strategy's indicator at its policy row and state, in
+    ``policy``.
     """
 
-    live: np.ndarray
     sums: Optional[_Csr]
     group_of: np.ndarray
     entries: Optional[np.ndarray]
@@ -392,42 +390,30 @@ class _Cluster:
 
 
 def _propagation(ctx: CompileContext) -> Dict[str, _Cluster]:
-    """Per cluster in tree order, what ``_block_masses`` applies.
-
-    A group is live when some live configuration of the tree parent
-    projects onto it (the one group of the top cluster is).  A decision
-    configuration is live when its group is, and a chance or value
-    configuration when its CPT entry is also nonzero.  Every other mass is
-    0.0 under every strategy, so leaving its terms out of the sums changes
-    no live mass by a bit.
-    """
+    """Per cluster in tree order, what ``_block_masses`` applies.  A dead
+    configuration's mass is 0.0 under every strategy, so leaving its terms
+    out of the sums changes no live mass by a bit."""
     d = ctx.diagram
     out: Dict[str, _Cluster] = {}
     for root in ctx.tree_order:
         lay = ctx.layouts[root]
+        live = lay.live
         if lay.parent_groups is None:
             if lay.n_groups != 1:
                 raise ValueError(
                     f"top cluster {root!r} has extra members; the tree is "
                     f"not a valid rooted junction tree"
                 )
-            sums, keep = None, np.ones(lay.total, dtype=bool)
+            sums = None
         else:
-            parent_live = out[ctx.tree.parent[root]].live
+            parent_live = ctx.layouts[ctx.tree.parent[root]].live
             sums = _one_hot_rows(lay.parent_groups[parent_live], lay.n_groups)
-            keep = (np.diff(sums.indptr) > 0)[lay.group_of]  # a group's live terms
         entries = policy = None
         if d.kind(root) == NodeKind.DECISION:
-            policy = lay.table_row, lay.root_state
+            policy = lay.table_row[live], lay.root_state[live]
         else:
-            entries = d.cpts[root].rows[lay.table_row, lay.root_state]
-            keep &= entries != 0
-        live = np.flatnonzero(keep)
-        if entries is not None:
-            entries = entries[live][:, None]
-        if policy is not None:
-            policy = tuple(arr[live] for arr in policy)
-        out[root] = _Cluster(live, sums, lay.group_of[live], entries, policy)
+            entries = d.cpts[root].rows[lay.table_row[live], lay.root_state[live]][:, None]
+        out[root] = _Cluster(sums, lay.group_of[live], entries, policy)
     return out
 
 
@@ -457,107 +443,34 @@ def _block_masses(
     return mu
 
 
-class _Rows(NamedTuple):
-    """Rows over some columns, with those columns' bounds, integrality and
-    objective, as ``_check`` reads them from a ``RowSystem``, and whether
-    the rows left out hold."""
-
-    matrix: _Csr
-    rhs: np.ndarray
-    senses: np.ndarray
-    bounded: np.ndarray
-    binary: np.ndarray
-    objective_vector: np.ndarray
-    holds: bool
+def _passing(system: RowSystem, xs: np.ndarray, tol: float) -> np.ndarray:
+    """Which columns of ``xs`` (one assignment each) pass ``_check`` at
+    ``tol``: ``violations`` for many assignments at once, without the
+    messages."""
+    _, off, outside, fractional = _check(system, xs, tol)
+    return ~(_any_per_column(off) | _any_per_column(outside)
+             | _any_per_column(fractional))
 
 
-class _LiveView:
-    """The columns of a model some strategy can make nonzero, and the rows
-    with a term on one of them: what the reference builds, checks and
-    scores for every block.  Built once per solve from the model's
-    ``RowSystem`` and ``ctx``.
-
-    The live columns are every policy bit and CVaR column and the masses of
-    the live configurations of ``products`` (``_propagation(ctx)``).
-    ``cols`` lists them, ascending (all of them on a pig farm); ``before[j]``
-    counts the live columns before column ``j``, the place of column ``j``
-    among them when it is live.  ``spans`` gives each cluster's live masses
-    their place, and ``levels`` adds the CVaR value cluster's live masses
-    per utility level.
-    """
-
-    def __init__(self, system: RowSystem, ctx: CompileContext):
-        model = system.model
-        self.system, self.ctx = system, ctx
-        self.products = _propagation(ctx)
-        keep = np.ones(len(model.variables), dtype=bool)
-        for root, cluster in self.products.items():
-            span = model.mu[root].span
-            keep[span] = False
-            keep[span.start + cluster.live] = True
-        self.cols = np.flatnonzero(keep)
-        self.before = before = np.concatenate([[0], np.cumsum(keep)])
-        self.size = int(before[-1])
-        self.spans = {root: slice(int(before[b.start]), int(before[b.start + b.size]))
-                      for root, b in model.mu.items()}
-        cv = model.cvar
-        self.levels = None if cv is None else _one_hot_rows(
-            cv.level[self.products[cv.value_root].live], cv.utilities.size)
-
-    @cached_property
-    def rows(self) -> _Rows:
-        """The rows with a term on a live column, over the live columns, and
-        whether every other row holds at ``EXACT_TOL``: its residual is the
-        zero assignment's under every strategy.  Only the reference reads
-        them, so they are built on first use."""
-        s = self.system
-        m = s.matrix
-        kept = np.zeros(m.shape[1], dtype=bool)
-        kept[self.cols] = True
-        at = np.flatnonzero(kept[m.indices])  # the terms on a live column
-        counts = np.diff(np.searchsorted(at, m.indptr))
-        rows = np.flatnonzero(counts)
-        off = _check(s, np.zeros((m.shape[1], 1)), EXACT_TOL)[1]
-        return _Rows(
-            _Csr(m.data[at], self.before[m.indices[at]],
-                 np.concatenate([[0], np.cumsum(counts[rows])]), (rows.size, self.size)),
-            s.rhs[rows], s.senses[rows], s.bounded[self.cols], s.binary[self.cols],
-            s.objective_vector[self.cols], not off[counts == 0].any())
-
-    def full(self, xs: np.ndarray) -> np.ndarray:
-        """Assignments of every column from those of the live columns (one
-        per column of ``xs``); a dead column is 0.0."""
-        full = np.zeros(self.system.matrix.shape[1:] + xs.shape[1:])
-        full[self.cols] = xs
-        return full
-
-    def passing(self, xs: np.ndarray, tol: float) -> np.ndarray:
-        """Which columns of ``xs`` (one live assignment each) pass ``_check``
-        on ``rows`` at ``tol``: ``violations`` for many assignments at
-        once, without the messages, when ``rows.holds``."""
-        _, off, outside, fractional = _check(self.rows, xs, tol)
-        return ~(_any_per_column(off) | _any_per_column(outside)
-                 | _any_per_column(fractional))
-
-
-def _block_vectors(live: _LiveView, block: StrategyBlock) -> np.ndarray:
-    """Assignments of the live columns implied by a block of strategies,
-    one column each (masses, policy bits, and canonical tail bookkeeping
-    when the model carries a CVaR block); ``live.full`` widens them."""
-    model = live.system.model
-    x = np.zeros((live.size, block.size))
-    mu = _block_masses(live.ctx, live.products, block)
+def _block_vectors(model: MipModel, ctx: CompileContext,
+                   products: Dict[str, _Cluster], block: StrategyBlock) -> np.ndarray:
+    """Assignments implied by a block of strategies, one column each
+    (masses, policy bits, and canonical tail bookkeeping when the model
+    carries a CVaR block); ``products`` is ``_propagation(ctx)``."""
+    x = np.zeros((len(model.variables), block.size))
+    mu = _block_masses(ctx, products, block)
     for root, arr in mu.items():
-        x[live.spans[root]] = arr
+        x[model.mu[root].span] = arr
     columns = np.arange(block.size)[:, None]
     for dnode, rules in block.rules.items():
         pcfgs = np.arange(model.delta[dnode].shape[0])
-        x[live.before[model.delta_var(dnode, pcfgs, rules)], columns] = 1.0
+        x[model.delta_var(dnode, pcfgs, rules), columns] = 1.0
     cv = model.cvar
     if cv is not None:
         # One row per strategy: a row's sum then adds its levels as a lone
         # distribution's sum would, and the cumulative sums run left to right.
-        probs = np.ascontiguousarray((live.levels @ mu[cv.value_root]).T)
+        levels = _one_hot_rows(cv.level, cv.utilities.size)
+        probs = np.ascontiguousarray((levels @ mu[cv.value_root]).T)
         u = cv.utilities
         # eta is the alpha-quantile: the first level whose cumulative
         # probability reaches alpha (else the top one).
@@ -569,12 +482,11 @@ def _block_vectors(live: _LiveView, block: StrategyBlock) -> np.ndarray:
         # the tail shares: full mass under eta, what alpha leaves at eta
         shares = np.where(u == eta[:, None],
                           (cv.alpha - tail.sum(axis=1))[:, None], tail)
-        at = live.before
-        x[at[cv.eta]] = eta
-        x[at[cv.lam]] = below.T
-        x[at[cv.lambar]] = (u <= eta[:, None]).T
-        x[at[cv.rho]] = tail.T
-        x[at[cv.rhobar]] = shares.T
+        x[cv.eta] = eta
+        x[cv.lam] = below.T
+        x[cv.lambar] = (u <= eta[:, None]).T
+        x[cv.rho] = tail.T
+        x[cv.rhobar] = shares.T
     return x
 
 
@@ -587,24 +499,23 @@ def propagate_cluster_marginals(
     ctx: CompileContext, strategy: Strategy
 ) -> Dict[str, np.ndarray]:
     """Exact cluster-configuration masses implied by a strategy (see
-    ``_block_masses``), one flat array per cluster."""
-    products = _propagation(ctx)
+    ``_block_masses``), one flat array over every configuration per
+    cluster."""
     out = {}
-    for root, arr in _block_masses(ctx, products, _single(strategy)).items():
+    for root, arr in _block_masses(ctx, _propagation(ctx), _single(strategy)).items():
         out[root] = np.zeros(ctx.layouts[root].total)
-        out[root][products[root].live] = arr[:, 0]
+        out[root][ctx.layouts[root].live] = arr[:, 0]
     return out
 
 
 def _score(
     system: RowSystem, ctx: CompileContext, strategy: Strategy
 ) -> Tuple[np.ndarray, List[str], Optional[float]]:
-    """The full assignment a strategy implies (masses, policy bits, and
+    """The assignment a strategy implies (masses, policy bits, and
     canonical tail bookkeeping when the model carries a CVaR block), its
     row violations at ``EXACT_TOL``, and its objective, which is None
     unless it passes."""
-    live = _LiveView(system, ctx)
-    x = live.full(_block_vectors(live, _single(strategy)))[:, 0]
+    x = _block_vectors(system.model, ctx, _propagation(ctx), _single(strategy))[:, 0]
     violations = system.violations(x, EXACT_TOL)
     return x, violations, None if violations else system.objective_value(x)
 
@@ -612,23 +523,20 @@ def _score(
 def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     """Exact optimum by strategy enumeration with full row checking.
 
-    Every deterministic strategy is converted to an assignment of the live
-    columns (``_LiveView``), a block of strategies at a time.  One routine,
-    ``_check``, tests the rows, bounds and integrality: over the rows with
-    a live term for each block, and once over the zero assignment for the
-    other rows, whose residual no strategy changes.  Assignments violating
-    any row are discarded.  The strategies whose block objective comes
-    within ``NEAR_TIE`` of the best are widened to full assignments,
-    checked and scored again alone, as ``_score`` does, and ties of that
-    score break toward the lexicographically smallest strategy (the
-    incumbent changes only on strict improvement).
+    Every deterministic strategy is converted to an assignment, a block of
+    strategies at a time.  One routine, ``_check``, tests the rows, bounds
+    and integrality of each block; assignments violating any row are
+    discarded.  The strategies whose block objective comes within
+    ``NEAR_TIE`` of the best are checked and scored again alone, as
+    ``_score`` does, and ties of that score break toward the
+    lexicographically smallest strategy (the incumbent changes only on
+    strict improvement).
     """
     system = RowSystem(model)
-    live = _LiveView(system, ctx)
-    rows = live.rows
+    products = _propagation(ctx)
     # A block's assignments and row residuals take BLOCK_FLOATS floats each.
-    size = max(1, BLOCK_FLOATS // max(live.size, rows.matrix.shape[0]))
-    weights = np.abs(rows.objective_vector)
+    size = max(1, BLOCK_FLOATS // max(system.matrix.shape))
+    weights = np.abs(model.objective)
     best: Optional[Strategy] = None
     best_val: Optional[float] = None
     best_x: Optional[np.ndarray] = None
@@ -636,19 +544,17 @@ def solve_reference(model: MipModel, ctx: CompileContext) -> Solution:
     n_feasible = 0
     for block in strategy_blocks(ctx.diagram, size):
         n_total += block.size
-        if not rows.holds:
-            continue
-        xs = _block_vectors(live, block)
-        ok = live.passing(xs, EXACT_TOL)
+        xs = _block_vectors(model, ctx, products, block)
+        ok = _passing(system, xs, EXACT_TOL)
         n_feasible += int(ok.sum())
         if not ok.any():
             continue
-        vals = rows.objective_vector @ xs
-        # Each candidate is checked and scored alone, from its column
-        # widened: the assignment _score builds, to the bit.
+        vals = model.objective @ xs
+        # Each candidate is checked and scored alone: the assignment _score
+        # builds, to the bit.
         slack = NEAR_TIE * float((weights @ np.abs(xs)).max())
         for i in near_best(vals, ok, best_val, slack):
-            x = np.ascontiguousarray(live.full(xs[:, i]))
+            x = np.ascontiguousarray(xs[:, i])
             if system.violations(x, EXACT_TOL):
                 continue
             val = system.objective_value(x)
@@ -827,7 +733,8 @@ def decode(
     expected = None
     if len(d.value_nodes) == 1:
         v = d.value_nodes[0]
-        per_cfg = d.utilities[v].values[ctx.layouts[v].root_state]
+        lay = ctx.layouts[v]
+        per_cfg = d.utilities[v].values[lay.root_state[lay.live]]
         distribution = UtilityDistribution.from_values(
             per_cfg, solution.x[model.mu[v].span])
         expected = distribution.expected()

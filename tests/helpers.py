@@ -413,11 +413,9 @@ def tail_witness(dist: UtilityDistribution, alpha: float) -> Dict[str, np.ndarra
     }
 
 
-def strategy_vector(model: MipModel, ctx: CompileContext,
-                    strategy: Strategy) -> np.ndarray:
-    """The assignment a strategy implies, one strategy at a time: masses by
-    ``np.bincount`` down the tree, policy bits and ``tail_witness``.  The
-    enumerators' blocks must give these bits exactly."""
+def full_masses(ctx: CompileContext, strategy: Strategy) -> Dict[str, np.ndarray]:
+    """The mass of every configuration of every cluster, live or dead,
+    that a strategy implies, by ``np.bincount`` down the tree."""
     d = ctx.diagram
     mu: Dict[str, np.ndarray] = {}
     for root in ctx.tree_order:
@@ -434,16 +432,25 @@ def strategy_vector(model: MipModel, ctx: CompileContext,
         else:
             factor = d.cpts[root].rows[lay.table_row, lay.root_state]
         mu[root] = inherited[lay.group_of] * factor
+    return mu
+
+
+def strategy_vector(model: MipModel, ctx: CompileContext,
+                    strategy: Strategy) -> np.ndarray:
+    """The assignment a strategy implies, one strategy at a time: masses by
+    ``np.bincount`` down the tree, policy bits and ``tail_witness``.  The
+    enumerators' blocks must give these bits exactly."""
+    mu = full_masses(ctx, strategy)
     x = np.zeros(len(model.variables))
     for root, arr in mu.items():
-        start = model.mu[root].start
-        x[start:start + arr.size] = arr
+        x[model.mu[root].span] = arr[ctx.layouts[root].live]
     for dnode, rule in strategy.rules.items():
         for pcfg, s in enumerate(rule):
             x[model.delta_var(dnode, pcfg, s)] = 1.0
     block = model.cvar
     if block is not None:
-        probs = np.bincount(block.level, weights=mu[block.value_root],
+        live = ctx.layouts[block.value_root].live
+        probs = np.bincount(block.level, weights=mu[block.value_root][live],
                             minlength=block.utilities.size)
         wit = tail_witness(UtilityDistribution(block.utilities, probs),
                            block.alpha)
@@ -453,6 +460,17 @@ def strategy_vector(model: MipModel, ctx: CompileContext,
         x[block.rho] = np.where(wit["below"], probs, 0.0)
         x[block.rhobar] = wit["tail_share"]
     return x
+
+
+def widen(model: MipModel, ctx: CompileContext, x: np.ndarray) -> np.ndarray:
+    """``x`` in the layout of a model with a mass column for every cluster
+    configuration, live or not: each mass block widened to all of its
+    cluster's configurations, 0.0 at a dead one."""
+    masses = []
+    for root, block in model.mu.items():
+        masses.append(np.zeros(ctx.layouts[root].total))
+        masses[-1][ctx.layouts[root].live] = x[block.span]
+    return np.concatenate(masses + [x[sum(b.size for b in model.mu.values()):]])
 
 
 def listing_command(path, names, x):

@@ -32,7 +32,9 @@ from helpers import (
     compile_case,
     enumerate_strategies,
     enumerator_cases,
+    full_masses,
     strategy_vector,
+    widen,
 )
 
 FROZEN = json.loads(
@@ -67,8 +69,10 @@ def test_answers_equal_one_at_a_time_answers(group):
                 "strategy": _rules(ref.strategy),
                 "objective": _bits(ref.objective_value),
                 "info": ref.info,
+                # hashed in the layout of one column per configuration,
+                # the one the answers were frozen in
                 "x_sha256": None if ref.x is None
-                else hashlib.sha256(ref.x.tobytes()).hexdigest(),
+                else hashlib.sha256(widen(model, ctx, ref.x).tobytes()).hexdigest(),
             },
         }
         assert got == FROZEN[name], name
@@ -112,11 +116,11 @@ def test_block_vectors_equal_one_at_a_time_vectors():
         want = np.stack([strategy_vector(model, ctx, s)
                          for s in enumerate_strategies(d)], axis=1)
         system = RowSystem(model)
-        live = solve._LiveView(system, ctx)
+        products = solve._propagation(ctx)
         # The whole enumeration as one block, uneven blocks, and one alone.
         for size in (strategy_count(d), 7):
             got = np.concatenate(
-                [live.full(solve._block_vectors(live, block))
+                [solve._block_vectors(model, ctx, products, block)
                  for block in strategy_blocks(d, size)], axis=1)
             assert got.tobytes() == want.tobytes(), (name, size)
         for k in (0, want.shape[1] - 1):
@@ -152,64 +156,109 @@ def test_reference_equals_oracle_at_nmonitoring_6_seed_3():
     assert ref.strategy == oracle.best
 
 
-def _live_sizes(model, ctx):
-    system = RowSystem(model)
-    live = solve._LiveView(system, ctx)
-    return system, live, live.rows, live.rows.holds
+# Every configuration of this event is dead at nmonitoring n=3: T's CPT
+# copies A1's state, so T=fort0_... never meets A1=fort1.
+DEAD_EVENT = "P(T=fort0_fort0_fort0_sev0&A1=fort1)"
 
 
 def test_live_columns_and_rows():
     d = gen_nmonitoring(NMonitoringSpec(n_monitors=5, seed=1))
     _, _, model, ctx, _, _ = compile_case("nmonitoring-5", d)
-    _, live, rows, holds = _live_sizes(model, ctx)
-    assert (live.size, len(model.variables)) == (586, 4618)
-    assert (rows.matrix.shape[0], len(model.rows)) == (1087, 5183)
-    assert holds
-    # Every column is live on a pig farm: the live rows are the system's.
+    # 4,032 of T's 4,096 masses are dead, and with them go all of T's
+    # cpt_link rows: a model of 4,618 columns and 5,183 rows would hold them.
+    assert {root: (lay.total, lay.live.size) for root, lay in ctx.layouts.items()
+            if lay.live.size < lay.total} == {"T": (4096, 64)}
+    assert (len(model.variables), len(model.rows)) == (586, 1087)
+    assert (len(model.variables) + 4032, len(model.rows) + 4096) == (4618, 5183)
+    # Every configuration is live on a seeded pig farm.
     _, _, model, ctx, _, _ = compile_case(
         "pigfarm-4", gen_pigfarm(PigFarmSpec(n_periods=4, seed=1)))
-    system, live, rows, holds = _live_sizes(model, ctx)
-    assert (live.size, len(model.variables)) == (118, 118)
-    assert np.array_equal(live.cols, np.arange(118))
-    for got, want in [(rows.matrix.data, system.matrix.data),
-                      (rows.matrix.indices, system.matrix.indices),
-                      (rows.matrix.indptr, system.matrix.indptr),
-                      (rows.rhs, system.rhs), (rows.senses, system.senses)]:
-        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
-    assert rows.matrix.shape[0] == len(model.rows) == 210
-    assert holds
+    for lay in ctx.layouts.values():
+        assert np.array_equal(lay.live, np.arange(lay.total))
+    assert (len(model.variables), len(model.rows)) == (118, 210)
+
+
+def _dead_event_case(sense):
+    d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+    spec = parse_chance_text(f"{DEAD_EVENT}{sense}0.25")
+    _, _, model, ctx, _, _ = compile_case("nmonitoring-3", d, constraints=[spec])
+    return d, spec, model, ctx
 
 
 def test_row_without_live_term_is_checked_once():
-    d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
-    _, _, model, ctx, _, _ = compile_case("nmonitoring-3", d)
-    xs = np.stack([strategy_vector(model, ctx, s)
-                   for s in enumerate_strategies(d)], axis=1)
-    _, live, _, _ = _live_sizes(model, ctx)
-    dead = np.ones(len(model.variables), dtype=bool)
-    dead[live.cols] = False
-    # A dead column is 0.0 under every strategy.
-    assert dead.any() and not xs[dead].any()
-    # A cpt_link row of a zero CPT entry has one term, on a dead column:
-    # with rhs 1.0 no strategy meets it.
-    rows = model.rows
-    one_term = np.flatnonzero(np.diff(rows.indptr) == 1)
-    tags = list(rows.tags())
-    row = next(int(i) for i in one_term if tags[i].startswith("cpt_link")
-               and dead[rows.indices[rows.indptr[i]]])
-    rows.rhs[row] = 1.0
-    system = RowSystem(model)
-    feasible = sum(not system.violations(xs[:, k], solve.EXACT_TOL)
-                   for k in range(xs.shape[1]))
+    # The row of P(event) >= 0.25 is left without terms and kept, since it
+    # fails at zero: under every strategy, so every backend finds nothing.
+    d, spec, model, ctx = _dead_event_case(">=")
+    assert (np.diff(model.rows.indptr)[-1], model.rows.rhs[-1]) == (0, 0.25)
+    oracle = oracle_optimize(d, constraints=[spec])
     ref = solve_reference(model, ctx)
-    assert ref.info == {"strategies": xs.shape[1], "feasible": feasible} \
-        == {"strategies": 64, "feasible": 0}
+    ext = solve_external(model, ctx, reference_backend_command())
+    assert (oracle.feasible, oracle.n_feasible) == (False, 0)
+    assert ref.info == {"strategies": 64, "feasible": 0}
     assert (ref.status, ref.strategy, ref.x, ref.objective_value) \
         == ("infeasible", None, None, None)
+    assert ext.status == "infeasible"
+
+
+def test_row_dropped_at_zero_keeps_the_oracle_optimum():
+    # The row of P(event) <= 0.25 is left without terms and dropped, since
+    # it holds at zero: every strategy meets it.
+    d, spec, model, ctx = _dead_event_case("<=")
+    assert "chance" not in model.rows.family_counts()
+    oracle = oracle_optimize(d, constraints=[spec])
+    ref = solve_reference(model, ctx)
+    ext = solve_external(model, ctx, reference_backend_command())
+    assert oracle.n_feasible == ref.info["feasible"] == 64
+    assert ref.strategy == oracle.best == ext.strategy
+    assert ref.objective_value == pytest.approx(oracle.objective_value, rel=1e-12)
+    assert ext.objective_value == ref.objective_value
+
+
+def _with_zeros(d: InfluenceDiagram) -> InfluenceDiagram:
+    """``d`` with the smallest entry of each CPT row of two or more states
+    set to 0.0 and the row scaled back to a sum of 1."""
+    cpts = {}
+    for name, cpt in d.cpts.items():
+        rows = cpt.rows.copy()
+        if rows.shape[1] > 1:
+            rows[np.arange(len(rows)), rows.argmin(axis=1)] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        cpts[name] = Cpt(name, rows)
+    return InfluenceDiagram(nodes=d.nodes, cpts=cpts, utilities=d.utilities)
+
+
+def test_dropped_configurations_carry_no_mass():
+    # The 150 random diagrams have no zero CPT entry, so each gets one per
+    # row.  Under the reference's strategy, the mass of every configuration
+    # left without a column, propagated over all of them, is 0.0; the live
+    # masses are the ones the reference's answer holds; and its objective is
+    # the oracle's.
+    dead = 0
+    for name, d, *_ in enumerator_cases("random"):
+        if ":merged" in name:
+            continue
+        d = _with_zeros(d)
+        _, _, model, ctx, _, _ = compile_case(name, d)
+        ref = solve_reference(model, ctx)
+        oracle = oracle_optimize(d)
+        # zeros make ties, which rounding may break either way
+        assert ref.objective_value == pytest.approx(oracle.objective_value,
+                                                    rel=1e-9, abs=1e-12), name
+        mu = full_masses(ctx, ref.strategy)
+        marginals = solve.propagate_cluster_marginals(ctx, ref.strategy)
+        for root, lay in ctx.layouts.items():
+            off = np.ones(lay.total, dtype=bool)
+            off[lay.live] = False
+            assert not mu[root][off].any(), (name, root)
+            assert marginals[root].tobytes() == mu[root].tobytes(), (name, root)
+            assert marginals[root][lay.live].tobytes() \
+                == ref.x[model.mu[root].span].tobytes(), (name, root)
+            dead += int(off.sum())
+    assert dead
 
 
 def _agreement_cases():
-    # Dead columns and rows without a live term; then every column live,
+    # Dead configurations without columns; then every configuration live,
     # with the CVaR block's rows and a chance row 4 of 16 strategies break.
     d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
     yield compile_case("nmonitoring-3", d)
@@ -218,25 +267,21 @@ def _agreement_cases():
                        [parse_chance_text("P(H3=ill) <= 0.45")])
 
 
-def _plants(model, live, full):
+def _plants(model, full):
     """``(kind, rhs shift, column, value shift, must fail)`` per planted
     violation, over the assignments ``full`` (one per strategy).  A row
     plant moves one row's rhs so that its residual passes 1e-3 (an EQ
     row) or the midpoint of its residuals (an LE or GE row).  A column
-    plant moves one live column by the same amount under every strategy
+    plant moves one column by the same amount under every strategy
     and every row's rhs by what that adds to the row, so no row breaks:
     a mass pushed to at most 1 + 1e-3, and a policy bit moved by 0.5."""
     system = RowSystem(model)
     rows = model.rows
     res = system.matrix @ full - rows.rhs[:, None]
-    live_col = np.zeros(len(model.variables), dtype=bool)
-    live_col[live.cols if live.cols is not None else slice(None)] = True
-    row_of = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
-    live_term = np.bincount(row_of, weights=live_col[rows.indices],
-                            minlength=len(rows)) > 0
+    has_term = np.diff(rows.indptr) > 0
     spread = res.max(axis=1) - res.min(axis=1)
     for sense in (EQ, LE, GE):
-        fit = live_term & (rows.sense == sense) & ((sense == EQ) | (spread > 2e-3))
+        fit = has_term & (rows.sense == sense) & ((sense == EQ) | (spread > 2e-3))
         if not fit.any():
             continue
         i = int(np.argmax(np.where(fit, spread, -1.0)))
@@ -247,7 +292,7 @@ def _plants(model, live, full):
         yield (f"violates sense {SENSES[sense]}", shift, None, 0.0,
                np.abs(moved) > 1e-6 if sense == EQ else
                moved > 1e-6 if sense == LE else moved < -1e-6)
-    varies = live_col & (full.max(axis=1) - full.min(axis=1) > 2e-3)
+    varies = full.max(axis=1) - full.min(axis=1) > 2e-3
     for var_kind, kind in ((UNIT, "outside [0, 1]"), (BINARY, "is not integral")):
         j = int(np.flatnonzero(varies & (model.variables.kinds == var_kind))[0])
         delta = 1 + 1e-3 - full[j].max() if var_kind == UNIT else 0.5
@@ -267,27 +312,23 @@ def test_block_check_agrees_with_lone_check():
     planted = set()
     for name, d, model, ctx, _, _ in _agreement_cases():
         system = RowSystem(model)
-        live = solve._LiveView(system, ctx)
         block = next(strategy_blocks(d, strategy_count(d)))
-        xs = solve._block_vectors(live, block)
-        full = live.full(xs)
+        xs = solve._block_vectors(model, ctx, solve._propagation(ctx), block)
         rows = model.rows
         base_rhs = rows.rhs.copy()
         names = model.variables.names()
         outcomes = set()
         for tol in (solve.EXACT_TOL, 1e-6):
-            base = [system.violations(np.ascontiguousarray(full[:, k]), tol)
+            base = [system.violations(np.ascontiguousarray(xs[:, k]), tol)
                     for k in range(block.size)]
-            for kind, shift, col, delta, must_fail in _plants(model, live, full):
+            for kind, shift, col, delta, must_fail in _plants(model, xs):
                 rows.rhs[:] = base_rhs + shift
                 p_system = RowSystem(model)
-                p_live = solve._LiveView(p_system, ctx)
                 p_xs = xs.copy()
                 if col is not None:
-                    p_xs[live.before[col]] += delta
-                p_full = p_live.full(p_xs)
-                ok = p_live.passing(p_xs, tol) & p_live.rows.holds
-                lone = [p_system.violations(np.ascontiguousarray(p_full[:, k]), tol)
+                    p_xs[col] += delta
+                ok = solve._passing(p_system, p_xs, tol)
+                lone = [p_system.violations(np.ascontiguousarray(p_xs[:, k]), tol)
                         for k in range(block.size)]
                 assert ok.tolist() == [not m for m in lone], (name, kind, tol)
                 # The plant breaks where it must, and only in its own way.

@@ -144,6 +144,15 @@ def _as_arrays(parts):
             for part, dtype in zip(parts, CHILD_DTYPES, strict=True)]
 
 
+# The sha256 of what HiGHS holds for each pinned model, by model name.
+HIGHS_INPUT_PINS = {
+    "nmonitoring3":
+        "544e6419c010f9f74d7314d9aea1eb8ec44a6bf25a6e4d11c86f058a0a0c1006",
+    "pigfarm3_merged_cvar":
+        "cdebfa9fa3cde5e789f9f92fb32dc3f04fe27d83a7ba2ddcb33c3ac064384f73",
+}
+
+
 def _pinned_model(name: str):
     if name == "nmonitoring3":
         d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
@@ -237,13 +246,8 @@ class TestSolver:
         assert relaxed[1] == pytest.approx(1.5)
         assert integral[1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("name, digest", [
-        ("nmonitoring3",
-         "50e94371a56e3f8291cd1cedf4db1fe110955dd7f79a6296e9fd0a0caf6b92e3"),
-        ("pigfarm3_merged_cvar",
-         "c30f2de041c38a385f598c44a18e4473ffdda00639a6b82ed5a2fb34095cba33"),
-    ])
-    def test_highs_input_pinned(self, monkeypatch, name, digest):
+    @pytest.mark.parametrize("name", HIGHS_INPUT_PINS)
+    def test_highs_input_pinned(self, monkeypatch, name):
         # Everything HiGHS holds when ``run`` starts: objective, matrix, row
         # and column bounds, integrality and options.  HiGHS's answers on
         # these models move with such details, column order included.
@@ -261,9 +265,9 @@ class TestSolver:
         del options["log_to_console"]
         shape = (lp.num_row_, lp.num_col_)
         sha.update(f"csc{shape}{sorted(options.items())}".encode())
-        assert sha.hexdigest() == digest
+        assert sha.hexdigest() == HIGHS_INPUT_PINS[name]
 
-    @pytest.mark.parametrize("name", ["nmonitoring3", "pigfarm3_merged_cvar"])
+    @pytest.mark.parametrize("name", HIGHS_INPUT_PINS)
     def test_handover_matches_a_model_passed_from_arrays(self, monkeypatch,
                                                          name):
         # The LP HiGHS holds when ``run`` starts, read from the exported

@@ -55,9 +55,30 @@ def pig_model(n, merged=False, targets=None):
     return d, tree, model, ctx
 
 
+def holds_at_zero(sense: str, rhs: float) -> bool:
+    return {"==": rhs == 0.0, "<=": rhs >= 0.0, ">=": rhs <= 0.0}[sense]
+
+
+def emit(rows, terms, sense, rhs, tag):
+    """Append ``reference_row(terms, ...)``, whose terms name a column or
+    None for a dead configuration, less those on None; the row is left out
+    when it has no term and holds at zero."""
+    row = reference_row([(c, v) for c, v in terms if v is not None], sense, rhs, tag)
+    if row.terms or not holds_at_zero(sense, rhs):
+        rows.append(row)
+
+
+def columns(model, ctx, root):
+    """The column of each live configuration of ``root``'s cluster."""
+    return {int(cfg): model.mu[root].start + i
+            for i, cfg in enumerate(ctx.layouts[root].live)}
+
+
 def loop_rows(model, ctx):
     """The rows of ``build_base_model``, written one at a time, term by
-    term, with ``reference_row``: the reference for the array build."""
+    term, with ``reference_row``: the reference for the array build.  A
+    row is written for every configuration, live or dead, and ``emit``
+    leaves out what has no column."""
     d, tree = ctx.diagram, ctx.tree
     rows = []
 
@@ -68,58 +89,54 @@ def loop_rows(model, ctx):
         return out
 
     for root in tree.order:
-        terms = [(1.0, model.mu[root].start + c)
-                 for c in range(ctx.layouts[root].total)]
-        rows.append(reference_row(terms, "==", 1.0, f"normalize[{root}]"))
+        col = columns(model, ctx, root)
+        terms = [(1.0, col.get(c)) for c in range(ctx.layouts[root].total)]
+        emit(rows, terms, "==", 1.0, f"normalize[{root}]")
     for child in tree.order:
         parent = tree.parent.get(child)
         if parent is None:
             continue
         lay = ctx.layouts[child]
+        pcol, ccol = columns(model, ctx, parent), columns(model, ctx, child)
         from_parent = members(lay.parent_groups, lay.n_groups)
         from_child = members(lay.group_of, lay.n_groups)
         for g in range(lay.n_groups):
-            terms = [(1.0, model.mu[parent].start + p) for p in from_parent[g]]
-            terms += [(-1.0, model.mu[child].start + c) for c in from_child[g]]
-            rows.append(reference_row(
-                terms, "==", 0.0, f"consistency[{parent}->{child}][g={g}]"))
+            terms = [(1.0, pcol.get(p)) for p in from_parent[g]]
+            terms += [(-1.0, ccol.get(c)) for c in from_child[g]]
+            emit(rows, terms, "==", 0.0, f"consistency[{parent}->{child}][g={g}]")
     for root in tree.order:
         if d.kind(root) == NodeKind.DECISION:
             continue
         lay = ctx.layouts[root]
+        col = columns(model, ctx, root)
         group = members(lay.group_of, lay.n_groups)
         for cfg in range(lay.total):
             p = float(d.cpts[root].rows[lay.table_row[cfg], lay.root_state[cfg]])
-            terms = [(1.0, model.mu[root].start + cfg)]
-            terms += [(-p, model.mu[root].start + c)
-                      for c in group[lay.group_of[cfg]]]
-            rows.append(reference_row(
-                terms, "==", 0.0, f"cpt_link[{root}][c={cfg}]"))
+            terms = [(1.0, col.get(cfg))]
+            terms += [(-p, col.get(c)) for c in group[lay.group_of[cfg]]]
+            emit(rows, terms, "==", 0.0, f"cpt_link[{root}][c={cfg}]")
     for root in tree.order:
         if d.kind(root) != NodeKind.DECISION:
             continue
         lay = ctx.layouts[root]
+        col = columns(model, ctx, root)
         group = members(lay.group_of, lay.n_groups)
         for cfg in range(lay.total):
-            own = model.mu[root].start + cfg
+            own = col.get(cfg)
             bit = model.delta_var(
                 root, int(lay.table_row[cfg]), int(lay.root_state[cfg]))
-            rows.append(reference_row(
-                [(1.0, own), (-1.0, bit)], "<=", 0.0,
-                f"policy_ub[{root}][c={cfg}]"))
+            emit(rows, [(1.0, own), (-1.0, bit)], "<=", 0.0,
+                 f"policy_ub[{root}][c={cfg}]")
             terms = [(1.0, own)]
-            terms += [(-1.0, model.mu[root].start + c)
-                      for c in group[lay.group_of[cfg]]]
+            terms += [(-1.0, col.get(c)) for c in group[lay.group_of[cfg]]]
             terms.append((-1.0, bit))
-            rows.append(reference_row(
-                terms, ">=", -1.0, f"policy_lb[{root}][c={cfg}]"))
+            emit(rows, terms, ">=", -1.0, f"policy_lb[{root}][c={cfg}]")
     for dn in d.decision_nodes:
         n_pcfg, n_states = model.delta[dn].shape
         for pcfg in range(n_pcfg):
             terms = [(1.0, model.delta_var(dn, pcfg, s))
                      for s in range(n_states)]
-            rows.append(reference_row(
-                terms, "==", 1.0, f"policy_pick[{dn}][i={pcfg}]"))
+            emit(rows, terms, "==", 1.0, f"policy_pick[{dn}][i={pcfg}]")
     return rows
 
 
@@ -134,7 +151,8 @@ def triggers(spec, state) -> bool:
 
 
 def loop_cvar_rows(model, spec):
-    """The rows of a CVaR block, level by level, from its catalog."""
+    """The rows of a CVaR block, level by level, from its catalog, whose
+    ``level`` gives the level of each mass column of the value cluster."""
     cv = model.cvar
     eta, big_m, eps = cv.eta, cv.big_m, cv.eps
     rows = []
@@ -180,19 +198,20 @@ def loop_risk_rows(model, ctx, specs):
         root = min((r for r in tree.order if need <= set(tree.members(r))),
                    key=lambda r: len(tree.members(r)))
         lay = ctx.layouts[root]
+        col = columns(model, ctx, root)
         indexer = d.indexer(lay.members)
         terms = []
         for cfg in range(lay.total):
             state = {m: d.states(m)[s]
                      for m, s in zip(lay.members, indexer.states_of(cfg))}
             if triggers(spec, state):
-                terms.append((1.0, model.mu[root].start + cfg))
+                terms.append((1.0, col.get(cfg)))
         if isinstance(spec, ChanceConstraint):
             sense, rhs, family = spec.sense, spec.p, "chance"
         else:
             sense, rhs = "<=", 0.0
             family = "logical" if isinstance(spec, LogicalConstraint) else "budget"
-        rows.append(reference_row(terms, sense, rhs, f"{family}[{root}]"))
+        emit(rows, terms, sense, rhs, f"{family}[{root}]")
     return rows
 
 
@@ -247,9 +266,9 @@ class TestRowStore:
         assert sum(len(row.terms) for row in rows) == model.rows.indptr[-1]
 
 
-def loop_names(model):
+def loop_names(model, ctx):
     """Name and kind of each variable by the per-variable naming rule, from
-    the cluster, decision and CVaR catalogs."""
+    the cluster layouts and the decision and CVaR catalogs."""
     names = [None] * len(model.variables)
     kinds = [None] * len(model.variables)
 
@@ -258,8 +277,8 @@ def loop_names(model):
         names[idx], kinds[idx] = name, kind
 
     for root, block in model.mu.items():
-        for cfg in range(block.shape[0]):
-            put(block.start + cfg, f"mu_{root}_{cfg}", UNIT)
+        for i, cfg in enumerate(ctx.layouts[root].live.tolist()):
+            put(block.start + i, f"mu_{root}_{cfg}", UNIT)
     for d, block in model.delta.items():
         n_pcfg, n_states = block.shape
         for pcfg in range(n_pcfg):
@@ -291,10 +310,9 @@ class TestVarStore:
         cvar = pig_model(3, merged=True)
         add_risk(cvar[2], CvarObjective(alpha=0.15), cvar[3])
         d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
-        models = [pig_model(3)[2], build_base_model(build_rjt(d), d)[0],
-                  cvar[2]]
-        for model in models:
-            names, kinds = loop_names(model)
+        models = [pig_model(3)[2:], build_base_model(build_rjt(d), d), cvar[2:]]
+        for model, ctx in models:
+            names, kinds = loop_names(model, ctx)
             assert model.variables.names() == names
             assert model.variables.kinds.tolist() == kinds
             assert model_stats(model)["variables"] == loop_stats(names, kinds)
@@ -341,12 +359,14 @@ class TestBaseModel:
     def test_pig_farm_two_period_inventory(self):
         d, tree, model, ctx = pig_model(2)
         stats = model_stats(model)
-        assert stats["variables"]["mu"] == 54
+        # 6 of 54 masses are dead: V1's and V2's one-state-per-parent CPTs
+        assert stats["variables"]["mu"] == 48
         assert stats["variables"]["delta"] == 8
         assert stats["variables"]["binary"] == 8
         assert stats["constraints"]["normalize"] == len(tree.order) == 10
         assert stats["constraints"]["consistency"] == 26
-        assert stats["constraints"]["cpt_link"] == 38
+        # 38 less the 12 rows of V1, V2 and V3, left without terms
+        assert stats["constraints"]["cpt_link"] == 26
         assert stats["constraints"]["policy_ub"] == 16
         assert stats["constraints"]["policy_lb"] == 16
         assert stats["constraints"]["policy_pick"] == 4
@@ -365,15 +385,16 @@ class TestBaseModel:
         for v in ("V1", "V2"):
             lay = ctx.layouts[v]
             indexer = d.indexer(lay.members)
-            for cfg in range(lay.total):
+            for i, cfg in enumerate(lay.live.tolist()):
                 states = indexer.states_of(cfg)
                 s_v = states[lay.members.index(v)]
                 u = float(d.utilities[v].values[s_v])
                 if u != 0.0:
-                    want.append((u, model.mu[v].start + cfg))
+                    want.append((u, model.mu[v].start + i))
         hit = np.flatnonzero(model.objective)
         assert sorted(zip(model.objective[hit].tolist(), hit.tolist())) == sorted(want)
-        assert len(hit) == 6
+        # V1 and V2 copy their parent's state: one live state per parent state
+        assert len(hit) == 3
 
     def test_policy_rows_have_expected_shape(self):
         d, tree, model, ctx = pig_model(1)
@@ -401,8 +422,10 @@ class TestBaseModel:
 
     def test_merged_terminal_cluster_size(self):
         d, tree, model, ctx = pig_model(3, merged=True)
-        # cluster over three binary decisions, final health, merged value
-        assert model.mu["V_merged"].shape == (2 * 2 * 2 * 2 * 16,) == (256,)
+        # cluster over three binary decisions, final health, merged value;
+        # the merged value's 0/1 CPT leaves one live state per parent state
+        assert ctx.layouts["V_merged"].total == 2 * 2 * 2 * 2 * 16 == 256
+        assert model.mu["V_merged"].shape == (256 // 16,)
 
     def test_cluster_cap_enforced(self, monkeypatch):
         d = gen_pigfarm(PigFarmSpec(n_periods=2))
@@ -464,8 +487,8 @@ class TestRiskRows:
         indexer = d.indexer(lay.members)
         hit_vars = sorted(v for _, v in row.terms)
         want = sorted(
-            model.mu["T2"].start + cfg
-            for cfg in range(lay.total)
+            model.mu["T2"].start + i
+            for i, cfg in enumerate(lay.live.tolist())
             if d.states("H2")[
                 indexer.states_of(cfg)[lay.members.index("H2")]
             ] == "ill"
@@ -501,7 +524,7 @@ class TestRiskRows:
         lay = ctx.layouts[root]
         indexer = d.indexer(lay.members)
         for _, var in row.terms:
-            cfg = var - model.mu[root].start
+            cfg = int(lay.live[var - model.mu[root].start])
             states = indexer.states_of(cfg)
             assignment = {
                 m: d.states(m)[s] for m, s in zip(lay.members, states)

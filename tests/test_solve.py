@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limid.diagram import NodeKind
+from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -66,6 +66,21 @@ def pig_setup(n, merged=False, risk=None):
     return d, model, ctx
 
 
+# The sha256 of the LP text of each pinned model, by model name.
+TEXT_PINS = {
+    "nmonitoring3":
+        "0ca4ee819c1a6088a393e0334251d35afe8d11cc3da0b9a5f5affc6eb2f5f62c",
+    "pigfarm4_chance":
+        "d5e25596c990b4f65396c022f26864814a7a791c73282a8c693fb24966bab62b",
+    "pigfarm3_merged_cvar":
+        "804b25bf9cb40d1078ea5b60572b14818770fb8a463e068b02322c069d35005e",
+    "pigfarm4_logical_budget":
+        "4c0222e2d9a820eed7e35c6ca2d42d9f47f9d88550a88b916904dd2a1a5f340a",
+    "pigfarm3_merged_cvar_floor":
+        "a845a91a6c6551a18f124cafbda7eb22901670add206c133e281df3f31812bff",
+}
+
+
 class TestLpExport:
     def test_plain_model_snapshot(self):
         _, model, _ = pig_setup(1)
@@ -75,19 +90,8 @@ class TestLpExport:
         _, model, _ = pig_setup(1, merged=True, risk=CvarObjective(alpha=0.25))
         assert export_lp(model) == (DATA / "pigfarm1_merged_cvar.lp").read_text()
 
-    @pytest.mark.parametrize("name, digest", [
-        ("nmonitoring3",
-         "9eb1de24df146212ca425b34da5507ee8ab632cd3600e24052da920d06d1eec5"),
-        ("pigfarm4_chance",
-         "4aa36531cff9a69b2b52b4297e4890e9428267c00b5fc1785856a0bdfeedcc95"),
-        ("pigfarm3_merged_cvar",
-         "d8ea69c053544c8f0f883772cbc261f59df65feed73c514d8b0539b0e682ab56"),
-        ("pigfarm4_logical_budget",
-         "677f2a71ee97d37c739b0d6f111b3b2685b83730b7c6ea251f34a9b2cc14ad1e"),
-        ("pigfarm3_merged_cvar_floor",
-         "78c622e12e19a424218ebb53c94e82508bbbb4848dab252828704923b273b51a"),
-    ])
-    def test_larger_model_text_pinned(self, name, digest):
+    @pytest.mark.parametrize("name", TEXT_PINS)
+    def test_larger_model_text_pinned(self, name):
         # Decision clusters, zero CPT entries, chance, logical, budget and
         # CVaR rows; the LP text of each must stay byte-for-byte what it was.
         if name == "nmonitoring3":
@@ -113,7 +117,7 @@ class TestLpExport:
             _, model, _ = pig_setup(3, merged=True,
                                     risk=CvarObjective(alpha=0.15))
         text = export_lp(model)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == TEXT_PINS[name]
 
     def test_export_is_deterministic(self):
         _, m1, _ = pig_setup(2)
@@ -133,7 +137,7 @@ class TestLpExport:
         text = export_lp(model)
         lines = text.splitlines()
         assert all(len(line) <= 210 for line in lines)
-        # the 256-config normalization row must span several lines
+        # the merged value cluster's normalization row spans several lines
         start = next(
             i for i, l in enumerate(lines) if l == "\\ normalize[V_merged]"
         )
@@ -145,7 +149,8 @@ class TestLpExport:
         assert len(row_lines) > 1
         assert all(l.startswith(" ") for l in row_lines[1:])
         merged = " ".join(l.strip() for l in row_lines)
-        assert merged.count("mu_V_merged_") == 256
+        # the 16 of 256 configurations that the merged value's CPT allows
+        assert merged.count("mu_V_merged_") == 16
 
     def test_rejects_unsafe_variable_names(self):
         model = MipModel()
@@ -226,19 +231,28 @@ class TestRowChecking:
         assert got == want
 
     @pytest.mark.parametrize("case, broken", [
-        # the ends of an interleaved policy_ub/policy_lb block, a row past
-        # 100 of an indexed block, and a single-row block
-        ("nmonitoring-3", {449: "policy_ub[A3][c=0]", 512: "policy_lb[A3][c=31]",
-                           268: "cpt_link[T][c=123]", 8: "normalize[T]"}),
-        ("pigfarm-3 chance", {160: "chance[T3]"}),
-        ("merged pigfarm-2 cvar0.25", {254: "cvar_share_total"}),
+        # the ends of an interleaved policy_ub/policy_lb block, single-row
+        # blocks, a row past 100 of an indexed block, and the rows of an
+        # indexed block whose middle row was dropped
+        ("nmonitoring-3", {193: "policy_ub[A3][c=0]", 256: "policy_lb[A3][c=31]",
+                           8: "normalize[T]"}),
+        ("pigfarm-3 chance", {144: "chance[T3]"}),
+        ("merged pigfarm-2 cvar0.25", {190: "cvar_share_total"}),
+        ("nmonitoring-5", {576: "cpt_link[F][c=123]"}),
+        ("zero entry", {1: "cpt_link[A][c=0]", 2: "cpt_link[A][c=2]"}),
     ])
     def test_messages_print_literal_row_tags(self, case, broken):
         # An optimal answer made to break each row by a unit of its
         # right-hand side names exactly those rows, by label and tag.
-        if case == "nmonitoring-3":
-            d = gen_nmonitoring(NMonitoringSpec(n_monitors=3, seed=1))
+        if case.startswith("nmonitoring"):
+            d = gen_nmonitoring(NMonitoringSpec(n_monitors=int(case[-1]), seed=1))
             model, ctx = build_base_model(build_rjt(d), d)
+        elif case == "zero entry":
+            d = InfluenceDiagram(
+                nodes=(Node("A", NodeKind.CHANCE, ("x", "y", "z")),),
+                cpts={"A": Cpt("A", np.array([[0.5, 0.0, 0.5]]))}, utilities={})
+            model, ctx = build_base_model(build_rjt(d), d)
+            assert len(model.rows) == 3
         elif case == "pigfarm-3 chance":
             _, model, ctx = pig_setup(3, risk=parse_chance_text("P(H3=ill) <= 0.45"))
         else:
@@ -297,16 +311,16 @@ class TestRowChecking:
             d = gen_nmonitoring(NMonitoringSpec(n_monitors=n, seed=1))
             model, ctx = build_base_model(build_rjt(d), d)
         # One term per column, written by a loop over the value clusters'
-        # configurations, or over the CVaR tail levels.
+        # live configurations, or over the CVaR tail levels.
         want = np.zeros(len(model.variables))
         if model.cvar is None:
             for root in ctx.tree_order:
                 if d.kind(root) != NodeKind.VALUE:
                     continue
                 lay = ctx.layouts[root]
-                for cfg in range(lay.total):
+                for i, cfg in enumerate(lay.live):
                     u = d.utilities[root].values[lay.root_state[cfg]]
-                    want[model.mu[root].start + cfg] = u + 0.0
+                    want[model.mu[root].start + i] = u + 0.0
         else:
             block = model.cvar
             for k, u in enumerate(block.utilities):
@@ -417,8 +431,7 @@ class TestPropagation:
         # rebuild a full assignment and let the row system judge it
         x = sol_ref.x.copy()
         for root in ctx.tree.order:
-            for cfg, val in enumerate(mu[root]):
-                x[model.mu[root].start + cfg] = float(val)
+            x[model.mu[root].span] = mu[root][ctx.layouts[root].live]
         for dn, rule in strategy.rules.items():
             n_pcfg, n_states = model.delta[dn].shape
             for pcfg in range(n_pcfg):
@@ -439,9 +452,8 @@ class TestSolveReference:
         # the assignment is the one the returned strategy implies
         mu = propagate_cluster_marginals(ctx, sol.strategy)
         for root in ctx.tree.order:
-            start = model.mu[root].start
-            np.testing.assert_array_equal(
-                sol.x[start:start + mu[root].size], mu[root])
+            np.testing.assert_array_equal(sol.x[model.mu[root].span],
+                                          mu[root][ctx.layouts[root].live])
 
     def test_matches_oracle_on_random_diagrams(self):
         rng = np.random.default_rng(77)
@@ -564,9 +576,8 @@ class TestExternalBridge:
         )
         mu = propagate_cluster_marginals(ctx, ext.strategy)
         for root in ctx.tree.order:
-            start = model.mu[root].start
-            np.testing.assert_array_equal(
-                ext.x[start:start + mu[root].size], mu[root])
+            np.testing.assert_array_equal(ext.x[model.mu[root].span],
+                                          mu[root][ctx.layouts[root].live])
 
     def test_polish_failing_the_exact_recheck_leaves_no_objective(self, tmp_path):
         # A chance bound 5e-7 below the exact P(H2=ill) of the MEU strategy:

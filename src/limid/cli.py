@@ -118,17 +118,17 @@ def _load(args) -> InfluenceDiagram:
 
 
 def _prepare_diagram(args, diagram: InfluenceDiagram) -> InfluenceDiagram:
-    if getattr(args, "merge_values", False):
+    if args.merge_values:
         diagram, _ = merge_value_nodes(diagram)
     return diagram
 
 
 def _prepare_tree(args, diagram: InfluenceDiagram):
     order = None
-    if getattr(args, "order", None):
+    if args.order:
         order = [s.strip() for s in args.order.split(",") if s.strip()]
     tree = build_rjt(diagram, order=order)
-    if getattr(args, "modify", None):
+    if args.modify:
         for group in args.modify:
             targets = [s.strip() for s in group.split(",") if s.strip()]
             tree = modify_rjt(tree, targets)
@@ -193,11 +193,10 @@ def _write_strategy(args, diagram: InfluenceDiagram, strategy: Strategy) -> None
 
 def _emit_record(args, record: Dict[str, object]) -> None:
     line = json.dumps(record, sort_keys=True, default=str)
-    if getattr(args, "json", False):
+    if args.json:
         print(line)
-    report = getattr(args, "report", None)
-    if report:
-        _write("--report", report, line + "\n", mode="a")
+    if args.report:
+        _write("--report", args.report, line + "\n", mode="a")
 
 
 def _solver_command(args) -> List[str]:

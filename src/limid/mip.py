@@ -132,18 +132,6 @@ class LinearConstraint:
     tag: str
 
 
-_TENS = "]\n".join(map(str, range(100))) + "]"
-_HUNDRED = "]\n".join(f"{i:02d}" for i in range(100)) + "]"
-
-
-def _marks(k: int) -> str:
-    """"0]\n1]\n2]..." up to at least ``k - 1``, a hundred numbers at a
-    time: from 100 on, a hundred is its leading digits before each of
-    "00]" to "99]"."""
-    return "\n".join([_TENS] + [str(h) + _HUNDRED.replace("\n", f"\n{h}")
-                                for h in range(1, -(-k // 100))])
-
-
 @dataclass(frozen=True)
 class RowBlock:
     """Rows ``start`` to ``stop`` (exclusive), emitted in one step.
@@ -165,16 +153,8 @@ class RowBlock:
         n, p = self.stop - self.start, len(self.heads)
         if not self.indexed:
             return [self.heads[0]] * n
-        if self.places is not None:
-            return [f"{self.heads[j % p]}{j // p}]" for j in self.places.tolist()]
-        marks = _marks(-(-n // p))
-        tags = [""] * n
-        for j, head in enumerate(self.heads):
-            # a head's tags are one split of "<head>0]\n<head>1]\n..."; no
-            # head holds a newline, since a tag is an LP comment line
-            k = len(range(j, n, p))
-            tags[j::p] = (head + marks.replace("\n", "\n" + head)).split("\n", k)[:k]
-        return tags
+        places = range(n) if self.places is None else self.places.tolist()
+        return [f"{self.heads[j % p]}{j // p}]" for j in places]
 
     def family_counts(self) -> Iterator[Tuple[str, int]]:
         p = len(self.heads)

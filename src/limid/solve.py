@@ -95,53 +95,45 @@ def _distinct(values: np.ndarray) -> Tuple[List[float], np.ndarray]:
     return bits.view(np.float64).tolist(), at
 
 
-def _terms_text(coefs: np.ndarray, variables: np.ndarray, firsts: np.ndarray,
-                names: np.ndarray, widths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One ``+ c name`` or ``- c name`` token per term, as an object array,
-    where the terms at ``firsts``, each the first of its expression, drop a
-    leading "+ "; and the width of each token.  ``names`` and ``widths``
-    hold every variable's name and its length.  Each distinct coefficient
-    is formatted once."""
+def _terms(coefs: np.ndarray, variables: np.ndarray, firsts: np.ndarray,
+           names: np.ndarray) -> List[str]:
+    """One ``+ c name`` or ``- c name`` token per term, where the terms at
+    ``firsts``, each the first of its expression, drop a leading "+ ".
+    ``names`` holds every variable's name.  Each distinct coefficient is
+    formatted once."""
     values, at = _distinct(coefs)
     signed = [f"- {-c!r} " if c < 0 else f"+ {c!r} " for c in values]
     texts = signed + [t[2:] if t[0] == "+" else t for t in signed]
     at[firsts] += len(signed)
-    return (np.array(texts, dtype=object)[at] + names[variables],
-            np.array(list(map(len, texts)), dtype=np.int64)[at] + widths[variables])
+    return (np.array(texts, dtype=object)[at] + names[variables]).tolist()
 
 
-def _line_breaks(widths: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                 lead: np.ndarray) -> Tuple[List[int], List[int]]:
-    """The line breaks of expressions wrapped at ``LP_LINE_WIDTH``.
-    Expression k is the terms ``starts[k]:stops[k]`` of ``widths``, after
-    ``lead[k]`` characters on its first line.  A term, with the space before
-    it, goes on its line unless it would pass the width; a continuation line
-    holds at least one term.  Returns the terms a break follows and the
-    expressions that break before their first term."""
-    reach = np.concatenate([[0], np.cumsum(widths + 1)])
-    # the term that ends a line starting at term j, or at expression k's lead
-    ends = (np.searchsorted(reach, reach[:-1] + LP_LINE_WIDTH, side="right") - 1).tolist()
-    firsts = np.searchsorted(reach, reach[starts] + LP_LINE_WIDTH - lead, side="right") - 1
-    breaks, bare = [], []
-    for k in np.flatnonzero(firsts < stops).tolist():
-        start, stop, end = int(starts[k]), int(stops[k]), max(int(firsts[k]), int(starts[k]))
-        while end < stop:
-            if end == start:
-                bare.append(k)
-            else:
-                breaks.append(end - 1)
-            end = min(max(ends[end], end + 1), stop)
-    return breaks, bare
+def _wrap(lead: str, tokens: List[str]) -> str:
+    """``lead`` and ``tokens`` joined by spaces into lines of at most
+    ``LP_LINE_WIDTH`` characters: a token that would pass the width, with
+    the space before it, starts a continuation line indented by one space,
+    where it stays however wide it is."""
+    lines, line, width = [], [lead], len(lead)
+    for token in tokens:
+        width += 1 + len(token)
+        if width > LP_LINE_WIDTH:
+            lines.append(" ".join(line))
+            line, width = [""], 1 + len(token)
+        line.append(token)
+    lines.append(" ".join(line))
+    return "\n".join(lines)
 
 
 def export_lp(model: MipModel) -> str:
     """Render the model as deterministic LP-format text.
 
     One comment line (``\\ tag``) precedes each row; rows are named c1..cN in
-    emission order; coefficients use shortest round-trip decimal form; lines
-    wrap near 200 characters with continuations indented by one space.
-    Terms are joined with spaces; a line break follows a term as a "\n"
-    that ends its token.
+    emission order; coefficients use shortest round-trip decimal form.  The
+    objective and each row wrap at ``LP_LINE_WIDTH`` characters: a term,
+    with the space before it, starts a continuation line, indented by one
+    space, when it would pass the width, so a label may end its line and a
+    term wider than the width has a line to itself.  A row's relation and
+    right-hand side follow its last term and do not count.
     """
     blocks = model.variables.blocks
     for block in blocks:
@@ -154,51 +146,23 @@ def export_lp(model: MipModel) -> str:
             )
     names = model.variables.names()
     name_array = np.array(names, dtype=object)
-    name_widths = np.fromiter(map(len, names), np.int64, len(names))
     variables = np.flatnonzero(model.objective)
     if variables.size:
-        tokens, widths = _terms_text(model.objective[variables], variables,
-                                     np.zeros(1, int), name_array, name_widths)
+        tokens = _terms(model.objective[variables], variables, np.zeros(1, int), name_array)
     else:
-        tokens = np.array([f"0.0 {names[0]}"], dtype=object)
-        widths = np.array([len(tokens[0])])
-    head = " obj:"
-    breaks, bare = _line_breaks(widths, np.zeros(1, int), np.array([len(widths)]),
-                                np.array([len(head)]))
-    tokens[breaks] += "\n"
-    if bare:
-        head += "\n"
+        tokens = [f"0.0 {names[0]}"]
     out: List[str] = ["\\ influence diagram mixed-integer program", "Maximize",
-                      " ".join([head, *tokens.tolist()]), "Subject To"]
+                      _wrap(" obj:", tokens), "Subject To"]
 
-    # One piece per term, and between the rows one piece that ends a row
-    # and starts the next: its relation and right-hand side, the next
-    # row's tag and its label.
     rows = model.rows
-    n_rows, counts = len(rows), np.diff(rows.indptr)
-    tokens, widths = _terms_text(rows.data, rows.indices, rows.indptr[:-1][counts > 0],
-                                 name_array, name_widths)
+    tokens = _terms(rows.data, rows.indices, rows.indptr[:-1][np.diff(rows.indptr) > 0],
+                    name_array)
     values, at = _distinct(rows.rhs)
-    tails = (np.array(["= ", "<= ", ">= "], dtype=object)[rows.sense]
+    tails = (np.array([" = ", " <= ", " >= "], dtype=object)[rows.sense]
              + np.array(list(map(repr, values)), dtype=object)[at]).tolist()
-    heads = [f"{tail}\n\\ {tag}\n c{i}:" for tail, tag, i
-             in zip(["", *tails[:-1]], rows.tags(), range(1, n_rows + 1))]
-    # the width of " c<i>:"
-    label_widths = 4 + np.searchsorted(10 ** np.arange(1, 19), np.arange(1, n_rows + 1),
-                                       side="right")
-    breaks, bare = _line_breaks(widths, rows.indptr[:-1], rows.indptr[1:], label_widths)
-    tokens[breaks] += "\n"
-    for i in bare:
-        heads[i] += "\n"
-    if n_rows:
-        pieces = np.empty(len(tokens) + n_rows + 1, dtype=object)
-        starts = rows.indptr[:-1] + np.arange(n_rows)
-        pieces[starts] = np.array(heads, dtype=object)
-        is_term = np.ones(len(pieces), dtype=bool)
-        is_term[starts] = is_term[-1] = False
-        pieces[is_term] = tokens
-        pieces[-1] = tails[-1]
-        out.append(" ".join(pieces.tolist())[1:])
+    indptr = rows.indptr.tolist()
+    out += [f"\\ {tag}\n" + _wrap(f" c{i + 1}:", tokens[indptr[i]:indptr[i + 1]]) + tail
+            for i, (tag, tail) in enumerate(zip(rows.tags(), tails))]
 
     out.append("Bounds")
     binaries: List[str] = []

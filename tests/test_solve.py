@@ -3,6 +3,7 @@ propagation, the enumerating reference solver, the external bridge, and
 solution decoding."""
 
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from limid import solve
 from limid.rjt import build_rjt, modify_rjt
 from limid.solve import (
     ExternalSolverError,
+    LP_LINE_WIDTH,
     RowSystem,
     assignment_vector,
     decode,
@@ -136,7 +138,22 @@ class TestLpExport:
         _, model, _ = pig_setup(3, merged=True)
         text = export_lp(model)
         lines = text.splitlines()
-        assert all(len(line) <= 210 for line in lines)
+        body = lines[lines.index("Maximize") + 1:lines.index("Bounds") + 1]
+        label = re.compile(r" (obj|c\d+):")
+        term = re.compile(r" (?:[+-] )?\S+ \S+")
+        for line, after in zip(body, body[1:]):
+            if line.startswith("\\") or line == "Subject To":
+                continue
+            if after.startswith("\\") or after == "Bounds":
+                # a row's relation and right-hand side follow its last term
+                line = re.sub(r" (=|<=|>=) \S+$", "", line)
+            # at most the width, unless a continuation holding one term
+            assert len(line) <= LP_LINE_WIDTH or (
+                not label.match(line) and term.fullmatch(line))
+            if not (after.startswith("\\") or label.match(after)
+                    or after in ("Subject To", "Bounds")):
+                # a continuation starts with a term that did not fit
+                assert len(line) + len(term.match(after).group()) > LP_LINE_WIDTH
         # the merged value cluster's normalization row spans several lines
         start = next(
             i for i, l in enumerate(lines) if l == "\\ normalize[V_merged]"

@@ -16,6 +16,17 @@ external-solver bridge parses.  Exit code 0 means a definitive answer
 (optimal or infeasible); 2 means a file HiGHS cannot read or a solver
 failure.
 
+``limid-milp -`` serves instead: it reads one file path per line on stdin
+and answers each with the listing above, or with ``error <message>`` where
+a one-shot run prints that to stderr, then one ``end <exit code>`` line; a
+file it cannot read does not end it, the end of stdin does.  Before it
+serves, it moves its answers to a duplicate of file descriptor 1 and points
+descriptor 1 at the null device, so the line HiGHS prints there with C
+stdio (``HighsMipSolverData::transformNewIntegerFeasibleSolution
+tmpSolver.run();``, on some MIP solves, with output off) cannot reach
+them.  The bridge keeps one such child per process for the bundled
+command; a command a user gives still starts one process per solve.
+
 The child starts as little as it can: the bridge runs this file with
 ``python -S``, so neither ``site`` nor the ``.pth`` files of site-packages
 run, and it imports only ``os``, ``sys`` and the ``importlib`` loader.
@@ -161,22 +172,51 @@ def solve_lp_text(text: str):
         return solve_lp_file(path)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or args[0].startswith("-"):
-        print("usage: limid-milp LP_FILE", file=sys.stderr)
-        return 2
-    try:
-        status, objective, assignment = solve_lp_file(args[0])
-    except (OSError, ValueError) as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return 2
+def _answer(path: str) -> tuple[int, str]:
+    """The exit code and the listing of one solve of the file ``path``."""
+    status, objective, assignment = solve_lp_file(path)
     lines = [f"status {status}"]
     if objective is not None:
         lines.append(f"objective {objective!r}")
     lines += [f"{name} {val!r}" for name, val in assignment.items()]
-    print("\n".join(lines))
-    return 0 if status in ("optimal", "infeasible") else 2
+    return 0 if status in ("optimal", "infeasible") else 2, "\n".join(lines)
+
+
+def serve() -> int:
+    """Solve the file at each path read from stdin, one path a line, until
+    stdin ends.  Each answer is the one-shot listing, or ``error
+    <message>`` where one-shot mode prints that to stderr, then ``end
+    <exit code>``.  The answers go to a duplicate of file descriptor 1, and
+    descriptor 1 itself to the null device, so that what HiGHS prints with
+    C stdio never reaches them."""
+    out = os.fdopen(os.dup(1), "w")
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    for line in sys.stdin:
+        try:
+            code, text = _answer(line.rstrip("\n"))
+        except (OSError, ValueError) as exc:
+            code, text = 2, f"error {exc}"
+        out.write(f"{text}\nend {code}\n")
+        out.flush()
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args == ["-"]:
+        return serve()
+    if len(args) != 1 or args[0].startswith("-"):
+        print("usage: limid-milp LP_FILE", file=sys.stderr)
+        return 2
+    try:
+        code, text = _answer(args[0])
+    except (OSError, ValueError) as exc:
+        print(f"error {exc}", file=sys.stderr)
+        return 2
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

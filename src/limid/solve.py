@@ -11,9 +11,13 @@ cross-checking external solvers.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from pathlib import Path
@@ -133,7 +137,8 @@ def export_lp(model: MipModel) -> str:
     with the space before it, starts a continuation line, indented by one
     space, when it would pass the width, so a label may end its line and a
     term wider than the width has a line to itself.  A row's relation and
-    right-hand side follow its last term and do not count.
+    right-hand side follow its last term and do not count.  A model without
+    columns, or with a name that is not LP-safe, raises ValueError.
     """
     blocks = model.variables.blocks
     for block in blocks:
@@ -145,6 +150,8 @@ def export_lp(model: MipModel) -> str:
                 f"rename diagram nodes to use letters, digits, '_' or '.'"
             )
     names = model.variables.names()
+    if not names:
+        raise ValueError("the model has no columns; LP text needs at least one")
     name_array = np.array(names, dtype=object)
     variables = np.flatnonzero(model.objective)
     if variables.size:
@@ -571,6 +578,87 @@ def _command_argv(command: Sequence[str], lp_path: str) -> List[str]:
     return [*command, lp_path]
 
 
+class _ServedChild:
+    """This process's ``limid-milp -`` child.  The first bundled solve
+    starts it, and so does the solve after one that found it dead; every
+    bundled solve sends it the path of its LP file.  At exit its stdin is
+    closed and it is waited for."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.proc: Optional[subprocess.Popen] = None
+        self.owner = 0  # the process that started ``proc``
+        self.stderr = None  # what ``proc`` writes there, read if it dies
+
+    def run(self, lp_path: str) -> subprocess.CompletedProcess:
+        """What a one-shot child gives for the file ``lp_path``: its exit
+        code, its listing, and what it wrote to stderr if it died."""
+        with self.lock:
+            if self.proc is None or self.owner != os.getpid():
+                self.stderr = tempfile.TemporaryFile()
+                self.proc = subprocess.Popen(
+                    [*reference_backend_command()[:-1], "-"], text=True,
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=self.stderr)
+                self.owner = os.getpid()
+            proc, lines = self.proc, []
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.write(lp_path + "\n")
+                proc.stdin.flush()
+                for line in proc.stdout:
+                    if line.startswith("end "):
+                        return subprocess.CompletedProcess(
+                            proc.args, int(line[4:]), "".join(lines), "")
+                    lines.append(line)
+            proc.wait()  # it died
+            self.stderr.seek(0)
+            stderr = self.stderr.read().decode(errors="replace")
+            self.close()
+            return subprocess.CompletedProcess(proc.args, proc.returncode,
+                                               "".join(lines), stderr)
+
+    def close(self) -> None:
+        """End the child, if this process started one, and wait for it."""
+        proc, self.proc = self.proc, None
+        if proc is not None and self.owner == os.getpid():
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.wait()
+            proc.stdout.close()
+            self.stderr.close()
+
+
+_SERVED = _ServedChild()
+atexit.register(_SERVED.close)
+
+
+def _solver_listing(command: Sequence[str], lp_path: str) -> str:
+    """What ``command`` prints on stdout for the LP file ``lp_path``.  The
+    bundled command's answer comes from this process's served child, any
+    other command's from a process of its own.  A solver that cannot be
+    run or exits with a nonzero code raises ExternalSolverError."""
+    argv = _command_argv(command, lp_path)
+    try:
+        if list(command) == reference_backend_command():
+            proc = _SERVED.run(lp_path)
+        else:
+            proc = subprocess.run(argv, capture_output=True, text=True)
+    except FileNotFoundError as exc:
+        raise ExternalSolverError(
+            f"solver executable not found: {argv[0]!r}"
+        ) from exc
+    except OSError as exc:
+        raise ExternalSolverError(
+            f"cannot run solver {argv[0]!r}: {exc.strerror}"
+        ) from exc
+    if proc.returncode != 0:
+        tail = (proc.stderr or proc.stdout or "").strip()[-500:]
+        raise ExternalSolverError(
+            f"solver exited with code {proc.returncode}: {tail}"
+        )
+    return proc.stdout
+
+
 def _strategy_from_bits(model: MipModel, x: np.ndarray) -> Strategy:
     """The strategy whose policy bits ``x`` sets, each bit rounded.
 
@@ -600,7 +688,9 @@ def solve_external(
     """Run an external MILP solver over the exported LP text.
 
     The command is an argv template; ``{lp}`` is replaced by the LP file
-    path, or the path is appended when no placeholder appears.
+    path, or the path is appended when no placeholder appears.  The bundled
+    command, ``reference_backend_command()``, is not started per solve:
+    one ``limid-milp -`` child per process answers every path sent to it.
     The solver must print a ``status`` line and whitespace-separated
     name/value pairs.  Reported solutions are re-checked against every row
     at ``tol``; a failing re-check downgrades the status to "unknown" and
@@ -622,23 +712,8 @@ def solve_external(
     with tempfile.TemporaryDirectory(prefix="limid_lp_") as tmp:
         lp_path = Path(tmp) / "model.lp"
         lp_path.write_text(export_lp(model))
-        argv = _command_argv(command, str(lp_path))
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
-        except FileNotFoundError as exc:
-            raise ExternalSolverError(
-                f"solver executable not found: {argv[0]!r}"
-            ) from exc
-        except OSError as exc:
-            raise ExternalSolverError(
-                f"cannot run solver {argv[0]!r}: {exc.strerror}"
-            ) from exc
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip()[-500:]
-        raise ExternalSolverError(
-            f"solver exited with code {proc.returncode}: {tail}"
-        )
-    parsed = parse_name_value_listing(proc.stdout)
+        listing = _solver_listing(command, str(lp_path))
+    parsed = parse_name_value_listing(listing)
     status_word = parsed.get("status")
     if status_word in ("optimal", "solved"):
         status = STATUS_OPTIMAL

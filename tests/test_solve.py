@@ -3,7 +3,11 @@ propagation, the enumerating reference solver, the external bridge, and
 solution decoding."""
 
 import hashlib
+import json
+import os
 import re
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from limid.diagram import Cpt, InfluenceDiagram, Node, NodeKind
+from limid.diagram_io import save_diagram
 from limid.generators import (
     NMonitoringSpec,
     PigFarmSpec,
@@ -56,6 +61,7 @@ from limid.transform import merge_value_nodes
 from helpers import enumerate_strategies, listing_command, small_random_diagram
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def pig_setup(n, merged=False, risk=None):
@@ -178,6 +184,10 @@ class TestLpExport:
         model2.variables.add("9starts_with_digit", (), UNIT)
         with pytest.raises(ValueError, match="LP-safe"):
             export_lp(model2)
+
+    def test_rejects_model_without_columns(self):
+        with pytest.raises(ValueError, match="no columns"):
+            export_lp(MipModel())
 
     def test_empty_objective_uses_zero_coefficient(self):
         model = MipModel()
@@ -683,6 +693,114 @@ class TestExternalBridge:
         cmd = [sys.executable, "-m", "limid.milp_backend", *tail]
         sol = solve_external(model, ctx, cmd)
         assert sol.objective_value == pytest.approx(821.8, abs=1e-6)
+
+
+# The bundled child run as a command of its own: one process per solve.
+ONE_SHOT = reference_backend_command()[:-1]
+
+
+def listed_answer(text):
+    """The status, objective lines and column values of a listing."""
+    parsed = parse_name_value_listing(text)
+    objective = [float(line.split()[1]) for line in text.splitlines()
+                 if line.startswith("objective ")]
+    return parsed["status"], objective, parsed["assignment"]
+
+
+class TestServedChild:
+    """The bundled command's solves all go to one ``limid-milp -`` child of
+    the process, and give what a child per solve gives."""
+
+    def served(self, path):
+        return solve._solver_listing(reference_backend_command(), str(path))
+
+    def test_answers_equal_one_shot_answers(self, tmp_path):
+        d = gen_nmonitoring(NMonitoringSpec(n_monitors=5, seed=1))
+        nmon = tmp_path / "nmonitoring5.lp"
+        nmon.write_text(export_lp(build_base_model(build_rjt(d), d)[0]))
+        # HiGHS prints its C stdio line to file descriptor 1 on this model
+        d, _ = merge_value_nodes(gen_pigfarm(PigFarmSpec(n_periods=4, seed=2)))
+        model, ctx = build_base_model(build_rjt(d), d)
+        add_risk(model, CvarObjective(alpha=0.05), ctx)
+        cvar = tmp_path / "pigfarm4_merged_cvar.lp"
+        cvar.write_text(export_lp(model))
+        paths = [DATA / "pigfarm1.lp", DATA / "pigfarm1_merged_cvar.lp", nmon,
+                 cvar]
+        one_shot = {p: solve._solver_listing(ONE_SHOT, str(p)) for p in paths}
+        assert "tmpSolver.run();" in one_shot[cvar]
+        one_shot = {p: listed_answer(text) for p, text in one_shot.items()}
+        assert [one_shot[p][0] for p in paths] == ["optimal"] * 4
+        pids = set()
+        for order in (paths, paths[::-1]):
+            for path in order:
+                text = self.served(path)
+                status, objective, assignment = listed_answer(text)
+                # nothing but the listing: no line HiGHS prints itself
+                assert text.startswith("status ")
+                assert len(text.splitlines()) == 1 + len(objective) + len(assignment)
+                assert (status, objective, assignment) == one_shot[path]
+                pids.add(solve._SERVED.proc.pid)
+        assert len(pids) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("Maximize\n obj: x\nSubject To\n c1: x + y\nEnd\n",
+         "error HiGHS cannot read {path}"),
+        ("Maximize\n obj: 0\nEnd\n",
+         "error `c` must be a one-dimensional array of finite numbers with "
+         "at least one element."),
+    ], ids=["unreadable", "no-columns"])
+    def test_refused_file_same_error_and_child_keeps_serving(
+            self, tmp_path, text, message):
+        path = tmp_path / "bad.lp"
+        path.write_text(text)
+        errors = []
+        for command in (ONE_SHOT, reference_backend_command()):
+            with pytest.raises(ExternalSolverError) as err:
+                solve._solver_listing(command, str(path))
+            errors.append(str(err.value))
+        want = "solver exited with code 2: " + message.format(path=path)
+        assert errors == [want, want]
+        pid = solve._SERVED.proc.pid
+        assert self.served(DATA / "pigfarm1.lp").startswith("status optimal\n")
+        assert solve._SERVED.proc.pid == pid
+
+    def test_killed_child_fails_one_solve_then_restarts(self):
+        _, model, ctx = pig_setup(1)
+        first = solve_external(model, ctx, reference_backend_command())
+        killed = solve._SERVED.proc
+        killed.send_signal(signal.SIGKILL)
+        with pytest.raises(ExternalSolverError,
+                           match=f"solver exited with code -{signal.SIGKILL}"):
+            solve_external(model, ctx, reference_backend_command())
+        assert solve._SERVED.proc is None
+        again = solve_external(model, ctx, reference_backend_command())
+        assert solve._SERVED.proc.pid != killed.pid
+        assert (again.status, again.objective_value) == (
+            first.status, first.objective_value)
+        np.testing.assert_array_equal(again.x, first.x)
+
+    def test_no_child_outlives_its_parent(self, tmp_path):
+        path = tmp_path / "pig2.json"
+        save_diagram(gen_pigfarm(PigFarmSpec(n_periods=2)), path)
+        code = ("import sys\n"
+                "from limid import cli, solve\n"
+                f"code = cli.main(['solve', {str(path)!r}, '--backend', "
+                "'external', '--json'])\n"
+                "print(solve._SERVED.proc.pid, file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # stdout holds the summary and the JSON record, no line of the child
+        *summary, record = proc.stdout.splitlines()
+        assert json.loads(record)["status"] == "optimal"
+        assert [line.split(":")[0].rstrip() for line in summary
+                if not line.startswith("  ")] == [
+            "status", "objective (meu)", "strategy", "wall time"]
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stderr.split()[-1]), 0)
 
 
 class TestDecode:
